@@ -164,8 +164,9 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
             )
         hulls = (h1, h2)
     else:
-        d = abs(det(l1.basis))
         candidates = recover_modulus(l1)
+        # Every candidate has k^(n-m) = |det L1|; only an empty list needs det again.
+        d = candidates[0][0] ** (n - candidates[0][1]) if candidates else abs(det(l1.basis))
         transcript.append(
             {
                 "step": "modulus",
@@ -197,13 +198,8 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
             )
 
     h1, h2 = hulls
-    transcript.append(
-        {
-            "step": "hull",
-            "k": k,
-            "hull_dets": [str(abs(det(h1.basis))), str(abs(det(h2.basis)))],
-        }
-    )
+    # _hull_det_matches accepted both hulls, so each |det| is exactly k^n.
+    transcript.append({"step": "hull", "k": k, "hull_dets": [str(k**n)] * 2})
 
     sols = []
     for idx, hull in ((1, h1), (2, h2)):

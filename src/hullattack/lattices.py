@@ -50,18 +50,20 @@ class LatticeBasis:
         if bareiss_det(scaled) == 0:
             raise Singular("basis rows are dependent")
 
-    @property
+    @cached_property
     def denominator(self) -> int:
         """Common denominator cleared during canonicalization."""
-        d = 1
-        for row in self.basis.entries:
-            for x in row:
-                d = lcm(d, x.denominator)
-        return d
+        return lcm(*(x.denominator for row in self.basis.entries for x in row))
 
     @cached_property
     def canonical(self) -> RatMatrix:
         return canonical_basis(self.basis)
+
+    @cached_property
+    def _canonical_rows(self) -> list[list[int]]:
+        """The canonical HNF scaled by `denominator`, as integer rows."""
+        den = self.denominator
+        return [[x.numerator * (den // x.denominator) for x in row] for row in self.canonical.entries]
 
     def gram(self) -> RatMatrix:
         return self.basis.mul(self.basis.transpose())
@@ -72,7 +74,7 @@ class LatticeBasis:
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} != {self.n}")
         den = self.denominator
-        h = [[int(x * den) for x in row] for row in self.canonical.entries]
+        h = self._canonical_rows
         w = [x * den for x in v]
         if any(x.denominator != 1 for x in w):
             return False
@@ -164,14 +166,9 @@ def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
     if s < 1:
         raise ValueError(f"scale must be positive, got {s}")
     n = lattice.n
-    g = lattice.gram()
-    den = 1
-    for row in g.entries:
-        for x in row:
-            den = lcm(den, x.denominator)
+    scaled, den = lattice.gram().clear_denominators()
     big = s * den
-    cleared = ModMatrix.from_rows(big, [[int(x * den) for x in row] for row in g.entries])
-    ker = kernel_mod(cleared)
+    ker = kernel_mod(ModMatrix.from_rows(big, scaled))
     rows = [list(r) for r in ker.lift().entries]
     rows += [[big * int(i == j) for j in range(n)] for i in range(n)]
     coeff = hnf(IntMatrix.from_rows(rows))
@@ -208,24 +205,23 @@ def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode:
     return from_generator(ModMatrix.from_rows(k, rows, n))
 
 
-def random_signed_perm_matrix(n: int, rng: random.Random) -> RatMatrix:
-    sigma = list(range(n))
-    rng.shuffle(sigma)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][sigma[i]] = Fraction(rng.choice((1, -1)))
-    return RatMatrix.from_rows(rows)
-
-
 def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> RationalOrthogonal:
     """Exact orthonormal transform: a product of `depth` Pythagorean
-    Givens rotations followed by a random signed permutation."""
+    Givens rotations followed by a random signed permutation.
+
+    Each column is kept as integers over its own denominator.  A rotation
+    touches two columns only: both are brought to the lcm of their
+    denominators, which is then multiplied by the triple's hypotenuse, an
+    O(n) update.  The signed permutation moves and negates columns.
+    Fractions are built once, at the end.
+    """
     if n < 1:
         raise ValueError("dimension must be positive")
     if depth is None:
         depth = 2 * n
     rng = random.Random(seed)
-    m = RatMatrix.identity(n)
+    cols = [[int(r == t) for r in range(n)] for t in range(n)]
+    dens = [1] * n
     if n >= 2:
         for _ in range(depth):
             i = rng.randrange(n)
@@ -233,13 +229,20 @@ def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> R
             if j >= i:
                 j += 1
             a, b, c = PYTHAGOREAN_TRIPLES[rng.randrange(len(PYTHAGOREAN_TRIPLES))]
-            cos = Fraction(a, c)
-            sin = Fraction(b, c) if rng.randrange(2) == 0 else Fraction(-b, c)
-            g = [[Fraction(int(r == t)) for t in range(n)] for r in range(n)]
-            g[i][i] = cos
-            g[i][j] = sin
-            g[j][i] = -sin
-            g[j][j] = cos
-            m = m.mul(RatMatrix.from_rows(g))
-    m = m.mul(random_signed_perm_matrix(n, rng))
-    return RationalOrthogonal(m)
+            if rng.randrange(2):
+                b = -b
+            # (M G) with G[i][i] = G[j][j] = a/c, G[i][j] = b/c, G[j][i] = -b/c
+            d = lcm(dens[i], dens[j])
+            fi, fj = d // dens[i], d // dens[j]
+            ci = [x * fi for x in cols[i]]
+            cj = [x * fj for x in cols[j]]
+            cols[i] = [a * x - b * y for x, y in zip(ci, cj)]
+            cols[j] = [b * x + a * y for x, y in zip(ci, cj)]
+            dens[i] = dens[j] = d * c
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    out = [None] * n
+    for t in range(n):
+        sign = rng.choice((1, -1))
+        out[sigma[t]] = [Fraction(sign * x, dens[t]) for x in cols[t]]
+    return RationalOrthogonal(RatMatrix(tuple(zip(*out))))

@@ -3,6 +3,11 @@
 All arithmetic is exact: integer matrices use Python ints, rational ones
 use Fraction entries.  Nothing here ever rounds, so every downstream
 equality check is a real equality.
+
+Rational products never add Fractions term by term: each row of the left
+factor and each column of the right factor is cleared to integers over
+its own lcm denominator, and every entry of the product is one integer
+dot product over the product of the two denominators.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from . import kernels
 from .errors import NonSquare, ParseError, Singular
@@ -102,9 +108,12 @@ class RatMatrix:
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise NonSquare(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = list(zip(*other.entries))
+        cols = [_clear(col) for col in zip(*other.entries)]
         return RatMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries)
+            tuple(
+                tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
+                for a, da in map(_clear, self.entries)
+            )
         )
 
     def scale(self, c: Fraction) -> "RatMatrix":
@@ -116,11 +125,8 @@ class RatMatrix:
 
     def clear_denominators(self) -> tuple[list[list[int]], int]:
         """Return (den * self as int rows, den) with den the entrywise lcm."""
-        den = 1
-        for row in self.entries:
-            for x in row:
-                den = lcm(den, x.denominator)
-        scaled = [[int(x * den) for x in row] for row in self.entries]
+        den = lcm(*(x.denominator for row in self.entries for x in row))
+        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in self.entries]
         return scaled, den
 
     def to_int(self) -> IntMatrix:
@@ -143,6 +149,12 @@ class RatMatrix:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational entry: {exc}") from None
         return RatMatrix(tuple(tuple(vals[i * cols : (i + 1) * cols]) for i in range(rows)))
+
+
+def _clear(vec) -> tuple[list[int], int]:
+    """(den * vec as ints, den) with den the lcm of the entry denominators."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def _rat_str(x: Fraction) -> str:

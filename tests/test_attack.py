@@ -28,8 +28,9 @@ from hullattack.lattices import (
     lattice_equal,
     random_rational_orthogonal,
     rotate,
+    s_hull,
 )
-from hullattack.linalg import RatMatrix
+from hullattack.linalg import RatMatrix, det
 
 
 def diag_lattice(entries) -> LatticeBasis:
@@ -125,6 +126,16 @@ class TestHullAttack:
         json.dumps(res.to_dict())
         spep_entry = next(e for e in res.transcript if e["step"] == "spep")
         assert spep_entry["closure"] == "extended"
+
+    def test_transcript_determinants_are_the_computed_ones(self):
+        l1, l2, _ = make_instance(15, 6, 3, seed=5, depth=8)
+        modulus, hull_step = hull_attack(l1, l2).transcript[:2]
+        assert modulus["determinant"] == str(abs(det(l1.basis)))
+        k = modulus["k"]
+        assert hull_step["hull_dets"] == [str(abs(det(s_hull(l, k).basis))) for l in (l1, l2)]
+        with pytest.raises(NoCandidate) as exc_info:
+            hull_attack(diag_lattice([1, Fraction(1, 2)]), diag_lattice([1, Fraction(1, 2)]))
+        assert exc_info.value.transcript[0]["determinant"] == "1/2"
 
     def test_full_code_gives_no_candidate(self):
         # m = n makes the lattice unimodular: nothing to recover.

@@ -1,9 +1,11 @@
 """Instance generation and serialization."""
 
+import hashlib
 import json
 
 import pytest
 
+from hullattack.cli import main as cli_main
 from hullattack.errors import BadModulus, ParseError
 from hullattack.instances import Instance, generate_instance
 from hullattack.lattices import construction_a, lattice_equal, rotate
@@ -66,3 +68,32 @@ class TestSerialization:
         inst["secret"] = {"O1": inst["secret"]["O1"]}
         with pytest.raises(ParseError):
             Instance.from_dict(inst)
+
+
+# sha256 of the `hullattack gen` file bytes, recorded from the generator
+# that multiplied full Givens matrices entry by entry in Fractions.
+# (k, n, m, seed, depth or None for the default 2n, digest)
+GEN_DIGESTS = [
+    (2, 8, 4, 1, None, "63b40e2effaa7f4274125f2bdb8bbc5af3178f67d47c398c0281413fa6ce1359"),
+    (3, 8, 3, 2, None, "dc04db081d2611755e9647485bd87d2b7730a21f943f5e429016e44e3d51d4b3"),
+    (5, 12, 6, 1, None, "4b45550d712c97d7aea4a43a6104721651d2e6a99eb764352fe2317f66eadea9"),
+    (9, 12, 6, 2, None, "e1c39e661478d9515937bc93a9859b6976dc0f2c32960a6d8de9589ca2e51610"),
+    (10, 12, 6, 1, None, "07fb6c815d06b1dde35df1d54c2587cd4614659d50058a360762fa1bb372a221"),
+    (5, 12, 6, 3, 0, "00314ee799c9ea39f1d9d73132ba8915104f5853dbeac52bc4e6a16520b35700"),
+    (5, 12, 6, 3, 1, "588dae1a73f82c45ba95dd799772f308350035700650c40a5867057e3e43164e"),
+    (15, 12, 6, 4, 40, "79545eeba46d4062cf66c0912d20bf58bba15ab29e285e375fc413857871da9c"),
+    (15, 16, 8, 1, None, "32a5eb79e80875e91c42c883058667c6b458edcd77cd3382f0218d55ca953d94"),
+    (15, 20, 10, 1, None, "8b9e95b3efa8196af5fd9d1056e786f894c161852ad15fa2ab04fec2532a4c4b"),
+    (6, 24, 12, 1, None, "bf7b271fa739fde540f2375d97597f97490524dba81dc2cb22364727d8bc3ea9"),
+    (3, 32, 16, 1, None, "569da903bf717c36bc5cbbf888ff0865ce62dadbbcd3bd2c19bbaa84fb220270"),
+]
+
+
+@pytest.mark.parametrize("k,n,m,seed,depth,digest", GEN_DIGESTS)
+def test_gen_bytes_match_recorded_digest(tmp_path, k, n, m, seed, depth, digest):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--k", str(k), "--n", str(n), "--m", str(m), "--seed", str(seed), "--out", str(out)]
+    if depth is not None:
+        argv += ["--depth", str(depth)]
+    assert cli_main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -15,6 +15,7 @@ from hullattack.errors import (
     Singular,
 )
 from hullattack.lattices import (
+    PYTHAGOREAN_TRIPLES,
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
@@ -123,6 +124,45 @@ def test_random_rational_orthogonal_exact_and_deterministic():
         assert o1 == o2
         assert o1.matrix.mul(o1.matrix.transpose()) == RatMatrix.identity(n)
     assert random_rational_orthogonal(4, seed=1) != random_rational_orthogonal(4, seed=2)
+
+
+def reference_rational_orthogonal(n, seed, depth):
+    """The transform as a literal product of full Givens and signed
+    permutation matrices, drawing from the RNG in the generator's order."""
+    rng = random.Random(seed)
+
+    def matmul(a, b):
+        bt = list(zip(*b))
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+    m = [[Fraction(int(r == t)) for t in range(n)] for r in range(n)]
+    if n >= 2:
+        for _ in range(depth):
+            i = rng.randrange(n)
+            j = rng.randrange(n - 1)
+            if j >= i:
+                j += 1
+            a, b, c = PYTHAGOREAN_TRIPLES[rng.randrange(len(PYTHAGOREAN_TRIPLES))]
+            sin = Fraction(b, c) if rng.randrange(2) == 0 else Fraction(-b, c)
+            g = [[Fraction(int(r == t)) for t in range(n)] for r in range(n)]
+            g[i][i] = g[j][j] = Fraction(a, c)
+            g[i][j] = sin
+            g[j][i] = -sin
+            m = matmul(m, g)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    p = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        p[i][sigma[i]] = Fraction(rng.choice((1, -1)))
+    return matmul(m, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_random_rational_orthogonal_matches_givens_product(n):
+    for depth in (0, 1, 2 * n):
+        for seed in (0, 1, 99):
+            got = random_rational_orthogonal(n, seed=seed, depth=depth).matrix
+            assert [list(row) for row in got.entries] == reference_rational_orthogonal(n, seed, depth)
 
 
 def test_depth_zero_is_a_signed_permutation():

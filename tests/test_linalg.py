@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullattack.errors import NonSquare, Singular
 from hullattack.linalg import (
@@ -86,6 +88,44 @@ def in_lattice(v, basis_rat):
     inv = fraction_inverse([[Fraction(x) for x in row] for row in basis_rat.entries])
     coeff = [sum(Fraction(v[t]) * inv[t][j] for t in range(len(v))) for j in range(len(v))]
     return all(c.denominator == 1 for c in coeff)
+
+
+# --- rational product ---
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def matmul_pairs(draw):
+    # An r x 0 matrix is r empty rows, but 0 x c cannot be told from 0 x 0.
+    r = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 4)) if r else 0
+    c = draw(st.integers(0, 4)) if k else 0
+    a = [[draw(rationals) for _ in range(k)] for _ in range(r)]
+    b = [[draw(rationals) for _ in range(c)] for _ in range(k)]
+    return RatMatrix.from_rows(a), RatMatrix.from_rows(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matmul_pairs())
+def test_ratmul_matches_naive_fraction_product(pair):
+    a, b = pair
+    bt = list(zip(*b.entries))
+    naive = tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a.entries
+    )
+    got = a.mul(b)
+    assert got.entries == naive
+    assert all(type(x) is Fraction for row in got.entries for x in row)
+
+
+def test_ratmul_rejects_shape_mismatch():
+    with pytest.raises(NonSquare):
+        RatMatrix.from_rows([[1, 2]]).mul(RatMatrix.from_rows([[1, 2]]))
 
 
 # --- HNF ---
