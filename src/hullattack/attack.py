@@ -104,13 +104,13 @@ def _fail(transcript: list[dict], exc: HullAttackError):
     raise exc
 
 
-def _perm_rotation(s: SignedPerm) -> RationalOrthogonal:
+def _perm_rotation(s: SignedPerm) -> RatMatrix:
     """M_s^T for the signed permutation matrix M_s[i][sigma[i]] = signs[i]."""
     n = s.n
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         rows[s.sigma[i]][i] = Fraction(s.signs[i])
-    return RationalOrthogonal(RatMatrix.from_rows(rows))
+    return RatMatrix.from_rows(rows)
 
 
 def _hull_det_matches(lattice: LatticeBasis, k: int) -> LatticeBasis | None:
@@ -125,15 +125,22 @@ def _hull_det_matches(lattice: LatticeBasis, k: int) -> LatticeBasis | None:
     return None
 
 
-def verify_isomorphism(l1: LatticeBasis, l2: LatticeBasis, o_star: RatMatrix) -> bool:
-    """o_star is orthonormal and maps L2 onto L1 (no exceptions)."""
-    if l1.n != l2.n or o_star.rows != l1.n or o_star.cols != l1.n:
-        return False
-    try:
-        rot = RationalOrthogonal(o_star)
-    except NotARotation:
-        return False
-    return lattice_equal(rotate(l2, rot), l1)
+def verify_isomorphism(
+    l1: LatticeBasis, l2: LatticeBasis, o_star: RatMatrix | RationalOrthogonal
+) -> bool:
+    """o_star is orthonormal and maps L2 onto L1 (no exceptions).
+
+    A RatMatrix is checked for M . M^T = I here; a RationalOrthogonal
+    passed that check when it was built.
+    """
+    if isinstance(o_star, RatMatrix):
+        if o_star.rows != l1.n or o_star.cols != l1.n:
+            return False
+        try:
+            o_star = RationalOrthogonal(o_star)
+        except NotARotation:
+            return False
+    return l1.n == l2.n == o_star.n and lattice_equal(rotate(l2, o_star), l1)
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:
@@ -246,8 +253,11 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     transcript[-1]["sigma"] = list(s.sigma)
     transcript[-1]["signs"] = list(s.signs)
 
-    o_star = sol1.o_hat.inverse().compose(_perm_rotation(s)).compose(sol2.o_hat)
-    ok = verify_isomorphism(l1, l2, o_star.matrix)
+    # The product of orthonormal factors is checked once, as the witness.
+    o_star = RationalOrthogonal(
+        sol1.o_hat.matrix.transpose().mul(_perm_rotation(s)).mul(sol2.o_hat.matrix)
+    )
+    ok = verify_isomorphism(l1, l2, o_star)
     transcript.append({"step": "verify", "ok": ok})
     if not ok:
         _fail(transcript, VerificationFailed("composed map does not send L2 to L1"))

@@ -32,7 +32,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers invalid UTF-8, invalid JSON and integers longer than
+    # the interpreter converts; deep nesting exhausts the recursion limit.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if not isinstance(d, dict):
         raise ParseError(f"{path} does not hold a JSON object")

@@ -125,12 +125,6 @@ class RationalOrthogonal:
     def n(self) -> int:
         return self.matrix.rows
 
-    def inverse(self) -> "RationalOrthogonal":
-        return RationalOrthogonal(self.matrix.transpose())
-
-    def compose(self, other: "RationalOrthogonal") -> "RationalOrthogonal":
-        return RationalOrthogonal(self.matrix.mul(other.matrix))
-
     def to_dict(self) -> dict:
         return self.matrix.to_dict()
 

@@ -1,5 +1,6 @@
 """End-to-end hull attack: modulus recovery, pipeline, failure modes."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hullattack.attack import (
     recover_modulus,
     verify_isomorphism,
 )
+from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, random_free_lcd
 from hullattack.equiv import brute_force_spep
 from hullattack.errors import (
@@ -24,6 +26,7 @@ from hullattack.errors import (
 )
 from hullattack.lattices import (
     LatticeBasis,
+    RationalOrthogonal,
     construction_a,
     lattice_equal,
     random_rational_orthogonal,
@@ -113,6 +116,33 @@ class TestHullAttack:
         lat = construction_a(code)
         res = hull_attack(lat, lat)
         assert verify_isomorphism(lat, lat, res.o_star.matrix)
+
+    def test_verify_accepts_the_witness_type(self):
+        l1, l2, _ = make_instance(5, 4, 2, seed=12, depth=6)
+        res = hull_attack(l1, l2)
+        assert verify_isomorphism(l1, l2, res.o_star)
+        assert not verify_isomorphism(l1, l2, random_rational_orthogonal(4, seed=1))
+        assert not verify_isomorphism(l1, l2, random_rational_orthogonal(5, seed=1))
+
+    def test_orthonormality_checked_once_per_witness(self, monkeypatch):
+        # Two checks in ZLIP (one per hull) and one on the assembled o_star.
+        l1, l2, _ = make_instance(6, 4, 2, seed=13, depth=6)
+        calls = []
+        check = RationalOrthogonal.__post_init__
+        monkeypatch.setattr(RationalOrthogonal, "__post_init__", lambda o: calls.append(check(o)))
+        hull_attack(l1, l2)
+        assert len(calls) == 3
+
+    def test_assembly_orients_a_non_involutive_permutation(self):
+        # Rotated instances recover involutive sigmas, for which P = P^T; an
+        # unrotated lattice and a column-cycled copy of its code do not.
+        c1 = random_free_lcd(5, 6, 3, seed=1)
+        rows = [[r[(j + 1) % 6] for j in range(6)] for r in c1.gen.entries]
+        l1, l2 = construction_a(c1), construction_a(code_from_rows(5, rows))
+        res = hull_attack(l1, l2)
+        sigma = next(e["sigma"] for e in res.transcript if e["step"] == "spep")
+        assert any(sigma[sigma[i]] != i for i in range(6))
+        assert verify_isomorphism(l1, l2, res.o_star.matrix)
 
     def test_deterministic(self):
         l1, l2, _ = make_instance(3, 4, 2, seed=21, depth=6)
@@ -232,3 +262,33 @@ class TestResultSerialization:
         again = AttackResult.from_dict(json.loads(json.dumps(res.to_dict())))
         assert again.o_star == res.o_star
         assert again.transcript == res.transcript
+
+
+# sha256 of the `hullattack attack --out` file bytes, recorded from the
+# assembly that re-checked orthonormality on every inverse and compose.
+# (k, n, m, seed, gen depth or None for the default 2n, supplied k or None, digest)
+ATTACK_DIGESTS = [
+    (3, 8, 4, 1, None, None, "41b4b697827df99cc67009222d12765cd5a1068a43dcf9b103ead134e86ddd15"),
+    (3, 12, 6, 1, None, None, "adb56a766454d1cbb9c287a54dee97f836eef39961e6951670f174c4d2931afd"),
+    (6, 8, 4, 1, None, None, "4a30ae941805f94b9d051e8823190fc1ad5ed23fa7a984b669696f9701c347e3"),
+    (6, 12, 6, 2, None, None, "8ece9dafc56b017e699c810dd5b1b0e0021d7a1d11c0a4dfc0a49055aab5e33c"),
+    (6, 12, 6, 2, None, 6, "c10111a12dc241f52ec8e5e798e17e10bd682fe14531933e401d6bf4f53450d2"),
+    (15, 8, 4, 1, None, None, "4e28392c1537609189555abe8ef7e7b150a71e8ea2b6ed26b53be2d661b41d8f"),
+    (15, 12, 6, 1, None, None, "2f5d61eef2c1c09533d27ffef5abe5ad768556acb3d8831b8a0ca2576a3ca871"),
+    (15, 12, 6, 4, 40, None, "10acfb5822d6271ffd352050c01650f24a3ef3ad8ee57d9b6e8b7ad0f04aa9a2"),
+    (5, 12, 6, 3, 1, None, "21dc35749ba6194c27aea763123bbedeabec8f4de4729df24a1589f436a008c1"),
+]
+
+
+@pytest.mark.parametrize("k,n,m,seed,depth,supplied_k,digest", ATTACK_DIGESTS)
+def test_attack_bytes_match_recorded_digest(tmp_path, k, n, m, seed, depth, supplied_k, digest):
+    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+    argv = ["gen", "--k", str(k), "--n", str(n), "--m", str(m), "--seed", str(seed), "--out", str(inst)]
+    if depth is not None:
+        argv += ["--depth", str(depth)]
+    assert cli_main(argv) == 0
+    argv = ["attack", "--in", str(inst), "--out", str(res)]
+    if supplied_k is not None:
+        argv += ["--k", str(supplied_k)]
+    assert cli_main(argv) == 0
+    assert hashlib.sha256(res.read_bytes()).hexdigest() == digest

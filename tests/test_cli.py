@@ -21,6 +21,23 @@ def read(path) -> dict:
         return json.load(fh)
 
 
+# Files that once escaped as tracebacks: invalid UTF-8 (UnicodeDecodeError),
+# nesting deeper than the JSON decoder's recursion limit (RecursionError)
+# and an integer past the int-to-str digit limit (ValueError).
+HOSTILE_FILES = {
+    "invalid_utf8": b"\xff\xfe{}",
+    "deep_nesting": b"[" * 200_000 + b"]" * 200_000,
+    "huge_integer": b'{"public": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.fixture(params=sorted(HOSTILE_FILES))
+def hostile_file(request, tmp_path):
+    path = tmp_path / f"{request.param}.json"
+    path.write_bytes(HOSTILE_FILES[request.param])
+    return path
+
+
 @pytest.fixture()
 def instance_file(tmp_path):
     path = tmp_path / "inst.json"
@@ -122,6 +139,10 @@ class TestAttack:
         path.write_text("{}")
         assert run_cli("attack", "--in", str(path)) == 2
 
+    def test_hostile_file_is_input_error(self, hostile_file, capsys):
+        assert run_cli("attack", "--in", str(hostile_file)) == 2
+        assert "cannot read" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_tampered_witness_fails(self, instance_file, tmp_path):
@@ -149,6 +170,12 @@ class TestVerify:
         res = tmp_path / "res.json"
         res.write_text("{}")
         assert run_cli("verify", "--instance", str(instance_file), "--result", str(res)) == 2
+
+    def test_hostile_file_is_input_error(self, instance_file, hostile_file, tmp_path):
+        res = tmp_path / "res.json"
+        run_cli("attack", "--in", str(instance_file), "--out", str(res))
+        assert run_cli("verify", "--instance", str(hostile_file), "--result", str(res)) == 2
+        assert run_cli("verify", "--instance", str(instance_file), "--result", str(hostile_file)) == 2
 
 
 class TestSelftest:

@@ -1,37 +1,16 @@
-"""Backend parity: the compiled kernels must be bit-identical to the pure
-ones, and the selector must honour HULLATTACK_PURE."""
+"""Integer kernels on plain int rows: xgcd, row HNF, all-integer LLL.
 
-import os
+The matrix-level wrappers in hullattack.linalg are tested in test_linalg;
+these cover the edge cases that only the row-list interface can reach.
+"""
+
 import random
-import subprocess
-import sys
+from fractions import Fraction
 
 import pytest
 
-from hullattack import _core_py, kernels
-from hullattack.cli import main
-
-try:
-    from hullattack import _core_cy
-except ImportError:  # pragma: no cover
-    _core_cy = None
-
-needs_compiled = pytest.mark.skipif(_core_cy is None, reason="compiled kernels not built")
-
-
-def random_int_rows(rng, nrows, ncols, bound):
-    return [[rng.randrange(-bound, bound + 1) for _ in range(ncols)] for _ in range(nrows)]
-
-
-def random_full_rank(rng, nrows, ncols, bound):
-    # Retry until the pure reference accepts the rows as independent.
-    while True:
-        rows = random_int_rows(rng, nrows, ncols, bound)
-        try:
-            ref = _core_py.lll_rows(rows, 3, 4)
-        except ValueError:
-            continue
-        return rows, ref
+from hullattack import kernels
+from hullattack.linalg import RatMatrix, gram_schmidt
 
 
 class TestXgcd:
@@ -40,128 +19,35 @@ class TestXgcd:
         pairs = [(0, 0), (0, 5), (-7, 0), (12, -18), (-12, -18)]
         pairs += [(rng.randrange(-10**9, 10**9), rng.randrange(-10**9, 10**9)) for _ in range(200)]
         for a, b in pairs:
-            g, x, y = _core_py.xgcd(a, b)
+            g, x, y = kernels.xgcd(a, b)
             assert g >= 0
             assert a * x + b * y == g
             assert g == 0 or (a % g == 0 and b % g == 0)
 
-    @needs_compiled
-    def test_backends_agree(self):
-        rng = random.Random(402)
-        pairs = [(0, 0), (0, -4), (9, 0)]
-        pairs += [(rng.randrange(-10**12, 10**12), rng.randrange(-10**12, 10**12)) for _ in range(200)]
-        for a, b in pairs:
-            assert _core_py.xgcd(a, b) == _core_cy.xgcd(a, b)
+
+class TestHnfRows:
+    def test_empty_and_zero_rows(self):
+        assert kernels.hnf_rows([], 3) == []
+        assert kernels.hnf_rows([[0, 0]], 2) == []
 
 
-@needs_compiled
-class TestHnfAgreement:
-    def test_random_shapes(self):
-        rng = random.Random(403)
-        for _ in range(150):
-            nrows = rng.randrange(1, 10)
-            ncols = rng.randrange(1, 10)
-            rows = random_int_rows(rng, nrows, ncols, 10**6)
-            if rng.random() < 0.3:
-                rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
-            if rng.random() < 0.3 and rows:
-                rows.append(list(rng.choice(rows)))
-            assert _core_py.hnf_rows(rows, ncols) == _core_cy.hnf_rows(rows, ncols)
+class TestLllRows:
+    def test_empty_basis(self):
+        assert kernels.lll_rows([], 3, 4) == []
 
-    def test_big_entries(self):
-        rng = random.Random(404)
-        for _ in range(10):
-            rows = random_int_rows(rng, 6, 4, 10**30)
-            assert _core_py.hnf_rows(rows, 4) == _core_cy.hnf_rows(rows, 4)
-
-    def test_empty_and_zero(self):
-        assert _core_cy.hnf_rows([], 3) == []
-        assert _core_cy.hnf_rows([[0, 0]], 2) == []
-        assert _core_py.hnf_rows([[0, 0]], 2) == []
-
-
-@needs_compiled
-class TestLllAgreement:
-    def test_random_bases(self):
-        rng = random.Random(405)
-        for _ in range(60):
-            n = rng.randrange(1, 7)
-            rows, ref = random_full_rank(rng, n, n, 9)
-            assert _core_cy.lll_rows(rows, 3, 4) == ref
-
-    def test_other_delta(self):
-        rng = random.Random(406)
-        for _ in range(30):
-            n = rng.randrange(2, 7)
-            rows, _ = random_full_rank(rng, n, n, 9)
-            assert _core_cy.lll_rows(rows, 99, 100) == _core_py.lll_rows(rows, 99, 100)
-
-    def test_rectangular_and_large_entries(self):
+    @pytest.mark.parametrize("delta", [Fraction(3, 4), Fraction(99, 100)])
+    def test_rectangular_large_entries_reduced_and_same_lattice(self, delta):
         rng = random.Random(407)
-        rows, ref = random_full_rank(rng, 3, 5, 10**6)
-        assert _core_cy.lll_rows(rows, 3, 4) == ref
-        assert _core_cy.lll_rows([], 3, 4) == []
+        rows = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(5)] for _ in range(3)]
+        red = kernels.lll_rows(rows, delta.numerator, delta.denominator)
+        assert kernels.hnf_rows(red, 5) == kernels.hnf_rows(rows, 5)
+        mu, norms = gram_schmidt(RatMatrix.from_rows(red))
+        for i in range(len(red)):
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+            if i:
+                assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
 
-    def test_dependent_rows_raise_in_both(self):
-        rows = [[1, 2], [2, 4]]
+    @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1, 0], [0, 1], [1, 1]]])
+    def test_dependent_rows_raise(self, rows):
         with pytest.raises(ValueError):
-            _core_py.lll_rows(rows, 3, 4)
-        with pytest.raises(ValueError):
-            _core_cy.lll_rows(rows, 3, 4)
-
-
-def _backend_in_subprocess(pure_flag):
-    env = os.environ.copy()
-    env.pop("HULLATTACK_PURE", None)
-    if pure_flag:
-        env["HULLATTACK_PURE"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", "from hullattack import kernels; print(kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-class TestBackendSelection:
-    def test_pure_env_forces_pure(self):
-        assert _backend_in_subprocess(pure_flag=True) == "pure"
-
-    @needs_compiled
-    def test_compiled_selected_when_available(self):
-        assert _backend_in_subprocess(pure_flag=False) == "compiled"
-
-    def test_exports_match_backend(self):
-        if kernels.BACKEND == "compiled":
-            assert kernels.hnf_rows is _core_cy.hnf_rows
-            assert kernels.lll_rows is _core_cy.lll_rows
-        else:
-            assert kernels.hnf_rows is _core_py.hnf_rows
-            assert kernels.lll_rows is _core_py.lll_rows
-        assert kernels.xgcd is _core_py.xgcd
-
-
-@needs_compiled
-def test_attack_output_identical_across_backends(tmp_path):
-    instance = tmp_path / "instance.json"
-    assert main(["gen", "--k", "5", "--n", "4", "--m", "2", "--seed", "3",
-                 "--out", str(instance)]) == 0
-    results = {}
-    for label, pure in (("compiled", False), ("pure", True)):
-        env = os.environ.copy()
-        env.pop("HULLATTACK_PURE", None)
-        if pure:
-            env["HULLATTACK_PURE"] = "1"
-        out_file = tmp_path / f"result_{label}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hullattack.cli", "attack",
-             "--in", str(instance), "--out", str(out_file)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        results[label] = out_file.read_bytes()
-    assert results["pure"] == results["compiled"]
+            kernels.lll_rows(rows, 3, 4)
