@@ -32,12 +32,11 @@ from .errors import (
 from .lattices import (
     LatticeBasis,
     RationalOrthogonal,
-    lattice_equal,
     mod_reduce_to_code,
     rotate,
     s_hull,
 )
-from .linalg import RatMatrix, det
+from .linalg import RatMatrix, det, same_lattice
 from .zlip import solve_scaled_zlip
 
 
@@ -131,7 +130,11 @@ def verify_isomorphism(
     """o_star is orthonormal and maps L2 onto L1 (no exceptions).
 
     A RatMatrix is checked for M . M^T = I here; a RationalOrthogonal
-    passed that check when it was built.
+    passed that check when it was built.  The image B2 . o_star^T must
+    then span L1: T = (B2 . o_star^T) . B1^-1 is integral with
+    |det T| = 1 (`same_lattice`, Bareiss inverse and determinant only).
+    No HNF runs here, so the verifier shares no kernel with the
+    canonical forms the solver builds.
     """
     if isinstance(o_star, RatMatrix):
         if o_star.rows != l1.n or o_star.cols != l1.n:
@@ -140,7 +143,9 @@ def verify_isomorphism(
             o_star = RationalOrthogonal(o_star)
         except NotARotation:
             return False
-    return l1.n == l2.n == o_star.n and lattice_equal(rotate(l2, o_star), l1)
+    return l1.n == l2.n == o_star.n and same_lattice(
+        l2.basis.mul(o_star.matrix.transpose()), l1.basis
+    )
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:

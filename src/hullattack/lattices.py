@@ -1,8 +1,12 @@
 """Full-rank rational lattices, Construction A, hulls, and rotations.
 
 A LatticeBasis keeps the literal basis rows it was built with (rotations
-must preserve the Gram matrix, so rows are never silently rebased) and
-caches a canonical HNF form for set-level equality.
+must preserve the Gram matrix, so rows are never silently rebased).
+Set-level questions need no canonical form: two bases span the same
+lattice when one is a unimodular recombination of the other, and a
+vector lies in the lattice when its coordinates in the basis are
+integers.  Both are decided with fraction-free (Bareiss) inverses and
+determinants.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .codes import LinearCode, from_generator
 from .errors import (
@@ -26,8 +31,9 @@ from .linalg import (
     IntMatrix,
     RatMatrix,
     bareiss_det,
-    canonical_basis,
     hnf,
+    inv_int_rows,
+    same_lattice,
 )
 from .modring import ModMatrix, kernel_mod
 
@@ -51,42 +57,24 @@ class LatticeBasis:
             raise Singular("basis rows are dependent")
 
     @cached_property
-    def denominator(self) -> int:
-        """Common denominator cleared during canonicalization."""
-        return lcm(*(x.denominator for row in self.basis.entries for x in row))
-
-    @cached_property
-    def canonical(self) -> RatMatrix:
-        return canonical_basis(self.basis)
-
-    @cached_property
-    def _canonical_rows(self) -> list[list[int]]:
-        """The canonical HNF scaled by `denominator`, as integer rows."""
-        den = self.denominator
-        return [[x.numerator * (den // x.denominator) for x in row] for row in self.canonical.entries]
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        """(N, q) with B^-1 = N / q, from the Bareiss inverse."""
+        scaled, den = self.basis.clear_denominators()
+        inv, q = inv_int_rows(scaled)
+        return [[den * x for x in row] for row in inv], q
 
     def gram(self) -> RatMatrix:
         return self.basis.mul(self.basis.transpose())
 
     def contains(self, v) -> bool:
-        """Exact membership of a rational vector."""
+        """Exact membership of a rational vector: v . B^-1 is integral."""
         v = [Fraction(x) for x in v]
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} != {self.n}")
-        den = self.denominator
-        h = self._canonical_rows
-        w = [x * den for x in v]
-        if any(x.denominator != 1 for x in w):
-            return False
-        w = [int(x) for x in w]
-        for i in range(self.n):
-            q, r = divmod(w[i], h[i][i])
-            if r:
-                return False
-            if q:
-                for j in range(i, self.n):
-                    w[j] -= q * h[i][j]
-        return True
+        dv = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (dv // x.denominator) for x in v]
+        inv, q = self._inverse
+        return all(sum(map(mul, w, col)) % (dv * q) == 0 for col in zip(*inv))
 
     def to_dict(self) -> dict:
         d = self.basis.to_dict()
@@ -182,18 +170,25 @@ def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Set-level equality via canonical forms."""
-    return a.n == b.n and a.canonical == b.canonical
+    """Set-level equality: each basis is a unimodular recombination of
+    the other (see `same_lattice`)."""
+    return a.n == b.n and same_lattice(a.basis, b.basis)
 
 
 def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode:
     """Recover the code C with L = C + k*Z^n from an integral lattice
-    containing k*Z^n."""
+    containing k*Z^n.
+
+    Row i of k . B^-1 holds the coordinates of k*e_i in the basis, so
+    k*Z^n lies in L exactly when k . B^-1 is integral; the check runs on
+    the lattice's cached Bareiss inverse.
+    """
     if not lattice.basis.is_integral():
         raise NotIntegral("lattice basis has non-integer entries")
     n = lattice.n
-    for i in range(n):
-        if not lattice.contains([k * int(i == j) for j in range(n)]):
+    inv, q = lattice._inverse
+    for i, row in enumerate(inv):
+        if any(k * x % q for x in row):
             raise DoesNotContainKZn(f"k*e_{i + 1} is not in the lattice")
     rows = [[int(x) % k for x in row] for row in lattice.basis.entries]
     return from_generator(ModMatrix.from_rows(k, rows, n))

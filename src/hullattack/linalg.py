@@ -272,6 +272,35 @@ def dual_basis(b: RatMatrix) -> RatMatrix:
     return rat_inverse(b.transpose())
 
 
+def same_lattice(a: RatMatrix, b: RatMatrix) -> bool:
+    """Whether the rows of a and of a nonsingular b span the same lattice.
+
+    They do exactly when T = a . b^-1 is an integer matrix with
+    |det T| = 1.  With a = A/da and b = B/db cleared to integers and
+    B^-1 = N/D from the fraction-free inverse, T = db . A . N / (da . D);
+    the first non-integral entry ends the test.  No HNF is taken.
+    Raises NonSquare unless both are n x n, Singular when b is singular.
+    """
+    n = b.rows
+    if b.cols != n or a.rows != n or a.cols != n:
+        raise NonSquare(f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    sa, da = a.clear_denominators()
+    sb, db = b.clear_denominators()
+    inv, d = inv_int_rows(sb)
+    q = da * d
+    cols = list(zip(*inv))
+    t = []
+    for row in sa:
+        out = []
+        for col in cols:
+            num, rem = divmod(db * sum(map(mul, row, col)), q)
+            if rem:
+                return False
+            out.append(num)
+        t.append(out)
+    return abs(bareiss_det(t)) == 1
+
+
 def canonical_basis(b: RatMatrix) -> RatMatrix:
     """Canonical representative of the row lattice of b: clear the common
     denominator, take the HNF, scale back.  Unique per lattice."""

@@ -4,8 +4,10 @@ Given a lattice promised to be an orthonormal rotation of k*Z^n, find a
 transform carrying it back.  LLL almost always hands over an orthogonal
 basis of norm-k vectors directly; when it does not, the norm-k vectors
 are enumerated exactly and assembled into an orthogonal basis by
-backtracking.  The result is always verified against the lattice image,
-so a broken promise surfaces as NotARotation, never as a wrong answer.
+backtracking.  The result is always verified: the image of the basis
+must span k*Z^n, which `same_lattice` decides with one Bareiss inverse
+and determinant, so a broken promise surfaces as NotARotation, never as
+a wrong answer.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARotation, Singular
-from .lattices import LatticeBasis, RationalOrthogonal, lattice_equal, rotate
-from .linalg import RatMatrix, enumerate_short_vectors, lll_reduce, rat_inverse
+from .lattices import LatticeBasis, RationalOrthogonal
+from .linalg import RatMatrix, enumerate_short_vectors, lll_reduce, rat_inverse, same_lattice
 
 NODE_BUDGET = 10**6
 
@@ -92,8 +94,7 @@ def solve_scaled_zlip(lattice: LatticeBasis, k: int) -> ZlipSolution:
         o_hat = RationalOrthogonal(rat_inverse(frame.transpose()).scale(Fraction(k)))
     except (NotARotation, Singular) as exc:
         raise NotARotation(f"assembled frame is not a rotation: {exc}") from None
-    image = rotate(lattice, o_hat)
-    target = LatticeBasis(n, RatMatrix.identity(n).scale(Fraction(k)))
-    if not lattice_equal(image, target):
+    image = lattice.basis.mul(o_hat.matrix.transpose())
+    if not same_lattice(image, RatMatrix.identity(n).scale(Fraction(k))):
         raise NotARotation("transform does not carry the lattice onto k*Z^n")
     return ZlipSolution(o_hat=o_hat, method=method)

@@ -14,6 +14,7 @@ from hullattack.attack import (
     recover_modulus,
     verify_isomorphism,
 )
+from hullattack import kernels
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, random_free_lcd
 from hullattack.equiv import brute_force_spep
@@ -254,6 +255,31 @@ class TestVerifyIsomorphism:
         assert not verify_isomorphism(l1, diag_lattice([3, 1, 1]), RatMatrix.identity(2))
         assert not verify_isomorphism(l1, l1, RatMatrix.identity(3))
 
+    def test_rejects_unimodular_change_of_basis_that_is_not_integral(self):
+        # T = [[1, 1/2], [0, 1]] has det 1, but L2 holds (1, 1/2), which L1 = Z^2 does not.
+        l1 = diag_lattice([1, 1])
+        l2 = LatticeBasis(2, RatMatrix.from_rows([[1, Fraction(1, 2)], [0, 1]]))
+        assert not verify_isomorphism(l1, l2, RatMatrix.identity(2))
+        assert not verify_isomorphism(l2, l1, RatMatrix.identity(2))
+
+    def test_rejects_integral_change_of_basis_with_det_two(self):
+        # T = diag(1, 2) . I . I^-1 is integral, but L2 has index 2 in L1.
+        l1, l2 = diag_lattice([1, 1]), diag_lattice([1, 2])
+        assert not verify_isomorphism(l1, l2, RatMatrix.identity(2))
+        assert not verify_isomorphism(l2, l1, RatMatrix.identity(2))
+
+    def test_calls_no_hnf(self, monkeypatch):
+        l1, l2, _ = make_instance(15, 6, 3, seed=71, depth=8)
+        res = hull_attack(l1, l2)
+
+        def refuse(*args):
+            raise AssertionError("verify_isomorphism reached the HNF kernel")
+
+        monkeypatch.setattr(kernels, "hnf_rows", refuse)
+        assert verify_isomorphism(l1, l2, res.o_star.matrix)
+        assert verify_isomorphism(l1, l2, res.o_star)
+        assert not verify_isomorphism(l1, l2, random_rational_orthogonal(6, seed=3))
+
 
 class TestResultSerialization:
     def test_round_trip(self):
@@ -265,7 +291,9 @@ class TestResultSerialization:
 
 
 # sha256 of the `hullattack attack --out` file bytes, recorded from the
-# assembly that re-checked orthonormality on every inverse and compose.
+# assembly that re-checked orthonormality on every inverse and compose;
+# the n = 16 and n = 20 rows were recorded from the verifier that
+# compared two canonical HNFs.
 # (k, n, m, seed, gen depth or None for the default 2n, supplied k or None, digest)
 ATTACK_DIGESTS = [
     (3, 8, 4, 1, None, None, "41b4b697827df99cc67009222d12765cd5a1068a43dcf9b103ead134e86ddd15"),
@@ -277,6 +305,9 @@ ATTACK_DIGESTS = [
     (15, 12, 6, 1, None, None, "2f5d61eef2c1c09533d27ffef5abe5ad768556acb3d8831b8a0ca2576a3ca871"),
     (15, 12, 6, 4, 40, None, "10acfb5822d6271ffd352050c01650f24a3ef3ad8ee57d9b6e8b7ad0f04aa9a2"),
     (5, 12, 6, 3, 1, None, "21dc35749ba6194c27aea763123bbedeabec8f4de4729df24a1589f436a008c1"),
+    (15, 16, 8, 1, None, None, "9945cd91a5aeb737647594b17632061299025e1336166ba10b7bf70e73d4724e"),
+    (15, 16, 8, 3, None, None, "8176d8bcf2d2600b9e37fd440657b1511e88189b675d8324e1963f7420d5f579"),
+    (15, 20, 10, 1, None, None, "6b24e63eed1910757f67a39f6d73ac1937a282840c8b06582c46089409571b46"),
 ]
 
 

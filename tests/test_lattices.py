@@ -25,7 +25,7 @@ from hullattack.lattices import (
     rotate,
     s_hull,
 )
-from hullattack.linalg import RatMatrix, det
+from hullattack.linalg import RatMatrix, canonical_basis, det
 
 
 def random_code(rng, k, n):
@@ -105,7 +105,7 @@ def test_hull_of_lcd_code_is_scaled_integer_lattice():
     c = code_from_rows(3, [[1, 1]])
     assert is_lcd(c)
     h = s_hull(construction_a(c), 3)
-    assert h.canonical == RatMatrix.from_rows([[3, 0], [0, 3]])
+    assert canonical_basis(h.basis) == RatMatrix.from_rows([[3, 0], [0, 3]])
 
 
 def test_hull_of_self_dual_code_is_the_lattice_itself():

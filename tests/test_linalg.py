@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hullattack.errors import NonSquare, Singular
@@ -29,6 +29,7 @@ from hullattack.linalg import (
     lattice_intersect,
     lll_reduce,
     rat_inverse,
+    same_lattice,
     smith_diagonalize,
 )
 
@@ -244,6 +245,63 @@ def test_dual_basis_involution_and_product():
 def test_rat_inverse_rejects_singular():
     with pytest.raises(Singular):
         rat_inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+# --- lattice equality without HNF ---
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(a, b, expected): b = M . a for a unimodular M, or for M with one
+    row multiplied (index-p sublattice) or divided (index-p superlattice)
+    by a prime p."""
+    n = draw(st.integers(0, 5))
+    a = [[draw(small_rationals) for _ in range(n)] for _ in range(n)]
+    assume(det(RatMatrix.from_rows(a)) != 0)
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            u[i], u[j] = u[j], u[i]
+    kind = draw(st.sampled_from(["equal", "sub", "super"])) if n else "equal"
+    if kind != "equal":
+        r, p = draw(st.integers(0, n - 1)), draw(st.sampled_from([2, 3, 5, 7]))
+        f = Fraction(p) if kind == "sub" else Fraction(1, p)
+        u[r] = [f * x for x in u[r]]
+    a = RatMatrix.from_rows(a)
+    return a, RatMatrix.from_rows(u).mul(a), kind == "equal"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs())
+def test_same_lattice_matches_hnf_oracle(case):
+    a, b, expected = case
+    assert same_lattice(a, b) is expected
+    assert same_lattice(b, a) is expected
+    assert (canonical_basis(a) == canonical_basis(b)) is expected
+
+
+def test_same_lattice_edge_cases():
+    def one(x):
+        return RatMatrix.from_rows([[x]])
+
+    empty = RatMatrix.from_rows([])
+    assert same_lattice(empty, empty)
+    assert same_lattice(one(2), one(-2))
+    assert same_lattice(one(Fraction(3, 2)), one(Fraction(-3, 2)))
+    assert not same_lattice(one(2), one(4))
+    assert not same_lattice(one(4), one(2))
+    assert not same_lattice(one(Fraction(1, 2)), one(1))
+    with pytest.raises(NonSquare):
+        same_lattice(RatMatrix.identity(2), RatMatrix.identity(3))
+    with pytest.raises(Singular):
+        same_lattice(RatMatrix.identity(2), RatMatrix.from_rows([[1, 2], [2, 4]]))
 
 
 # --- intersection ---
