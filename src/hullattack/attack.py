@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .equiv import SignedPerm, spep
 from .errors import (
@@ -32,9 +33,9 @@ from .errors import (
 from .lattices import (
     LatticeBasis,
     RationalOrthogonal,
+    hull_coefficients,
     mod_reduce_to_code,
     rotate,
-    s_hull,
 )
 from .linalg import RatMatrix, det, same_lattice
 from .zlip import solve_scaled_zlip
@@ -112,16 +113,19 @@ def _perm_rotation(s: SignedPerm) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
-def _hull_det_matches(lattice: LatticeBasis, k: int) -> LatticeBasis | None:
+def _hull_det_matches(lattice: LatticeBasis, k: int, det_l: Fraction) -> LatticeBasis | None:
     """The k-hull, when its determinant carries the trivial-hull signature.
 
     det(hull) = k^n / |C intersect C_dual|, so equality with k^n holds
-    exactly for LCD codes.
+    exactly for LCD codes.  The hull basis is C . B with C the triangular
+    coefficient HNF, so |det hull| = |det C| . |det L| takes no second
+    elimination; det_l is |det L|, which the caller takes once per lattice.
     """
-    hull = s_hull(lattice, k)
-    if abs(det(hull.basis)) == Fraction(k) ** lattice.n:
-        return hull
-    return None
+    n = lattice.n
+    coeff = hull_coefficients(lattice, k)
+    if prod(coeff.entries[i][i] for i in range(n)) * det_l != k**n:
+        return None
+    return LatticeBasis(n, coeff.to_rat().mul(lattice.basis))
 
 
 def verify_isomorphism(
@@ -167,8 +171,8 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
         if k < 2 or k % 4 == 0:
             _fail(transcript, BadModulus(f"modulus must be >= 2 and not 0 mod 4, got {k}"))
         transcript.append({"step": "modulus", "k": k, "supplied": True})
-        h1 = _hull_det_matches(l1, k)
-        h2 = _hull_det_matches(l2, k) if h1 is not None else None
+        h1 = _hull_det_matches(l1, k, abs(det(l1.basis)))
+        h2 = _hull_det_matches(l2, k, abs(det(l2.basis))) if h1 is not None else None
         if h1 is None or h2 is None:
             _fail(
                 transcript,
@@ -192,11 +196,14 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
                 transcript,
                 NoCandidate(f"determinant {d} admits no modulus candidate"),
             )
+        det2 = None  # |det L2|, taken once a candidate passes on L1
         for cand, _m in candidates:
-            h1 = _hull_det_matches(l1, cand)
+            h1 = _hull_det_matches(l1, cand, d)
             if h1 is None:
                 continue
-            h2 = _hull_det_matches(l2, cand)
+            if det2 is None:
+                det2 = abs(det(l2.basis))
+            h2 = _hull_det_matches(l2, cand, det2)
             if h2 is None:
                 continue
             k = cand

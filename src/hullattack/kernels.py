@@ -5,6 +5,8 @@ arbitrary magnitudes.  Their cost is big-integer arithmetic on entries
 that grow inside the algorithms, which compiled code does not reduce.
 """
 
+from operator import mul
+
 
 def xgcd(a, b):
     """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
@@ -68,36 +70,41 @@ def hnf_rows(rows, ncols):
     return m[:r]
 
 
-def lll_rows(rows, delta_num, delta_den):
-    """All-integer LLL reduction of a full-rank integer basis.
+def lll_gram(gram, delta_num, delta_den):
+    """All-integer LLL reduction of a quadratic form, with its transform.
+
+    gram is the integer Gram matrix G of some basis b (symmetric and
+    positive definite).  Returns (H, G') where H is the transform that
+    LLL-reduces b, so H.b is the reduced basis, and G' = H.G.H^T is its
+    Gram matrix.  Every size reduction and swap is applied to the rows of
+    H and to the rows and columns of G' alike; H is unimodular by
+    construction and the basis itself is never touched (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.6.7).
 
     Gram-Schmidt data is kept as the integers d[i] (leading principal
     Gram determinants) and lam[i][j] = mu[i][j] * d[j+1], so every
     division below is exact.  delta = delta_num/delta_den is the Lovász
-    constant, 1/4 < delta <= 1.  Raises ValueError on dependent rows.
+    constant, 1/4 < delta <= 1.  Every decision depends only on ratios of
+    inner products, so scaling G by a positive constant changes no step.
+    Raises ValueError when G is not positive definite (dependent rows).
     """
-    b = [list(r) for r in rows]
-    n = len(b)
+    g = [list(r) for r in gram]
+    n = len(g)
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
     if n == 0:
-        return b
-    ncols = len(b[0])
-
-    def dot(u, v):
-        s = 0
-        for t in range(ncols):
-            s += u[t] * v[t]
-        return s
+        return h, g
 
     d = [0] * (n + 1)
     d[0] = 1
-    d[1] = dot(b[0], b[0])
+    d[1] = g[0][0]
     if d[1] <= 0:
         raise ValueError("dependent rows")
     lam = [[0] * n for _ in range(n)]
 
     def gram_row(i):
+        gi = g[i]
         for j in range(i + 1):
-            u = dot(b[i], b[j])
+            u = gi[j]
             for t in range(j):
                 u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
@@ -112,16 +119,24 @@ def lll_rows(rows, delta_num, delta_den):
         djj = d[j + 1]
         if 2 * lkj > djj or 2 * lkj < -djj:
             q = (2 * lkj + djj) // (2 * djj)
-            bk, bj = b[k], b[j]
-            for t in range(ncols):
-                bk[t] -= q * bj[t]
+            hk, hj = h[k], h[j]
+            gk, gj = g[k], g[j]
+            for t in range(n):
+                hk[t] -= q * hj[t]
+                gk[t] -= q * gj[t]
+            # column k after row k, so G'[k][k] picks up -2q.G[k][j] + q^2.G[j][j]
+            for gt in g:
+                gt[k] -= q * gt[j]
             lam[k][j] -= q * djj
             lk, lj = lam[k], lam[j]
             for t in range(j):
                 lk[t] -= q * lj[t]
 
     def swap_rows(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
+        h[k], h[k - 1] = h[k - 1], h[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for gt in g:
+            gt[k], gt[k - 1] = gt[k - 1], gt[k]
         lk, lk1 = lam[k], lam[k - 1]
         for t in range(k - 1):
             lk[t], lk1[t] = lk1[t], lk[t]
@@ -148,4 +163,16 @@ def lll_rows(rows, delta_num, delta_den):
             for j in range(k - 2, -1, -1):
                 reduce_row(k, j)
             k += 1
-    return b
+    return h, g
+
+
+def lll_rows(rows, delta_num, delta_den):
+    """All-integer LLL reduction of a full-rank integer basis: `lll_gram`
+    on the Gram matrix of the rows, its transform applied to the rows.
+    Raises ValueError on dependent rows."""
+    if not rows:
+        return []
+    gram = [[sum(map(mul, u, v)) for v in rows] for u in rows]
+    h, _ = lll_gram(gram, delta_num, delta_den)
+    cols = list(zip(*rows))
+    return [[sum(map(mul, hr, col)) for col in cols] for hr in h]

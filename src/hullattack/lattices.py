@@ -136,14 +136,16 @@ def construction_a(c: LinearCode) -> LatticeBasis:
     return LatticeBasis(n, h.to_rat())
 
 
-def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
-    """The s-hull: the intersection of L with s times its dual.
+def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
+    """Coefficients of the s-hull, the intersection of L with s times its
+    dual: the square HNF C whose rows C . B form a basis of the hull.
 
     In basis coordinates x = c.B the dual condition x.y in sZ for all
     y in L reads c.G = 0 mod s*den (G the Gram matrix cleared of its
     denominator den), so the coefficient lattice is a kernel over
     Z_{s*den} plus (s*den)Z^n.  An explicit dual basis would square the
-    entry denominators of a rotated basis; this stays small.
+    entry denominators of a rotated basis; this stays small.  C is upper
+    triangular, so |det hull| is the product of its pivots times |det L|.
     """
     if s < 1:
         raise ValueError(f"scale must be positive, got {s}")
@@ -156,7 +158,13 @@ def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
     coeff = hnf(IntMatrix.from_rows(rows))
     if coeff.rows != n:
         raise Singular("hull coefficient lattice is not full rank")
-    return LatticeBasis(n, coeff.to_rat().mul(lattice.basis))
+    return coeff
+
+
+def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
+    """The s-hull: the intersection of L with s times its dual (see
+    `hull_coefficients`)."""
+    return LatticeBasis(lattice.n, hull_coefficients(lattice, s).to_rat().mul(lattice.basis))
 
 
 def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:

@@ -54,7 +54,7 @@ class IntMatrix:
             raise NonSquare(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         bt = list(zip(*other.entries))
         return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries)
+            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.entries)
         )
 
     def to_rat(self) -> "RatMatrix":
@@ -307,23 +307,6 @@ def canonical_basis(b: RatMatrix) -> RatMatrix:
     scaled, den = b.clear_denominators()
     h = kernels.hnf_rows(scaled, b.cols)
     return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in h))
-
-
-def lattice_intersect(b1: RatMatrix, b2: RatMatrix) -> RatMatrix:
-    """Basis of the intersection of two full-rank lattices, canonical HNF.
-
-    Works through duals: (L1 ^ L2)* = L1* + L2*, and a basis of the sum
-    is the HNF of the stacked dual bases.
-    """
-    if b1.cols != b2.cols:
-        raise NonSquare("lattices live in different dimensions")
-    d1 = dual_basis(b1)
-    d2 = dual_basis(b2)
-    stacked = RatMatrix(d1.entries + d2.entries)
-    sum_basis = canonical_basis(stacked)
-    if sum_basis.rows != b1.cols:
-        raise Singular("dual sum is not full rank")
-    return canonical_basis(dual_basis(sum_basis))
 
 
 def lll_reduce(b: RatMatrix, delta: Fraction = Fraction(99, 100)) -> RatMatrix:

@@ -1,13 +1,17 @@
 """Solving the scaled integer-lattice isomorphism.
 
 Given a lattice promised to be an orthonormal rotation of k*Z^n, find a
-transform carrying it back.  LLL almost always hands over an orthogonal
-basis of norm-k vectors directly; when it does not, the norm-k vectors
-are enumerated exactly and assembled into an orthogonal basis by
-backtracking.  The result is always verified: the image of the basis
-must span k*Z^n, which `same_lattice` decides with one Bareiss inverse
-and determinant, so a broken promise surfaces as NotARotation, never as
-a wrong answer.
+transform carrying it back.  LLL runs on the lattice's integer Gram
+matrix G (cleared of its denominator den) and returns a transform H,
+never touching the large basis entries.  When H.G.H^T = k^2.den.I the
+frame H.B has pairwise orthogonal rows of norm k, so o_hat = frame/k.
+Given that identity, the image B.o_hat^T equals k.H^-1, so it spans
+k*Z^n exactly when |det H| = 1; both are checked in exact integers,
+recomputed from G and H.  When LLL does not hand over an orthogonal
+frame, the norm-k vectors of H.B are enumerated exactly and assembled
+into an orthogonal basis by backtracking, and that image is checked
+with `same_lattice`.  A broken promise surfaces as NotARotation, never
+as a wrong answer.
 """
 
 from __future__ import annotations
@@ -15,19 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotARotation, Singular
+from .errors import NotARotation
+from .kernels import lll_gram
 from .lattices import LatticeBasis, RationalOrthogonal
-from .linalg import RatMatrix, enumerate_short_vectors, lll_reduce, rat_inverse, same_lattice
+from .linalg import IntMatrix, RatMatrix, bareiss_det, enumerate_short_vectors, same_lattice
 
 NODE_BUDGET = 10**6
-
-
-def _scaled_identity_gram(m: RatMatrix, k2: Fraction) -> bool:
-    gram = m.mul(m.transpose())
-    n = m.rows
-    return gram == RatMatrix.from_rows(
-        [[k2 if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
 
 
 def assemble_orthogonal_basis(b: RatMatrix, k: int) -> RatMatrix | None:
@@ -77,24 +74,29 @@ def solve_scaled_zlip(lattice: LatticeBasis, k: int) -> ZlipSolution:
     """Orthonormal o_hat with rotate(lattice, o_hat) = k*Z^n."""
     if k < 1:
         raise ValueError(f"scale must be positive, got {k}")
-    n = lattice.n
+    gram, den = lattice.gram().clear_denominators()
     try:
-        red = lll_reduce(lattice.basis)
-    except Singular as exc:
+        h, _ = lll_gram(gram, 99, 100)
+    except ValueError as exc:
         raise NotARotation(str(exc)) from None
-    if _scaled_identity_gram(red, Fraction(k * k)):
-        method = "lll"
-        frame = red
-    else:
-        method = "enumeration"
-        frame = assemble_orthogonal_basis(red, k)
-        if frame is None:
-            raise NotARotation("no orthogonal family of norm-k vectors")
-    try:
-        o_hat = RationalOrthogonal(rat_inverse(frame.transpose()).scale(Fraction(k)))
-    except (NotARotation, Singular) as exc:
-        raise NotARotation(f"assembled frame is not a rotation: {exc}") from None
+    if abs(bareiss_det(h)) != 1:
+        raise NotARotation("LLL transform is not unimodular")
+    hm = IntMatrix.from_rows(h)
+    target = k * k * den
+    reduced_gram = hm.mul(IntMatrix.from_rows(gram)).mul(hm.transpose())
+    red = hm.to_rat().mul(lattice.basis)
+    if all(
+        x == (target if i == j else 0)
+        for i, row in enumerate(reduced_gram.entries)
+        for j, x in enumerate(row)
+    ):
+        # red . red^T = k^2 I, so (red^T)^-1 . k = red / k.
+        return ZlipSolution(o_hat=RationalOrthogonal(red.scale(Fraction(1, k))), method="lll")
+    frame = assemble_orthogonal_basis(red, k)
+    if frame is None:
+        raise NotARotation("no orthogonal family of norm-k vectors")
+    o_hat = RationalOrthogonal(frame.scale(Fraction(1, k)))
     image = lattice.basis.mul(o_hat.matrix.transpose())
-    if not same_lattice(image, RatMatrix.identity(n).scale(Fraction(k))):
+    if not same_lattice(image, RatMatrix.identity(lattice.n).scale(Fraction(k))):
         raise NotARotation("transform does not carry the lattice onto k*Z^n")
-    return ZlipSolution(o_hat=o_hat, method=method)
+    return ZlipSolution(o_hat=o_hat, method="enumeration")

@@ -6,11 +6,14 @@ these cover the edge cases that only the row-list interface can reach.
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hullattack import kernels
-from hullattack.linalg import RatMatrix, gram_schmidt
+from hullattack.linalg import RatMatrix, bareiss_det, gram_schmidt, lll_reduce
 
 
 class TestXgcd:
@@ -51,3 +54,80 @@ class TestLllRows:
     def test_dependent_rows_raise(self, rows):
         with pytest.raises(ValueError):
             kernels.lll_rows(rows, 3, 4)
+
+
+def reference_lll(b: RatMatrix, delta: Fraction) -> RatMatrix:
+    """Textbook LLL on the basis itself, with exact Gram-Schmidt recomputed
+    after every change: the step order of the kernel (reduce against row
+    k-1, Lovász test, then swap or size-reduce the rest of row k), none
+    of its integral bookkeeping."""
+    b = [list(r) for r in b.entries]
+
+    def reduce(k, j):
+        mu, _ = gram_schmidt(RatMatrix.from_rows(b))
+        if abs(mu[k][j]) > Fraction(1, 2):
+            q = floor(mu[k][j] + Fraction(1, 2))
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+
+    k = 1
+    while k < len(b):
+        reduce(k, k - 1)
+        mu, norms = gram_schmidt(RatMatrix.from_rows(b))
+        if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return RatMatrix.from_rows(b)
+
+
+def gram_of(rows):
+    return [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+
+
+def apply(h, rows):
+    return [[sum(c * r[t] for c, r in zip(hr, rows)) for t in range(len(rows[0]))] for hr in h]
+
+
+@st.composite
+def bases(draw, entries):
+    n = draw(st.integers(1, 6))
+    ncols = n + draw(st.integers(0, 1))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(n)]
+    assume(bareiss_det(gram_of(rows)) != 0)
+    return rows
+
+
+class TestLllGram:
+    def test_empty(self):
+        assert kernels.lll_gram([], 3, 4) == ([], [])
+
+    @pytest.mark.parametrize("gram", [[[1, 2], [2, 4]], [[0, 0], [0, 2]], gram_of([[1, 0], [0, 1], [1, 1]])])
+    def test_dependent_rows_raise(self, gram):
+        with pytest.raises(ValueError):
+            kernels.lll_gram(gram, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bases(st.integers(-(10**6), 10**6)), st.integers(2, 10**3))
+    def test_transform_matches_basis_lll(self, rows, c):
+        delta = Fraction(99, 100)
+        gram = gram_of(rows)
+        h, reduced = kernels.lll_gram(gram, delta.numerator, delta.denominator)
+        red = apply(h, rows)
+        assert red == kernels.lll_rows(rows, delta.numerator, delta.denominator)
+        assert RatMatrix.from_rows(red) == reference_lll(RatMatrix.from_rows(rows), delta)
+        assert reduced == gram_of(red)  # = H.G.H^T
+        assert abs(bareiss_det(h)) == 1
+        scaled = [[c * c * x for x in row] for row in gram]
+        assert kernels.lll_gram(scaled, delta.numerator, delta.denominator)[0] == h
+
+    @settings(max_examples=60, deadline=None)
+    @given(bases(st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3))))
+    def test_rational_basis_through_cleared_gram(self, rows):
+        b = RatMatrix.from_rows(rows)
+        gram, _ = b.mul(b.transpose()).clear_denominators()
+        h, _ = kernels.lll_gram(gram, 99, 100)
+        assert RatMatrix.from_rows(apply(h, rows)) == lll_reduce(b)
+        assert abs(bareiss_det(h)) == 1

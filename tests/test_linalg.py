@@ -2,7 +2,7 @@
 
 Oracles used here are independent of the implementations under test:
 Laplace expansion for determinants, Fraction Gauss-Jordan for inverses,
-bounded brute-force membership for lattices, and reverse-engineered
+bounded brute-force search for short vectors, and reverse-engineered
 unimodular transforms for HNF ground truth.
 """
 
@@ -26,7 +26,6 @@ from hullattack.linalg import (
     gram_schmidt,
     hnf,
     inv_int_rows,
-    lattice_intersect,
     lll_reduce,
     rat_inverse,
     same_lattice,
@@ -82,13 +81,6 @@ def random_unimodular(rng, n, steps=12):
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def in_lattice(v, basis_rat):
-    """Membership via exact solve against a full-rank square basis."""
-    inv = fraction_inverse([[Fraction(x) for x in row] for row in basis_rat.entries])
-    coeff = [sum(Fraction(v[t]) * inv[t][j] for t in range(len(v))) for j in range(len(v))]
-    return all(c.denominator == 1 for c in coeff)
 
 
 # --- rational product ---
@@ -302,42 +294,6 @@ def test_same_lattice_edge_cases():
         same_lattice(RatMatrix.identity(2), RatMatrix.identity(3))
     with pytest.raises(Singular):
         same_lattice(RatMatrix.identity(2), RatMatrix.from_rows([[1, 2], [2, 4]]))
-
-
-# --- intersection ---
-
-
-def test_intersect_pinned_example():
-    b1 = RatMatrix.from_rows([[1, 1], [0, 2]])
-    b2 = RatMatrix.from_rows([[2, 0], [0, 1]])
-    got = lattice_intersect(b1, b2)
-    assert got == RatMatrix.from_rows([[2, 0], [0, 2]])
-
-
-def test_intersect_brute_force_membership():
-    rng = random.Random(13)
-    for _ in range(40):
-        n = rng.randrange(2, 4)
-        mats = []
-        for _ in range(2):
-            while True:
-                rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
-                if laplace_det(rows) != 0:
-                    break
-            mats.append(RatMatrix.from_rows(rows))
-        b1, b2 = mats
-        inter = lattice_intersect(b1, b2)
-        for row in inter.entries:
-            assert in_lattice(row, b1) and in_lattice(row, b2)
-        # every common vector in a small box must be reachable
-        for v in product(range(-4, 5), repeat=n):
-            if in_lattice(v, b1) and in_lattice(v, b2):
-                assert in_lattice(v, inter)
-
-
-def test_intersect_with_self_is_canonical_form():
-    b = RatMatrix.from_rows([[2, 1], [0, 3]])
-    assert lattice_intersect(b, b) == canonical_basis(b)
 
 
 # --- LLL ---

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hullattack import zlip
 from hullattack.errors import NotARotation
 from hullattack.lattices import (
     LatticeBasis,
@@ -68,3 +69,49 @@ def test_assembly_from_unreduced_basis():
 def test_assembly_returns_none_without_orthogonal_family():
     b = RatMatrix.from_rows([[1, 0], [0, 4]])
     assert assemble_orthogonal_basis(b, 2) is None
+
+
+def honest_transform(h):
+    """A stand-in for lll_gram that returns h and the true H.G.H^T."""
+
+    def fake(gram, delta_num, delta_den):
+        hg = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in h]
+        return h, [[sum(a * b for a, b in zip(row, hj)) for hj in h] for row in hg]
+
+    return fake
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_transform_of_determinant_two_rejected(monkeypatch, k):
+    # Rows (k/2)(1, 1) and (k/2)(1, -1): G = (k^2/2) I, and H = [[1, 1], [1, -1]]
+    # gives H.G.H^T = k^2 I with det H = -2.  H.B = k I, so o_hat = I would
+    # pass every check on H.G.H^T, yet the lattice is not k Z^2.
+    half = Fraction(k, 2)
+    lat = LatticeBasis(2, RatMatrix.from_rows([[half, half], [half, -half]]))
+    monkeypatch.setattr(zlip, "lll_gram", honest_transform([[1, 1], [1, -1]]))
+    with pytest.raises(NotARotation):
+        solve_scaled_zlip(lat, k)
+
+
+@pytest.mark.parametrize("reported", ["true", "claimed"])
+def test_enumeration_fallback_through_solver(monkeypatch, reported):
+    # LLL is made to hand back the unreduced basis; its Gram matrix is
+    # recomputed from G and H, so a kernel that claims k^2.den.I is not believed.
+    n, k = 3, 5
+    unimodular = RatMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    lat = rotate(
+        LatticeBasis(n, unimodular.scale(Fraction(k))), random_rational_orthogonal(n, seed=7)
+    )
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    if reported == "true":
+        fake = honest_transform(ident)
+    else:
+
+        def fake(gram, delta_num, delta_den):
+            den = lat.gram().clear_denominators()[1]
+            return ident, [[k * k * den * x for x in row] for row in ident]
+
+    monkeypatch.setattr(zlip, "lll_gram", fake)
+    sol = solve_scaled_zlip(lat, k)
+    assert sol.method == "enumeration"
+    assert lattice_equal(rotate(lat, sol.o_hat), scaled_zn(n, k))
