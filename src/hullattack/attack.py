@@ -26,6 +26,7 @@ from .errors import (
     NotFreeLcd,
     NotIntegral,
     ParseError,
+    Singular,
     SpepFailed,
     VerificationFailed,
     ZlipFailed,
@@ -37,7 +38,7 @@ from .lattices import (
     mod_reduce_to_code,
     rotate,
 )
-from .linalg import RatMatrix, det, same_lattice
+from .linalg import RatMatrix, same_lattice
 from .zlip import solve_scaled_zlip
 
 
@@ -63,7 +64,7 @@ def recover_modulus(lattice: LatticeBasis) -> list[tuple[int, int]]:
     proposes a modulus.  Determinant 1 (or a non-integer determinant)
     admits no candidates.
     """
-    d = abs(det(lattice.basis))
+    d = lattice.abs_det
     if d.denominator != 1 or d <= 1:
         return []
     d = int(d)
@@ -113,17 +114,17 @@ def _perm_rotation(s: SignedPerm) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
-def _hull_det_matches(lattice: LatticeBasis, k: int, det_l: Fraction) -> LatticeBasis | None:
+def _hull_det_matches(lattice: LatticeBasis, k: int) -> LatticeBasis | None:
     """The k-hull, when its determinant carries the trivial-hull signature.
 
     det(hull) = k^n / |C intersect C_dual|, so equality with k^n holds
     exactly for LCD codes.  The hull basis is C . B with C the triangular
     coefficient HNF, so |det hull| = |det C| . |det L| takes no second
-    elimination; det_l is |det L|, which the caller takes once per lattice.
+    elimination; |det L| is the lattice's cached `abs_det`.
     """
     n = lattice.n
     coeff = hull_coefficients(lattice, k)
-    if prod(coeff.entries[i][i] for i in range(n)) * det_l != k**n:
+    if prod(coeff.entries[i][i] for i in range(n)) * lattice.abs_det != k**n:
         return None
     return LatticeBasis(n, coeff.to_rat().mul(lattice.basis))
 
@@ -137,6 +138,7 @@ def verify_isomorphism(
     passed that check when it was built.  The image B2 . o_star^T must
     then span L1: T = (B2 . o_star^T) . B1^-1 is integral with
     |det T| = 1 (`same_lattice`, Bareiss inverse and determinant only).
+    A singular B1 spans no full-rank lattice, so the answer is False.
     No HNF runs here, so the verifier shares no kernel with the
     canonical forms the solver builds.
     """
@@ -147,9 +149,12 @@ def verify_isomorphism(
             o_star = RationalOrthogonal(o_star)
         except NotARotation:
             return False
-    return l1.n == l2.n == o_star.n and same_lattice(
-        l2.basis.mul(o_star.matrix.transpose()), l1.basis
-    )
+    try:
+        return l1.n == l2.n == o_star.n and same_lattice(
+            l2.basis.mul(o_star.matrix.transpose()), l1.basis
+        )
+    except Singular:
+        return False
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:
@@ -171,8 +176,8 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
         if k < 2 or k % 4 == 0:
             _fail(transcript, BadModulus(f"modulus must be >= 2 and not 0 mod 4, got {k}"))
         transcript.append({"step": "modulus", "k": k, "supplied": True})
-        h1 = _hull_det_matches(l1, k, abs(det(l1.basis)))
-        h2 = _hull_det_matches(l2, k, abs(det(l2.basis))) if h1 is not None else None
+        h1 = _hull_det_matches(l1, k)
+        h2 = _hull_det_matches(l2, k) if h1 is not None else None
         if h1 is None or h2 is None:
             _fail(
                 transcript,
@@ -181,12 +186,10 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
         hulls = (h1, h2)
     else:
         candidates = recover_modulus(l1)
-        # Every candidate has k^(n-m) = |det L1|; only an empty list needs det again.
-        d = candidates[0][0] ** (n - candidates[0][1]) if candidates else abs(det(l1.basis))
         transcript.append(
             {
                 "step": "modulus",
-                "determinant": str(d),
+                "determinant": str(l1.abs_det),
                 "candidates": [[c, m] for c, m in candidates],
                 "supplied": False,
             }
@@ -194,16 +197,13 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
         if not candidates:
             _fail(
                 transcript,
-                NoCandidate(f"determinant {d} admits no modulus candidate"),
+                NoCandidate(f"determinant {l1.abs_det} admits no modulus candidate"),
             )
-        det2 = None  # |det L2|, taken once a candidate passes on L1
         for cand, _m in candidates:
-            h1 = _hull_det_matches(l1, cand, d)
+            h1 = _hull_det_matches(l1, cand)
             if h1 is None:
                 continue
-            if det2 is None:
-                det2 = abs(det(l2.basis))
-            h2 = _hull_det_matches(l2, cand, det2)
+            h2 = _hull_det_matches(l2, cand)
             if h2 is None:
                 continue
             k = cand

@@ -64,6 +64,9 @@ def cmd_gen(args) -> int:
     if not 1 <= args.m <= args.n:
         _err(f"need 1 <= m <= n, got m={args.m}, n={args.n}")
         return EXIT_BAD_INPUT
+    if args.depth is not None and args.depth < 0:
+        _err(f"rotation depth must be non-negative, got {args.depth}")
+        return EXIT_BAD_INPUT
     try:
         inst = generate_instance(args.k, args.n, args.m, seed=args.seed, depth=args.depth)
     except Timeout as exc:

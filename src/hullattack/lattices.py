@@ -2,6 +2,12 @@
 
 A LatticeBasis keeps the literal basis rows it was built with (rotations
 must preserve the Gram matrix, so rows are never silently rebased).
+Its one determinant, |det B|, is a cached property taken with a single
+Bareiss pass.  Rows are checked independent only where outside data
+enters, in `LatticeBasis.from_dict`; the bases built here are
+nonsingular by construction (Construction A checks its HNF rank, a
+rotation is an orthonormal image, a hull is full-rank integer
+coefficients times the lattice's basis).
 Set-level questions need no canonical form: two bases span the same
 lattice when one is a unimodular recombination of the other, and a
 vector lies in the lattice when its coordinates in the basis are
@@ -27,14 +33,7 @@ from .errors import (
     ParseError,
     Singular,
 )
-from .linalg import (
-    IntMatrix,
-    RatMatrix,
-    bareiss_det,
-    hnf,
-    inv_int_rows,
-    same_lattice,
-)
+from .linalg import IntMatrix, RatMatrix, det, hnf, inv_int_rows, json_int, same_lattice
 from .modring import ModMatrix, kernel_mod
 
 PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
@@ -42,7 +41,8 @@ PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Basis of a full-rank lattice in Q^n, kept exactly as given."""
+    """Basis of a lattice in Q^n, kept exactly as given.  Full rank is
+    checked by `from_dict`, not here (see the module docstring)."""
 
     n: int
     basis: RatMatrix
@@ -52,9 +52,12 @@ class LatticeBasis:
             raise DimensionMismatch(
                 f"basis must be {self.n}x{self.n}, got {self.basis.rows}x{self.basis.cols}"
             )
-        scaled, _ = self.basis.clear_denominators()
-        if bareiss_det(scaled) == 0:
-            raise Singular("basis rows are dependent")
+
+    @cached_property
+    def abs_det(self) -> Fraction:
+        """|det B|, from one Bareiss pass over the cleared basis; 0 when
+        the rows are dependent."""
+        return abs(det(self.basis))
 
     @cached_property
     def _inverse(self) -> tuple[list[list[int]], int]:
@@ -83,17 +86,16 @@ class LatticeBasis:
 
     @staticmethod
     def from_dict(d: dict) -> "LatticeBasis":
+        """Parse a basis and check its rows independent: the one place
+        outside data enters, so the one singularity check."""
         m = RatMatrix.from_dict(d)
-        try:
-            n = int(d["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad lattice JSON: {exc}") from None
+        n = json_int(d, "n")
         if m.rows != n or m.cols != n:
             raise ParseError(f"lattice basis must be {n}x{n}")
-        try:
-            return LatticeBasis(n, m)
-        except (DimensionMismatch, Singular) as exc:
-            raise ParseError(str(exc)) from None
+        lattice = LatticeBasis(n, m)
+        if lattice.abs_det == 0:
+            raise ParseError("basis rows are dependent")
+        return lattice
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,8 @@ def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> R
         raise ValueError("dimension must be positive")
     if depth is None:
         depth = 2 * n
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     rng = random.Random(seed)
     cols = [[int(r == t) for r in range(n)] for t in range(n)]
     dens = [1] * n

@@ -161,13 +161,20 @@ def _rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def json_int(d: dict, key: str) -> int:
+    """d[key] when it is a JSON integer; a missing field, a float, a
+    string or a bool raises ParseError rather than being coerced."""
+    v = d.get(key)
+    if type(v) is not int:
+        raise ParseError(f"field {key!r} must be an integer, got {type(v).__name__}")
+    return v
+
+
 def _check_matrix_dict(d: dict) -> tuple[int, int, list]:
     if not isinstance(d, dict):
         raise ParseError("matrix JSON must be an object")
-    try:
-        rows, cols, flat = int(d["rows"]), int(d["cols"]), d["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad matrix JSON: {exc}") from None
+    rows, cols = json_int(d, "rows"), json_int(d, "cols")
+    flat = d.get("entries")
     if rows < 0 or cols < 0 or not isinstance(flat, list) or len(flat) != rows * cols:
         raise ParseError("matrix JSON entry count does not match shape")
     return rows, cols, flat
@@ -307,23 +314,6 @@ def canonical_basis(b: RatMatrix) -> RatMatrix:
     scaled, den = b.clear_denominators()
     h = kernels.hnf_rows(scaled, b.cols)
     return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in h))
-
-
-def lll_reduce(b: RatMatrix, delta: Fraction = Fraction(99, 100)) -> RatMatrix:
-    """LLL-reduce the rows of b (independent rows required).
-
-    Denominators are cleared first so the all-integer reduction applies;
-    the output spans exactly the same lattice as the input.
-    """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta <= 1:
-        raise ValueError("delta must be in (1/4, 1]")
-    scaled, den = b.clear_denominators()
-    try:
-        red = kernels.lll_rows(scaled, delta.numerator, delta.denominator)
-    except ValueError as exc:
-        raise Singular(str(exc)) from None
-    return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in red))
 
 
 def gram_schmidt(b: RatMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:

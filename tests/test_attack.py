@@ -14,7 +14,7 @@ from hullattack.attack import (
     recover_modulus,
     verify_isomorphism,
 )
-from hullattack import kernels
+from hullattack import attack, kernels, lattices, linalg, zlip
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, random_free_lcd
 from hullattack.equiv import brute_force_spep
@@ -25,6 +25,7 @@ from hullattack.errors import (
     NoCandidate,
     SpepFailed,
 )
+from hullattack.instances import generate_instance
 from hullattack.lattices import (
     LatticeBasis,
     RationalOrthogonal,
@@ -34,7 +35,7 @@ from hullattack.lattices import (
     rotate,
     s_hull,
 )
-from hullattack.linalg import RatMatrix, det
+from hullattack.linalg import RatMatrix, bareiss_det, det
 
 
 def diag_lattice(entries) -> LatticeBasis:
@@ -268,6 +269,12 @@ class TestVerifyIsomorphism:
         assert not verify_isomorphism(l1, l2, RatMatrix.identity(2))
         assert not verify_isomorphism(l2, l1, RatMatrix.identity(2))
 
+    def test_singular_l1_is_rejected_without_raising(self):
+        # Only parsing checks rank, so a directly built L1 may be singular.
+        l1 = LatticeBasis(2, RatMatrix.from_rows([[1, 2], [2, 4]]))
+        assert not verify_isomorphism(l1, diag_lattice([1, 1]), RatMatrix.identity(2))
+        assert not verify_isomorphism(l1, l1, RatMatrix.identity(2))
+
     def test_calls_no_hnf(self, monkeypatch):
         l1, l2, _ = make_instance(15, 6, 3, seed=71, depth=8)
         res = hull_attack(l1, l2)
@@ -279,6 +286,38 @@ class TestVerifyIsomorphism:
         assert verify_isomorphism(l1, l2, res.o_star.matrix)
         assert verify_isomorphism(l1, l2, res.o_star)
         assert not verify_isomorphism(l1, l2, random_rational_orthogonal(6, seed=3))
+
+
+@pytest.fixture()
+def lattice_dets(monkeypatch):
+    """Sizes of the Bareiss determinants taken on lattice data, counted in
+    every module that binds `bareiss_det` except modring, whose
+    determinants are of m x m code Gram matrices mod k."""
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return bareiss_det(rows)
+
+    for mod in (attack, lattices, linalg, zlip):
+        if getattr(mod, "bareiss_det", None) is bareiss_det:
+            monkeypatch.setattr(mod, "bareiss_det", counted)
+    return sizes
+
+
+class TestDeterminantCount:
+    def test_generation_takes_none(self, lattice_dets):
+        generate_instance(15, 8, 4, seed=1)
+        assert lattice_dets == []
+
+    @pytest.mark.parametrize("k", [None, 15])
+    def test_parse_takes_one_per_lattice_and_attack_three(self, lattice_dets, k):
+        pub = generate_instance(15, 8, 4, seed=1).to_dict()["public"]
+        l1, l2 = LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
+        assert lattice_dets == [8, 8]
+        hull_attack(l1, l2, k=k)
+        # |det H| of each ZLIP transform, then det T in verify.
+        assert lattice_dets == [8, 8, 8, 8, 8]
 
 
 class TestResultSerialization:

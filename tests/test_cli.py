@@ -69,6 +69,13 @@ class TestGen:
         out = tmp_path / "x.json"
         assert run_cli("gen", "--k", "5", "--n", "4", "--m", "9", "--seed", "1", "--out", str(out)) == 2
 
+    def test_negative_depth_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        args = ["gen", "--k", "3", "--n", "4", "--m", "2", "--seed", "5", "--depth", "-3"]
+        assert run_cli(*args, "--out", str(out)) == 2
+        assert "depth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_depth_flag_changes_rotations(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("gen", "--k", "3", "--n", "4", "--m", "2", "--seed", "5", "--out", str(a))
@@ -142,6 +149,30 @@ class TestAttack:
     def test_hostile_file_is_input_error(self, hostile_file, capsys):
         assert run_cli("attack", "--in", str(hostile_file)) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_singular_lattice_is_input_error(self, instance_file, tmp_path):
+        d = read(instance_file)
+        entries = d["public"]["L1"]["entries"]
+        entries[5:10] = entries[0:5]  # row 2 repeats row 1 (n = 5)
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(d))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hullattack.cli", "attack", "--in", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "dependent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field", ["n", "rows", "cols"])
+    def test_non_integer_shape_is_input_error(self, instance_file, tmp_path, capsys, field):
+        d = read(instance_file)
+        d["public"]["L1"][field] = 5.5
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("attack", "--in", str(path)) == 2
+        assert f"'{field}'" in capsys.readouterr().err
 
 
 class TestVerify:

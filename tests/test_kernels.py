@@ -1,7 +1,8 @@
 """Integer kernels on plain int rows: xgcd, row HNF, all-integer LLL.
 
-The matrix-level wrappers in hullattack.linalg are tested in test_linalg;
-these cover the edge cases that only the row-list interface can reach.
+The matrix-level HNF wrapper and the basic LLL properties are tested in
+test_linalg; these cover the edge cases that only the row-list interface
+can reach.
 """
 
 import random
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hullattack import kernels
-from hullattack.linalg import RatMatrix, bareiss_det, gram_schmidt, lll_reduce
+from hullattack.linalg import RatMatrix, bareiss_det, gram_schmidt
 
 
 class TestXgcd:
@@ -129,5 +130,5 @@ class TestLllGram:
         b = RatMatrix.from_rows(rows)
         gram, _ = b.mul(b.transpose()).clear_denominators()
         h, _ = kernels.lll_gram(gram, 99, 100)
-        assert RatMatrix.from_rows(apply(h, rows)) == lll_reduce(b)
+        assert RatMatrix.from_rows(apply(h, rows)) == reference_lll(b, Fraction(99, 100))
         assert abs(bareiss_det(h)) == 1

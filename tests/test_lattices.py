@@ -12,7 +12,6 @@ from hullattack.errors import (
     NotARotation,
     NotIntegral,
     ParseError,
-    Singular,
 )
 from hullattack.lattices import (
     PYTHAGOREAN_TRIPLES,
@@ -171,6 +170,11 @@ def test_depth_zero_is_a_signed_permutation():
     assert vals <= {0, 1}
 
 
+def test_negative_depth_rejected():
+    with pytest.raises(ValueError, match="depth"):
+        random_rational_orthogonal(5, seed=7, depth=-3)
+
+
 def test_rotation_constructor_rejects_non_orthogonal():
     with pytest.raises(NotARotation):
         RationalOrthogonal(RatMatrix.from_rows([[1, 1], [0, 1]]))
@@ -253,8 +257,32 @@ def test_contains_matches_exact_solve():
 
 
 def test_singular_basis_rejected():
-    with pytest.raises(Singular):
-        LatticeBasis(2, RatMatrix.from_rows([[1, 2], [2, 4]]))
+    # Rows are checked independent where outside data enters, not on
+    # every construction: the constructor keeps a singular basis, whose
+    # |det| reads 0, and parsing it fails.
+    singular = LatticeBasis(2, RatMatrix.from_rows([[1, 2], [2, 4]]))
+    assert singular.abs_det == 0
+    with pytest.raises(ParseError, match="dependent"):
+        LatticeBasis.from_dict(singular.to_dict())
+
+
+def test_abs_det_counts_words_through_a_rotation():
+    # |det| of Construction A is k^n / |C|, and a rotation keeps it.
+    rng = random.Random(5)
+    for _ in range(10):
+        c = random_code(rng, 6, 4)
+        lat = rotate(construction_a(c), random_rational_orthogonal(4, seed=rng.randrange(100)))
+        assert lat.abs_det == Fraction(6**4, len(code_words(c)))
+    lat = LatticeBasis(2, RatMatrix.from_rows([[0, Fraction(-1, 3)], [2, 5]]))
+    assert lat.abs_det == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, "2", True, None])
+def test_lattice_dimension_must_be_a_json_integer(value):
+    d = construction_a(code_from_rows(3, [[1, 2]])).to_dict()
+    d["n"] = value
+    with pytest.raises(ParseError, match="'n'"):
+        LatticeBasis.from_dict(d)
 
 
 def test_lattice_json_round_trip():

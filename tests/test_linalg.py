@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hullattack.errors import NonSquare, Singular
+from hullattack import kernels
+from hullattack.errors import NonSquare, ParseError, Singular
 from hullattack.linalg import (
     IntMatrix,
     RatMatrix,
@@ -26,7 +27,6 @@ from hullattack.linalg import (
     gram_schmidt,
     hnf,
     inv_int_rows,
-    lll_reduce,
     rat_inverse,
     same_lattice,
     smith_diagonalize,
@@ -119,6 +119,16 @@ def test_ratmul_matches_naive_fraction_product(pair):
 def test_ratmul_rejects_shape_mismatch():
     with pytest.raises(NonSquare):
         RatMatrix.from_rows([[1, 2]]).mul(RatMatrix.from_rows([[1, 2]]))
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
+def test_matrix_shape_must_be_a_json_integer(field, value):
+    d = RatMatrix.identity(2).to_dict()
+    d[field] = value
+    for cls in (RatMatrix, IntMatrix):
+        with pytest.raises(ParseError, match=repr(field)):
+            cls.from_dict(d)
 
 
 # --- HNF ---
@@ -296,7 +306,7 @@ def test_same_lattice_edge_cases():
         same_lattice(RatMatrix.identity(2), RatMatrix.from_rows([[1, 2], [2, 4]]))
 
 
-# --- LLL ---
+# --- LLL (kernels.lll_rows on integer bases) ---
 
 
 def lovasz_holds(b, delta):
@@ -311,10 +321,14 @@ def lovasz_holds(b, delta):
     return True
 
 
+def lll(rows, delta=Fraction(99, 100)):
+    return RatMatrix.from_rows(kernels.lll_rows(rows, delta.numerator, delta.denominator))
+
+
 def test_lll_pinned_short_basis():
-    b = RatMatrix.from_rows([[1, 0], [10, 1]])
-    red = lll_reduce(b)
-    assert canonical_basis(red) == canonical_basis(b)
+    rows = [[1, 0], [10, 1]]
+    red = lll(rows)
+    assert canonical_basis(red) == canonical_basis(RatMatrix.from_rows(rows))
     assert max(sum(x * x for x in row) for row in red.entries) <= 2
 
 
@@ -326,22 +340,20 @@ def test_lll_preserves_lattice_and_reduces():
             rows = [[rng.randrange(-12, 13) for _ in range(n)] for _ in range(n)]
             if laplace_det(rows) != 0:
                 break
-        b = RatMatrix.from_rows(rows)
-        red = lll_reduce(b, Fraction(99, 100))
-        assert canonical_basis(red) == canonical_basis(b)
+        red = lll(rows, Fraction(99, 100))
+        assert canonical_basis(red) == canonical_basis(RatMatrix.from_rows(rows))
         assert lovasz_holds(red, Fraction(99, 100))
 
 
 def test_lll_scaled_signed_permutation_stays_orthogonal():
-    b = RatMatrix.from_rows([[0, -7, 0], [7, 0, 0], [0, 0, 7]])
-    red = lll_reduce(b)
+    red = lll([[0, -7, 0], [7, 0, 0], [0, 0, 7]])
     gram = red.mul(red.transpose())
     assert gram == RatMatrix.from_rows([[49, 0, 0], [0, 49, 0], [0, 0, 49]])
 
 
 def test_lll_rejects_dependent_rows():
-    with pytest.raises(Singular):
-        lll_reduce(RatMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        lll([[1, 2], [2, 4]])
 
 
 # --- enumeration ---
