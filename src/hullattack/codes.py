@@ -3,7 +3,9 @@
 A code is stored by the Howell form of its generator, which makes code
 equality a tuple comparison.  Freeness bookkeeping rides along: a free
 rank-m code keeps a minimal generator with m independent rows, the shape
-every projection and closure argument below needs.
+every projection and closure argument below needs.  `from_generator`
+finds it with one module-structure pass over Z/kZ; the signed closures
+take none, because they inherit it from the code they close.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import BadModulus, NotAUnit, NotFreeLcd, ParseError, Timeout
-from .linalg import IntMatrix
+from .linalg import IntMatrix, json_int
 from .modring import (
     ModMatrix,
     howell_form,
@@ -40,10 +42,8 @@ class LinearCode:
     def from_dict(d: dict) -> "LinearCode":
         if not isinstance(d, dict):
             raise ParseError("code JSON must be an object")
-        try:
-            k, n, gen = int(d["k"]), int(d["n"]), ModMatrix.from_dict(d["gen"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad code JSON: {exc}") from None
+        k, n = json_int(d, "k"), json_int(d, "n")
+        gen = ModMatrix.from_dict(d.get("gen"))
         if gen.k != k or gen.cols != n:
             raise ParseError("code generator does not match declared (k, n)")
         return from_generator(gen)
@@ -130,16 +130,31 @@ def closure_matrices(n: int, k: int | None = None) -> ClosureMatrices:
     )
 
 
+def _inherit_closure(c: LinearCode, t: IntMatrix) -> LinearCode:
+    """The code generated by the rows of C's generator times T.
+
+    T has a right inverse over Z, so x -> x . T is injective on Z_k^n and
+    the closure is isomorphic to C as a module: the same freeness and
+    rank, with free_gen . T a free basis.  Only its Howell form is new.
+    """
+    tk = ModMatrix.from_rows(c.k, t.entries)
+    free_gen = None if c.free_gen is None else c.free_gen.mul(tk)
+    return LinearCode(
+        k=c.k,
+        n=t.cols,
+        gen=howell_form(c.gen.mul(tk)),
+        free_rank=c.free_rank,
+        free_gen=free_gen,
+    )
+
+
 def signed_closure(c: LinearCode) -> LinearCode:
     """Length-2n code generated by the signed interleavings of C's words.
 
     For odd k the closure doubles every inner product (2 is a unit), so
     it preserves freeness and LCD in both directions.
     """
-    if c.gen.rows == 0:
-        return from_generator(ModMatrix.from_rows(c.k, [], 2 * c.n))
-    t = closure_matrices(c.n).interleave
-    return from_generator(ModMatrix.from_rows(c.k, c.gen.lift().mul(t).entries, 2 * c.n))
+    return _inherit_closure(c, closure_matrices(c.n).interleave)
 
 
 def extended_signed_closure(c: LinearCode) -> LinearCode:
@@ -147,10 +162,7 @@ def extended_signed_closure(c: LinearCode) -> LinearCode:
     m-scaled copy.  Inner products scale by m^2 + 2, a unit mod 2m."""
     if c.k % 2 or c.k % 4 == 0:
         raise BadModulus(f"extended closure needs k = 2m with m odd, got k={c.k}")
-    if c.gen.rows == 0:
-        return from_generator(ModMatrix.from_rows(c.k, [], 3 * c.n))
-    t = closure_matrices(c.n, c.k).extended
-    return from_generator(ModMatrix.from_rows(c.k, c.gen.lift().mul(t).entries, 3 * c.n))
+    return _inherit_closure(c, closure_matrices(c.n, c.k).extended)
 
 
 def projection_matrix(c: LinearCode) -> ModMatrix:

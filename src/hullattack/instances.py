@@ -20,6 +20,7 @@ from .lattices import (
     random_rational_orthogonal,
     rotate,
 )
+from .linalg import json_int
 
 
 @dataclass
@@ -50,10 +51,10 @@ class Instance:
 
     @staticmethod
     def from_dict(d: dict) -> "Instance":
+        if not isinstance(d, dict):
+            raise ParseError("instance JSON must be an object")
+        k, n, m = json_int(d, "k"), json_int(d, "n"), json_int(d, "m")
         try:
-            k = int(d["k"])
-            n = int(d["n"])
-            m = int(d["m"])
             code = LinearCode.from_dict(d["code"])
             pub = d["public"]
             l1 = LatticeBasis.from_dict(pub["L1"])

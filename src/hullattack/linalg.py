@@ -390,102 +390,3 @@ def enumerate_short_vectors(b: RatMatrix, bound: Fraction) -> list[tuple[int, ..
         if lead > 0:
             result.append(v)
     return result
-
-
-def smith_diagonalize(rows, ncols: int, track: bool = True) -> tuple[list[int], list[list[int]]]:
-    """Smith form diagonal of an integer matrix, plus row generators.
-
-    Returns (diag, w) where diag holds the invariant factors (d_i >= 0,
-    d_i | d_{i+1}) and, when track is set, w is an invertible integer
-    matrix such that the rows diag[i] * w[i] generate the row module of
-    the input.  w tracks the inverse of the accumulated column transform.
-    """
-    a = [list(r) for r in rows]
-    nr = len(a)
-    w = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if track else []
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if track:
-            w[i], w[j] = w[j], w[i]
-
-    def col_sub(j, q, t):
-        # col_j -= q * col_t  mirrors as  w_row_t += q * w_row_j
-        for row in a:
-            row[j] -= q * row[t]
-        if track:
-            wt, wj = w[t], w[j]
-            for idx in range(ncols):
-                wt[idx] += q * wj[idx]
-
-    def col_negate(i):
-        for row in a:
-            row[i] = -row[i]
-        if track:
-            w[i] = [-x for x in w[i]]
-
-    r = min(nr, ncols)
-    t = 0
-    while t < r:
-        # locate a smallest-magnitude nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, ncols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        while True:
-            i, j = piv
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-            if j != t:
-                col_swap(t, j)
-            # clear column t below, then row t to the right
-            dirty = False
-            for i in range(t + 1, nr):
-                q = a[i][t] // a[t][t]
-                if q:
-                    for idx in range(ncols):
-                        a[i][idx] -= q * a[t][idx]
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, ncols):
-                q = a[t][j] // a[t][t]
-                if q:
-                    col_sub(j, q, t)
-                if a[t][j]:
-                    dirty = True
-            if dirty:
-                piv = None
-                best = None
-                for i in range(t, nr):
-                    for j in range(t, ncols):
-                        v = abs(a[i][j])
-                        if v and (best is None or v < best):
-                            best = v
-                            piv = (i, j)
-                continue
-            # pivot must divide every entry of the trailing block
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for idx in range(ncols):
-                a[t][idx] += a[offender][idx]
-            piv = (t, t)
-        if a[t][t] < 0:
-            col_negate(t)
-        t += 1
-    diag = [a[i][i] for i in range(t)] + [0] * (r - t)
-    return diag, w

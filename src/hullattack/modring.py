@@ -4,16 +4,23 @@ Z/kZ has zero divisors for composite k, so row reduction uses the Howell
 normal form: the unique canonical form whose rows generate not just the
 row module but every "leading zeros" truncation of it.  That uniqueness
 is what lets code-level equality checks be plain tuple comparisons.
+
+The structure of a row module (its invariant factors and a minimal
+generating set) comes from a Smith form taken over Z/kZ itself, not over
+Z: every step is a unimodular 2x2 transform reduced mod k, so entries
+never leave [0, k) (Storjohann, *Algorithms for Matrix Canonical Forms*,
+2000).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
-from .errors import NonSquare, NotAUnit, ParseError
+from .errors import NonSquare, NotAUnit, ParseError, Singular
 from .kernels import xgcd
-from .linalg import IntMatrix, bareiss_det, inv_int_rows, smith_diagonalize
+from .linalg import IntMatrix, bareiss_det, inv_int_rows, json_int
 
 
 @dataclass(frozen=True)
@@ -59,9 +66,7 @@ class ModMatrix:
             )
         k = self.k
         bt = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % k for col in bt) for row in self.entries
-        )
+        out = tuple(tuple(sum(map(mul, row, col)) % k for col in bt) for row in self.entries)
         return ModMatrix(k, other.cols, out)
 
     def stack(self, other: "ModMatrix") -> "ModMatrix":
@@ -85,11 +90,8 @@ class ModMatrix:
     def from_dict(d: dict) -> "ModMatrix":
         if not isinstance(d, dict):
             raise ParseError("mod matrix JSON must be an object")
-        try:
-            k = int(d["k"])
-            rows, cols, flat = int(d["rows"]), int(d["cols"]), d["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad mod matrix JSON: {exc}") from None
+        k, rows, cols = json_int(d, "k"), json_int(d, "rows"), json_int(d, "cols")
+        flat = d.get("entries")
         if k < 2:
             raise ParseError(f"modulus must be at least 2, got {k}")
         if rows < 0 or cols < 0 or not isinstance(flat, list) or len(flat) != rows * cols:
@@ -200,19 +202,24 @@ def _inverse_by_elimination(m: ModMatrix) -> ModMatrix | None:
 
 
 def inverse_mod(m: ModMatrix) -> ModMatrix:
-    """Exact inverse over Z/kZ; raises NotAUnit when det is not a unit."""
+    """Exact inverse over Z/kZ; raises NotAUnit when det is not a unit.
+
+    Gauss-Jordan on unit pivots succeeds only for a unit determinant.
+    When it stalls, the integer adjugate decides: its denominator is
+    +-det, and the inverse exists exactly when that is a unit mod k.
+    """
     if m.rows != m.cols:
         raise NonSquare("inverse needs a square matrix")
-    k = m.k
-    d = bareiss_det([list(r) for r in m.entries]) % k
-    if gcd(d, k) != 1:
-        raise NotAUnit(f"determinant {d} is not a unit mod {k}")
     got = _inverse_by_elimination(m)
     if got is not None:
         return got
-    # no unit pivot available even though det is a unit: fall back to the
-    # integer adjugate, which is always defined
-    num, den = inv_int_rows([list(r) for r in m.entries])
+    k = m.k
+    try:
+        num, den = inv_int_rows([list(r) for r in m.entries])
+    except Singular:
+        den = 0
+    if gcd(den, k) != 1:
+        raise NotAUnit(f"determinant {abs(den) % k} (up to sign) is not a unit mod {k}")
     f = pow(den % k, -1, k)
     return ModMatrix(k, m.cols, tuple(tuple((x * f) % k for x in row) for row in num))
 
@@ -224,35 +231,112 @@ def is_unit_det(m: ModMatrix) -> bool:
     return gcd(bareiss_det([list(r) for r in m.entries]) % m.k, m.k) == 1
 
 
-def is_free_rows(m: ModMatrix) -> bool:
-    """True when the rows of M are linearly independent over Z/kZ.
+def smith_mod(rows, cols: int, k: int) -> tuple[list[int], list[list[int]]]:
+    """Smith form over Z/kZ of the rows, plus row generators.
 
-    Rows are independent exactly when rows <= cols and every invariant
-    factor of the lifted integer matrix is a unit mod k.
+    Returns (diag, w): diag holds `cols` invariant factors, each a divisor
+    of k in divisibility order, with k standing for a zero factor; w is a
+    cols x cols matrix invertible mod k whose rows diag[i] * w[i] generate
+    the row module.  w is the inverse of the accumulated column transform.
+    A pivot is normalized to its gcd with k; an entry it does not divide
+    is folded in by the xgcd step, which strictly lowers the pivot, so each
+    pivot settles after at most as many folds as k has prime factors,
+    counted with multiplicity.
     """
-    if m.rows == 0:
-        return True
-    if m.rows > m.cols:
-        return False
-    diag, _ = smith_diagonalize([list(r) for r in m.entries], m.cols, track=False)
-    return all(gcd(d, m.k) == 1 for d in diag)
+    a = [[x % k for x in r] for r in rows]
+    nr = len(a)
+    w = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    t = 0
+    while t < min(nr, cols):
+        # the trailing entry with the smallest gcd with k, a unit if any
+        piv, best = None, k
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, cols):
+                if row[j]:
+                    g = gcd(row[j], k)
+                    if g < best:
+                        piv, best = (i, j), g
+            if best == 1:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            w[t], w[j] = w[j], w[t]
+        u = unit_multiplier(a[t][t], k)
+        a[t] = [(u * x) % k for x in a[t]]
+        while True:
+            at = a[t]
+            for i in range(t + 1, nr):
+                b, p, ai = a[i][t], at[t], a[i]
+                if not b:
+                    continue
+                if b % p == 0:
+                    q = b // p
+                    for c in range(t, cols):
+                        ai[c] = (ai[c] - q * at[c]) % k
+                    continue
+                g, x, y = xgcd(p, b)
+                u, v = -(b // g), p // g
+                for c in range(t, cols):
+                    rt, ri = at[c], ai[c]
+                    at[c] = (x * rt + y * ri) % k
+                    ai[c] = (u * rt + v * ri) % k
+            refilled = False
+            for j in range(t + 1, cols):
+                b, p = at[j], at[t]
+                if not b:
+                    continue
+                wt, wj = w[t], w[j]
+                if b % p == 0:
+                    # col_j -= q * col_t, mirrored as w_t += q * w_j
+                    q = b // p
+                    for row in a[t:]:
+                        row[j] = (row[j] - q * row[t]) % k
+                    for c in range(cols):
+                        wt[c] = (wt[c] + q * wj[c]) % k
+                    continue
+                g, x, y = xgcd(p, b)
+                u, v = -(b // g), p // g
+                for row in a[t:]:
+                    rt, rj = row[t], row[j]
+                    row[t] = (x * rt + y * rj) % k
+                    row[j] = (u * rt + v * rj) % k
+                for c in range(cols):
+                    ot, oj = wt[c], wj[c]
+                    wt[c] = (v * ot - u * oj) % k
+                    wj[c] = (x * oj - y * ot) % k
+                refilled = True
+            if refilled and any(a[i][t] for i in range(t + 1, nr)):
+                continue
+            # the pivot must divide the whole trailing block
+            p = at[t]
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
+            )
+            if offender is None:
+                break
+            for c in range(t + 1, cols):
+                at[c] = (at[c] + a[offender][c]) % k
+        t += 1
+    return [a[i][i] for i in range(t)] + [k] * (cols - t), w
 
 
 def row_module_structure(m: ModMatrix) -> tuple[tuple[int, ...], ModMatrix]:
     """Invariant factors and a minimal generating matrix of the row module.
 
-    Stacks k*I under the lifted rows and Smith-diagonalizes with row
-    tracking: the module decomposes as the direct sum of d_i * Z_k over
-    the returned factors (each dividing k, in divisibility order), and
-    the rows d_i * w_i with d_i < k form a minimal generating set.  The
-    module is free exactly when every factor is 1 or k, and then the
-    generator rows are themselves independent.
+    One `smith_mod` pass over the rows (codes hand in their Howell rows):
+    the module decomposes as the direct sum of d_i * Z_k over the returned
+    factors (each dividing k, in divisibility order), and the rows
+    d_i * w_i with d_i < k form a minimal generating set.  The module is
+    free exactly when every factor is 1 or k, and then the generator rows
+    are themselves independent.
     """
     k, n = m.k, m.cols
-    lifted = [list(r) for r in m.entries]
-    lifted += [[k * int(i == j) for j in range(n)] for i in range(n)]
-    diag, w = smith_diagonalize(lifted, n)
-    if len(diag) != n or any(d == 0 or k % d for d in diag):
-        raise AssertionError("row module of a mod-k matrix must have full integer rank")
+    diag, w = smith_mod(m.entries, n, k)
     gens = [[(d * x) % k for x in w[i]] for i, d in enumerate(diag) if d < k]
     return tuple(diag), ModMatrix.from_rows(k, gens, n)

@@ -14,7 +14,7 @@ from hullattack.attack import (
     recover_modulus,
     verify_isomorphism,
 )
-from hullattack import attack, kernels, lattices, linalg, zlip
+from hullattack import attack, codes, kernels, lattices, linalg, zlip
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, random_free_lcd
 from hullattack.equiv import brute_force_spep
@@ -320,6 +320,25 @@ class TestDeterminantCount:
         assert lattice_dets == [8, 8, 8, 8, 8]
 
 
+class TestModuleStructureCount:
+    @pytest.mark.parametrize("k", [15, 6])
+    def test_attack_takes_three_and_closures_none(self, monkeypatch, k):
+        """Column counts of the module-structure passes of one attack: the
+        two extracted codes and the final check of the signed permutation,
+        all of length n; the closures inherit their structure."""
+        inst = generate_instance(k, 8, 4, seed=1)
+        widths = []
+        real = codes.row_module_structure
+
+        def counted(m):
+            widths.append(m.cols)
+            return real(m)
+
+        monkeypatch.setattr(codes, "row_module_structure", counted)
+        hull_attack(inst.l1, inst.l2)
+        assert widths == [8, 8, 8]
+
+
 class TestResultSerialization:
     def test_round_trip(self):
         l1, l2, _ = make_instance(3, 3, 1, seed=61, depth=4)
@@ -332,7 +351,9 @@ class TestResultSerialization:
 # sha256 of the `hullattack attack --out` file bytes, recorded from the
 # assembly that re-checked orthonormality on every inverse and compose;
 # the n = 16 and n = 20 rows were recorded from the verifier that
-# compared two canonical HNFs.
+# compared two canonical HNFs, and the k = 2, 10 and 9 rows and the
+# n = 24 and n = 32 rows from the SPEP that rebuilt every closure with an
+# integer Smith form.
 # (k, n, m, seed, gen depth or None for the default 2n, supplied k or None, digest)
 ATTACK_DIGESTS = [
     (3, 8, 4, 1, None, None, "41b4b697827df99cc67009222d12765cd5a1068a43dcf9b103ead134e86ddd15"),
@@ -347,6 +368,11 @@ ATTACK_DIGESTS = [
     (15, 16, 8, 1, None, None, "9945cd91a5aeb737647594b17632061299025e1336166ba10b7bf70e73d4724e"),
     (15, 16, 8, 3, None, None, "8176d8bcf2d2600b9e37fd440657b1511e88189b675d8324e1963f7420d5f579"),
     (15, 20, 10, 1, None, None, "6b24e63eed1910757f67a39f6d73ac1937a282840c8b06582c46089409571b46"),
+    (2, 12, 6, 1, None, None, "4fe26a98aef725cfce1e6b0a1f7756ce84f8591ea230d1ebd9525ba087e86212"),
+    (10, 12, 6, 1, None, None, "f79c6dfc00b5501a4b1261957d44f288abe314a82a8d74f51f94079191e09037"),
+    (9, 12, 6, 1, None, None, "06385cc42a78a0c1990164f8172661c43dcbc8183e784736d9f153b91d80cc2e"),
+    (6, 24, 12, 1, None, None, "895ab4d8b7710a59ca90fe23078913a92547e9bec8d665df0744475f81a9118e"),
+    (3, 32, 16, 1, None, None, "b12ce84f8b6707c3449446d9c5d8b738c5d18837583d02acf39a60dbbcbb6180"),
 ]
 
 

@@ -8,6 +8,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullattack.errors import BadModulus, NotFreeLcd, ParseError, Timeout
 from hullattack.codes import (
@@ -209,6 +211,39 @@ def test_closure_preserves_free_lcd_both_directions():
     assert odd_seen and even_seen
 
 
+@st.composite
+def closable_codes(draw):
+    """Codes over the SPEP moduli, free or not, from arbitrary generators."""
+    k = draw(st.sampled_from([2, 3, 5, 6, 9, 10, 15]))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), max_size=n))
+    return code_from_rows(k, rows, n)
+
+
+def _projection_or_none(c: LinearCode):
+    try:
+        return projection_matrix(c)
+    except NotFreeLcd:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(closable_codes())
+def test_inherited_closure_matches_rebuilt_code(c):
+    closures = [signed_closure(c)]
+    if c.k % 4 == 2:
+        closures.append(extended_signed_closure(c))
+    for cl in closures:
+        rebuilt = from_generator(cl.gen)
+        assert cl.gen == rebuilt.gen
+        assert cl.free_rank == rebuilt.free_rank
+        assert (cl.free_gen is None) == (rebuilt.free_gen is None)
+        if cl.free_gen is not None:
+            assert cl.free_gen.rows == cl.free_rank
+            assert from_generator(cl.free_gen) == rebuilt
+            assert _projection_or_none(cl) == _projection_or_none(rebuilt)
+
+
 # --- projections ---
 
 
@@ -330,3 +365,12 @@ def test_code_json_round_trip():
     bad["n"] = 3
     with pytest.raises(ParseError):
         LinearCode.from_dict(bad)
+
+
+@pytest.mark.parametrize("field", ["k", "n"])
+@pytest.mark.parametrize("value", [4.5, "4", True])
+def test_code_shape_must_be_a_json_integer(field, value):
+    d = random_free_lcd(6, 4, 2, seed=5).to_dict()
+    d[field] = value
+    with pytest.raises(ParseError, match=repr(field)):
+        LinearCode.from_dict(d)

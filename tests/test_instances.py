@@ -69,6 +69,14 @@ class TestSerialization:
         with pytest.raises(ParseError):
             Instance.from_dict(inst)
 
+    @pytest.mark.parametrize("field", ["k", "n", "m"])
+    @pytest.mark.parametrize("value", [5.9, "3", True])
+    def test_shape_must_be_a_json_integer(self, field, value):
+        inst = generate_instance(5, 4, 2, seed=11).to_dict()
+        inst[field] = value
+        with pytest.raises(ParseError, match=repr(field)):
+            Instance.from_dict(inst)
+
 
 # sha256 of the `hullattack gen` file bytes, recorded from the generator
 # that multiplied full Givens matrices entry by entry in Fractions.

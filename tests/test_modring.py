@@ -6,12 +6,11 @@ from math import gcd
 
 import pytest
 
-from hullattack.errors import NotAUnit
+from hullattack.errors import NotAUnit, ParseError
 from hullattack.modring import (
     ModMatrix,
     howell_form,
     inverse_mod,
-    is_free_rows,
     is_unit_det,
     kernel_mod,
     row_module_structure,
@@ -142,14 +141,21 @@ def test_inverse_and_unit_det_match_bijectivity():
 # --- freeness ---
 
 
-def test_is_free_rows_pinned_examples():
-    assert is_free_rows(ModMatrix.from_rows(4, [[1, 0]]))
-    assert not is_free_rows(ModMatrix.from_rows(4, [[2, 0]]))
-    assert not is_free_rows(ModMatrix.from_rows(4, [[1], [0]]))
-    assert is_free_rows(ModMatrix.from_rows(5, [], cols=3))
+def rows_free(m: ModMatrix) -> bool:
+    """Rows are independent exactly when every invariant factor is 1 or
+    k and there are as many 1s as rows."""
+    diag, _ = row_module_structure(m)
+    return all(d in (1, m.k) for d in diag) and diag.count(1) == m.rows
 
 
-def test_is_free_rows_matches_injectivity():
+def test_row_module_structure_free_rows_pinned_examples():
+    assert rows_free(ModMatrix.from_rows(4, [[1, 0]]))
+    assert not rows_free(ModMatrix.from_rows(4, [[2, 0]]))
+    assert not rows_free(ModMatrix.from_rows(4, [[1], [0]]))
+    assert rows_free(ModMatrix.from_rows(5, [], cols=3))
+
+
+def test_row_module_structure_free_rows_match_injectivity():
     rng = random.Random(47)
     for _ in range(250):
         k = rng.choice([2, 3, 4, 5, 6, 8, 9])
@@ -161,7 +167,7 @@ def test_is_free_rows_matches_injectivity():
             for coeff in product(range(k), repeat=rows)
             if any(coeff)
         )
-        assert is_free_rows(m) == injective
+        assert rows_free(m) == injective
 
 
 # --- row module structure ---
@@ -196,3 +202,12 @@ def test_row_module_structure_generates_and_orders():
         for d in diag:
             order *= k // d
         assert len(span_set(m)) == order
+
+
+@pytest.mark.parametrize("field", ["k", "rows", "cols"])
+@pytest.mark.parametrize("value", [2.5, "2", True])
+def test_mod_matrix_shape_must_be_a_json_integer(field, value):
+    d = ModMatrix.identity(3, 2).to_dict()
+    d[field] = value
+    with pytest.raises(ParseError, match=repr(field)):
+        ModMatrix.from_dict(d)
