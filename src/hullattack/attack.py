@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .equiv import SignedPerm, spep
 from .errors import (
@@ -26,7 +27,6 @@ from .errors import (
     NotFreeLcd,
     NotIntegral,
     ParseError,
-    Singular,
     SpepFailed,
     VerificationFailed,
     ZlipFailed,
@@ -38,7 +38,7 @@ from .lattices import (
     mod_reduce_to_code,
     rotate,
 )
-from .linalg import RatMatrix, same_lattice
+from .linalg import RatMatrix
 from .zlip import solve_scaled_zlip
 
 
@@ -135,11 +135,15 @@ def verify_isomorphism(
     """o_star is orthonormal and maps L2 onto L1 (no exceptions).
 
     A RatMatrix is checked for M . M^T = I here; a RationalOrthogonal
-    passed that check when it was built.  The image B2 . o_star^T must
-    then span L1: T = (B2 . o_star^T) . B1^-1 is integral with
-    |det T| = 1 (`same_lattice`, Bareiss inverse and determinant only).
-    A singular B1 spans no full-rank lattice, so the answer is False.
-    No HNF runs here, so the verifier shares no kernel with the
+    passed that check when it was built.  The image B2 . o_star^T then
+    spans L1 exactly when T = (B2 . o_star^T) . B1^-1 is integral with
+    |det T| = 1.  As o_star is orthonormal, |det T| = |det L2| / |det L1|,
+    so the determinant half is |det L1| = |det L2| != 0, read off the
+    two Gram records.  B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so
+    T = (B2 . o_star^T . B1^T) . den . G1^-1, tested entry by entry
+    against the Bareiss inverse of G1; the first non-integral entry ends
+    the test.  A singular B1 spans no full-rank lattice, so the answer is
+    False.  No HNF runs here, so the verifier shares no kernel with the
     canonical forms the solver builds.
     """
     if isinstance(o_star, RatMatrix):
@@ -149,12 +153,13 @@ def verify_isomorphism(
             o_star = RationalOrthogonal(o_star)
         except NotARotation:
             return False
-    try:
-        return l1.n == l2.n == o_star.n and same_lattice(
-            l2.basis.mul(o_star.matrix.transpose()), l1.basis
-        )
-    except Singular:
+    if not l1.n == l2.n == o_star.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
         return False
+    image = l2.basis.mul(o_star.matrix.transpose())
+    p, dp = image.mul(l1.basis.transpose()).clear_denominators()
+    (_, den), (ginv, q) = l1.gram_record.cleared, l1.gram_record.inverse
+    # G1^-1 is symmetric, so its rows are its columns.
+    return all(den * sum(map(mul, row, col)) % (dp * q) == 0 for row in p for col in ginv)
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:

@@ -2,26 +2,31 @@
 
 A LatticeBasis keeps the literal basis rows it was built with (rotations
 must preserve the Gram matrix, so rows are never silently rebased).
-Its one determinant, |det B|, is a cached property taken with a single
-Bareiss pass.  Rows are checked independent only where outside data
-enters, in `LatticeBasis.from_dict`; the bases built here are
-nonsingular by construction (Construction A checks its HNF rank, a
-rotation is an orthonormal image, a hull is full-rank integer
-coefficients times the lattice's basis).
+Its determinant and inverse come from one integer Gram record,
+B.B^T = G/den in lowest terms, whose entries stay small where the
+basis entries of a rotated lattice do not.  |det B| is sqrt(det G),
+taken exactly; B^-1 is B^T.G^-1, and the lazily cached G^-1 is the
+only inverse the attack takes of a lattice.  A rotation is an
+orthonormal image with the same G, so it shares the record of the
+lattice it came from, G^-1 included.
+Rows are checked independent only where outside data enters, in
+`LatticeBasis.from_dict`; the bases built here are nonsingular by
+construction (Construction A checks its HNF rank, a rotation is an
+orthonormal image, a hull is full-rank integer coefficients times the
+lattice's basis).
 Set-level questions need no canonical form: two bases span the same
-lattice when one is a unimodular recombination of the other, and a
-vector lies in the lattice when its coordinates in the basis are
-integers.  Both are decided with fraction-free (Bareiss) inverses and
-determinants.
+lattice when one is a unimodular recombination of the other (decided
+by `same_lattice` in `lattice_equal`), and a vector lies in the lattice
+when its coordinates in the basis are integers.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .codes import LinearCode, from_generator
@@ -33,38 +38,88 @@ from .errors import (
     ParseError,
     Singular,
 )
-from .linalg import IntMatrix, RatMatrix, det, hnf, inv_int_rows, json_int, same_lattice
+from .linalg import IntMatrix, RatMatrix, bareiss_det, hnf, inv_int_rows, json_int, same_lattice
 from .modring import ModMatrix, kernel_mod
 
 PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
 
 
+class GramRecord:
+    """The integer Gram matrix of a basis: B.B^T = G/den with the fraction
+    in lowest terms, plus |det B| and G^-1, each computed on first use.
+
+    B = A/db cleared to integers gives B.B^T = (A.A^T)/db^2; only the
+    upper triangle of A.A^T is formed, and the result is divided by the
+    gcd of its entries and db^2.  Every basis with the same Gram matrix
+    (an orthonormal image of B) may share the record.
+    """
+
+    def __init__(self, basis: RatMatrix):
+        self._basis = basis
+
+    @cached_property
+    def cleared(self) -> tuple[list[list[int]], int]:
+        """(G, den) with B.B^T = G/den, equal to `gram().clear_denominators()`."""
+        a, db = self._basis.clear_denominators()
+        n = len(a)
+        g = [[0] * n for _ in range(n)]
+        for i, ai in enumerate(a):
+            gi = g[i]
+            for j in range(i, n):
+                gi[j] = g[j][i] = sum(map(mul, ai, a[j]))
+        d = gcd(db * db, *(x for i, gi in enumerate(g) for x in gi[i:]))
+        return [[x // d for x in gi] for gi in g], db * db // d
+
+    @cached_property
+    def abs_det(self) -> Fraction:
+        """|det B| = sqrt(det G / den^n), both square roots exact; 0 when
+        the rows are dependent."""
+        g, den = self.cleared
+        sq = Fraction(bareiss_det(g), den ** len(g))
+        num, d = isqrt(sq.numerator), isqrt(sq.denominator)
+        if num * num != sq.numerator or d * d != sq.denominator:
+            raise AssertionError("det of a Gram matrix is not the square of a rational")
+        return Fraction(num, d)
+
+    @cached_property
+    def inverse(self) -> tuple[list[list[int]], int]:
+        """(N, q) with G^-1 = N/q from the Bareiss inverse; N is symmetric."""
+        return inv_int_rows(self.cleared[0])
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Basis of a lattice in Q^n, kept exactly as given.  Full rank is
-    checked by `from_dict`, not here (see the module docstring)."""
+    """Basis of a lattice in Q^n, kept exactly as given, with its Gram
+    record.  Full rank is checked by `from_dict`, not here (see the
+    module docstring).  Pass `gram_record` only for a basis whose Gram
+    matrix equals the record's."""
 
     n: int
     basis: RatMatrix
+    gram_record: GramRecord | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.basis.rows != self.n or self.basis.cols != self.n:
             raise DimensionMismatch(
                 f"basis must be {self.n}x{self.n}, got {self.basis.rows}x{self.basis.cols}"
             )
+        if self.gram_record is None:
+            object.__setattr__(self, "gram_record", GramRecord(self.basis))
 
-    @cached_property
+    @property
     def abs_det(self) -> Fraction:
-        """|det B|, from one Bareiss pass over the cleared basis; 0 when
-        the rows are dependent."""
-        return abs(det(self.basis))
+        """|det B| from the Gram record; 0 when the rows are dependent."""
+        return self.gram_record.abs_det
 
     @cached_property
     def _inverse(self) -> tuple[list[list[int]], int]:
-        """(N, q) with B^-1 = N / q, from the Bareiss inverse."""
-        scaled, den = self.basis.clear_denominators()
-        inv, q = inv_int_rows(scaled)
-        return [[den * x for x in row] for row in inv], q
+        """(N, q) with B^-1 = N / q.  B^-1 = B^T.(B.B^T)^-1: with B = A/db
+        and B.B^T = G/den, that is den.A^T.G^-1/db, so the only inverse
+        taken is the Gram record's."""
+        a, db = self.basis.clear_denominators()
+        (_, den), (ginv, q) = self.gram_record.cleared, self.gram_record.inverse
+        # G^-1 is symmetric, so its rows are its columns.
+        return [[den * sum(map(mul, col, row)) for row in ginv] for col in zip(*a)], db * q
 
     def gram(self) -> RatMatrix:
         return self.basis.mul(self.basis.transpose())
@@ -108,7 +163,7 @@ class RationalOrthogonal:
         m = self.matrix
         if m.rows != m.cols:
             raise NotARotation("orthonormal matrix must be square")
-        if m.mul(m.transpose()) != RatMatrix.identity(m.rows):
+        if not m.rows_orthonormal():
             raise NotARotation("matrix rows are not orthonormal")
 
     @property
@@ -152,7 +207,7 @@ def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
     if s < 1:
         raise ValueError(f"scale must be positive, got {s}")
     n = lattice.n
-    scaled, den = lattice.gram().clear_denominators()
+    scaled, den = lattice.gram_record.cleared
     big = s * den
     ker = kernel_mod(ModMatrix.from_rows(big, scaled))
     rows = [list(r) for r in ker.lift().entries]
@@ -172,11 +227,12 @@ def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
 def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:
     """Apply the orthonormal transform row-wise: rows become row . O^T.
 
-    The Gram matrix of the returned basis equals the input's exactly.
+    The Gram matrix of the returned basis equals the input's exactly (o
+    passed its M.M^T = I check), so the image shares the input's record.
     """
     if o.n != lattice.n:
         raise DimensionMismatch(f"transform is {o.n}-dimensional, lattice is {lattice.n}")
-    return LatticeBasis(lattice.n, lattice.basis.mul(o.matrix.transpose()))
+    return LatticeBasis(lattice.n, lattice.basis.mul(o.matrix.transpose()), lattice.gram_record)
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
@@ -190,8 +246,8 @@ def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode:
     containing k*Z^n.
 
     Row i of k . B^-1 holds the coordinates of k*e_i in the basis, so
-    k*Z^n lies in L exactly when k . B^-1 is integral; the check runs on
-    the lattice's cached Bareiss inverse.
+    k*Z^n lies in L exactly when k . B^-1 is integral; B^-1 comes from the
+    Gram record's inverse, which a rotated lattice shares with its source.
     """
     if not lattice.basis.is_integral():
         raise NotIntegral("lattice basis has non-integer entries")

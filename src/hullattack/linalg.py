@@ -116,6 +116,17 @@ class RatMatrix:
             )
         )
 
+    def rows_orthonormal(self) -> bool:
+        """self . self^T = I.  Each row is cleared to a/d over its own lcm,
+        so the test reads a.a = d^2 and a.b = 0 on the upper triangle only;
+        the first failing product ends it."""
+        rows = [_clear(row) for row in self.entries]
+        return all(
+            sum(map(mul, a, b)) == (da * da if i == j else 0)
+            for i, (a, da) in enumerate(rows)
+            for j, (b, _) in enumerate(rows[i:], i)
+        )
+
     def scale(self, c: Fraction) -> "RatMatrix":
         c = Fraction(c)
         return RatMatrix(tuple(tuple(c * x for x in row) for row in self.entries))

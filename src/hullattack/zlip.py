@@ -2,9 +2,10 @@
 
 Given a lattice promised to be an orthonormal rotation of k*Z^n, find a
 transform carrying it back.  LLL runs on the lattice's integer Gram
-matrix G (cleared of its denominator den) and returns a transform H,
-never touching the large basis entries.  When H.G.H^T = k^2.den.I the
-frame H.B has pairwise orthogonal rows of norm k, so o_hat = frame/k.
+matrix G with B.B^T = G/den, read off the lattice's cached Gram
+record, and returns a transform H, never touching the large basis
+entries.  When H.G.H^T = k^2.den.I the frame H.B has pairwise
+orthogonal rows of norm k, so o_hat = frame/k.
 Given that identity, the image B.o_hat^T equals k.H^-1, so it spans
 k*Z^n exactly when |det H| = 1; both are checked in exact integers,
 recomputed from G and H.  When LLL does not hand over an orthogonal
@@ -74,7 +75,7 @@ def solve_scaled_zlip(lattice: LatticeBasis, k: int) -> ZlipSolution:
     """Orthonormal o_hat with rotate(lattice, o_hat) = k*Z^n."""
     if k < 1:
         raise ValueError(f"scale must be positive, got {k}")
-    gram, den = lattice.gram().clear_denominators()
+    gram, den = lattice.gram_record.cleared
     try:
         h, _ = lll_gram(gram, 99, 100)
     except ValueError as exc:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullattack.attack import (
     AttackResult,
@@ -23,6 +25,8 @@ from hullattack.errors import (
     DimensionMismatch,
     HullNotTrivial,
     NoCandidate,
+    NotARotation,
+    Singular,
     SpepFailed,
 )
 from hullattack.instances import generate_instance
@@ -35,7 +39,7 @@ from hullattack.lattices import (
     rotate,
     s_hull,
 )
-from hullattack.linalg import RatMatrix, bareiss_det, det
+from hullattack.linalg import RatMatrix, bareiss_det, det, inv_int_rows, same_lattice
 
 
 def diag_lattice(entries) -> LatticeBasis:
@@ -288,6 +292,68 @@ class TestVerifyIsomorphism:
         assert not verify_isomorphism(l1, l2, random_rational_orthogonal(6, seed=3))
 
 
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def verify_cases(draw):
+    """(L1, L2, O) with L2 = U . B1 . O'.  U is unimodular, unimodular with
+    a non-integral entry, or of det +-2; B1 is rational and may be
+    singular; O' is orthonormal, and O is O' or another orthonormal
+    matrix, or O' spoiled so that it is not orthonormal."""
+    n = draw(st.integers(1, 4))
+    b1 = RatMatrix.from_rows([[draw(small_rationals) for _ in range(n)] for _ in range(n)])
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = draw(st.integers(-2, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    kind = draw(st.sampled_from(["unimodular", "non_integral", "det2"]))
+    if kind == "non_integral" and n > 1:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        j += j >= i
+        u[i] = [x + Fraction(1, 2) * y for x, y in zip(u[i], u[j])]
+    elif kind == "det2":
+        i = draw(st.integers(0, n - 1))
+        u[i] = [draw(st.sampled_from([2, -2])) * x for x in u[i]]
+    o_true = random_rational_orthogonal(n, seed=draw(st.integers(0, 99)), depth=2 * n).matrix
+    l1 = LatticeBasis(n, b1)
+    l2 = LatticeBasis(n, RatMatrix.from_rows(u).mul(b1).mul(o_true))
+    witness = draw(st.sampled_from(["true", "other", "scaled", "sheared"]))
+    if witness == "other":
+        o = random_rational_orthogonal(n, seed=draw(st.integers(100, 199))).matrix
+    elif witness == "scaled":
+        o = o_true.scale(Fraction(2))
+    elif witness == "sheared":
+        rows = [list(r) for r in o_true.entries]
+        rows[0][0] += 1
+        o = RatMatrix.from_rows(rows)
+    else:
+        o = o_true
+    return l1, l2, o
+
+
+def old_verdict(l1, l2, o) -> bool:
+    """The verifier before Gram records: o orthonormal and
+    T = (B2 . o^T) . B1^-1 integral with |det T| = 1 (`same_lattice`)."""
+    try:
+        RationalOrthogonal(o)
+        return same_lattice(l2.basis.mul(o.transpose()), l1.basis)
+    except (NotARotation, Singular):
+        return False
+
+
+class TestVerifierEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(verify_cases())
+    def test_matches_same_lattice_verdict(self, case):
+        l1, l2, o = case
+        assert verify_isomorphism(l1, l2, o) is old_verdict(l1, l2, o)
+
+
 @pytest.fixture()
 def lattice_dets(monkeypatch):
     """Sizes of the Bareiss determinants taken on lattice data, counted in
@@ -311,13 +377,62 @@ class TestDeterminantCount:
         assert lattice_dets == []
 
     @pytest.mark.parametrize("k", [None, 15])
-    def test_parse_takes_one_per_lattice_and_attack_three(self, lattice_dets, k):
+    def test_parse_takes_one_per_lattice_and_attack_two(self, lattice_dets, k):
         pub = generate_instance(15, 8, 4, seed=1).to_dict()["public"]
         l1, l2 = LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
+        # det G of each parsed lattice's Gram matrix.
         assert lattice_dets == [8, 8]
         hull_attack(l1, l2, k=k)
-        # |det H| of each ZLIP transform, then det T in verify.
-        assert lattice_dets == [8, 8, 8, 8, 8]
+        # |det H| of each ZLIP transform; verify reads |det L1| = |det L2|
+        # off the Gram records and takes no det T.
+        assert lattice_dets == [8, 8, 8, 8]
+
+
+@pytest.fixture()
+def lattice_inverses(monkeypatch):
+    """Matrices handed to the Bareiss inverse on lattice data, recorded in
+    every module that binds `inv_int_rows` except modring, whose inverses
+    are of m x m code matrices mod k."""
+    seen = []
+
+    def counted(rows):
+        seen.append([list(r) for r in rows])
+        return inv_int_rows(rows)
+
+    for mod in (attack, lattices, linalg, zlip):
+        if getattr(mod, "inv_int_rows", None) is inv_int_rows:
+            monkeypatch.setattr(mod, "inv_int_rows", counted)
+    return seen
+
+
+def is_symmetric(rows) -> bool:
+    return all(x == rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+def parsed_public(inst):
+    pub = inst.to_dict()["public"]
+    return LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
+
+
+class TestInverseCount:
+    @pytest.mark.parametrize("k", [None, 15])
+    def test_attack_inverts_the_two_gram_matrices(self, lattice_inverses, k):
+        # The rotated lattices of code extraction share G^-1 with L1 and
+        # L2, and verify reuses G1^-1: no cleared basis is inverted.
+        l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
+        hull_attack(l1, l2, k=k)
+        assert len(lattice_inverses) == 2
+        assert all(is_symmetric(m) for m in lattice_inverses)
+        assert lattice_inverses == [l1.gram_record.cleared[0], l2.gram_record.cleared[0]]
+
+    def test_standalone_verify_inverts_one(self, lattice_inverses):
+        inst = generate_instance(15, 8, 4, seed=1)
+        o_star = hull_attack(inst.l1, inst.l2).o_star
+        l1, l2 = parsed_public(inst)
+        lattice_inverses.clear()
+        assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
+        assert len(lattice_inverses) == 1
+        assert lattice_inverses == [l1.gram_record.cleared[0]]
 
 
 class TestModuleStructureCount:

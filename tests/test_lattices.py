@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullattack.codes import code_from_rows, dual, hull, is_lcd, random_free_lcd
 from hullattack.errors import (
@@ -192,6 +194,13 @@ def test_rotate_preserves_gram_exactly():
         assert det(rot.basis) in (det(lat.basis), -det(lat.basis))
 
 
+def test_rotation_shares_the_gram_record():
+    lat = construction_a(code_from_rows(5, [[1, 2, 3, 4]]))
+    rot = rotate(lat, random_rational_orthogonal(4, seed=3))
+    assert rot.gram_record is lat.gram_record
+    assert LatticeBasis(4, rot.basis).gram_record.cleared == lat.gram_record.cleared
+
+
 def test_rotate_composition_law():
     n = 4
     lat = construction_a(code_from_rows(5, [[1, 2, 3, 4]]))
@@ -275,6 +284,43 @@ def test_abs_det_counts_words_through_a_rotation():
         assert lat.abs_det == Fraction(6**4, len(code_words(c)))
     lat = LatticeBasis(2, RatMatrix.from_rows([[0, Fraction(-1, 3)], [2, 5]]))
     assert lat.abs_det == Fraction(2, 3)
+
+
+# --- the Gram record ---
+
+gram_entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def square_bases(draw):
+    n = draw(st.integers(0, 5))
+    return RatMatrix.from_rows([[draw(gram_entries) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_bases())
+def test_gram_record_matches_the_basis(b):
+    lat = LatticeBasis(b.rows, b)
+    assert lat.gram_record.cleared == lat.gram().clear_denominators()
+    assert lat.abs_det == abs(det(b))
+    if lat.abs_det:
+        inv, q = lat._inverse
+        assert b.mul(RatMatrix.from_rows(inv).scale(Fraction(1, q))) == RatMatrix.identity(b.rows)
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        ([], 1),
+        ([[Fraction(-3, 2)]], Fraction(3, 2)),
+        ([[0]], 0),
+        ([[1, 2], [2, 4]], 0),
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]], 0),
+    ],
+)
+def test_abs_det_from_gram_edge_cases(rows, expected):
+    b = RatMatrix.from_rows(rows)
+    assert LatticeBasis(b.rows, b).abs_det == expected == abs(det(b))
 
 
 @pytest.mark.parametrize("value", [2.7, 2.0, "2", True, None])
