@@ -5,6 +5,14 @@ both lattices (which is a rotation of k Z^n exactly when the underlying
 code is LCD), solve scaled ZLIP on each hull, pull the codes back through
 the recovered rotations, solve signed permutation equivalence, and
 compose the three maps into a single orthonormal witness.
+
+Every map before the witness is an integer transform of a lattice's
+basis B, read through its Gram record B.B^T = G/den: the hull is C.B
+for the coefficient HNF C, with Gram matrix C.G.C^T/den; ZLIP returns a
+unimodular U on that Gram matrix, so the frame of k Z^n is T.B with
+T = U.C; and the rotated lattice B.o_hat^T is the integer product
+G.T^T/(den.k).  The one rational matrix built is o_star, from the two
+frames and the signed permutation, and it is checked once.
 """
 
 from __future__ import annotations
@@ -35,10 +43,11 @@ from .lattices import (
     LatticeBasis,
     RationalOrthogonal,
     hull_coefficients,
+    integral_rotation,
     mod_reduce_to_code,
-    rotate,
+    sublattice_gram,
 )
-from .linalg import RatMatrix
+from .linalg import IntMatrix, RatMatrix
 from .zlip import solve_scaled_zlip
 
 
@@ -105,28 +114,49 @@ def _fail(transcript: list[dict], exc: HullAttackError):
     raise exc
 
 
-def _perm_rotation(s: SignedPerm) -> RatMatrix:
-    """M_s^T for the signed permutation matrix M_s[i][sigma[i]] = signs[i]."""
-    n = s.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[s.sigma[i]][i] = Fraction(s.signs[i])
-    return RatMatrix.from_rows(rows)
-
-
-def _hull_det_matches(lattice: LatticeBasis, k: int) -> LatticeBasis | None:
-    """The k-hull, when its determinant carries the trivial-hull signature.
+def _hull_det_matches(lattice: LatticeBasis, k: int) -> IntMatrix | None:
+    """The coefficient HNF C of the k-hull (whose basis is C . B), when
+    the hull's determinant carries the trivial-hull signature.
 
     det(hull) = k^n / |C intersect C_dual|, so equality with k^n holds
-    exactly for LCD codes.  The hull basis is C . B with C the triangular
-    coefficient HNF, so |det hull| = |det C| . |det L| takes no second
-    elimination; |det L| is the lattice's cached `abs_det`.
+    exactly for LCD codes.  C is triangular, so |det hull| = |det C| .
+    |det L| is the product of its pivots times the lattice's cached
+    `abs_det`; the hull basis itself is never formed.
     """
     n = lattice.n
     coeff = hull_coefficients(lattice, k)
     if prod(coeff.entries[i][i] for i in range(n)) * lattice.abs_det != k**n:
         return None
-    return LatticeBasis(n, coeff.to_rat().mul(lattice.basis))
+    return coeff
+
+
+def _assemble(
+    l1: LatticeBasis, l2: LatticeBasis, t1: IntMatrix, t2: IntMatrix, s: SignedPerm, k: int
+) -> RationalOrthogonal:
+    """o_star = o_hat1^T . P . o_hat2 with o_hat_i = T_i . B_i / k and P
+    the transpose of the signed permutation matrix of s.
+
+    With B_i = A_i / db_i and F_i = T_i . A_i that is
+    F1^T . P . F2 / (k^2 . db1 . db2): P moves row i of F2 to row
+    sigma[i] with sign signs[i], one integer product follows, and one
+    Fraction is built per entry.  The product of orthonormal factors is
+    checked once, as the witness.
+    """
+    (a1, db1), (a2, db2) = l1.int_basis, l2.int_basis
+    f1 = [[sum(map(mul, row, col)) for col in zip(*a1)] for row in t1.entries]
+    f2 = [[sum(map(mul, row, col)) for col in zip(*a2)] for row in t2.entries]
+    moved = [None] * s.n
+    for i, (j, sign) in enumerate(zip(s.sigma, s.signs)):
+        moved[j] = f2[i] if sign == 1 else [-x for x in f2[i]]
+    d = k * k * db1 * db2
+    cols = list(zip(*moved))
+    return RationalOrthogonal(
+        RatMatrix(
+            tuple(
+                tuple(Fraction(sum(map(mul, fc, mc)), d) for mc in cols) for fc in zip(*f1)
+            )
+        )
+    )
 
 
 def verify_isomorphism(
@@ -140,11 +170,13 @@ def verify_isomorphism(
     |det T| = 1.  As o_star is orthonormal, |det T| = |det L2| / |det L1|,
     so the determinant half is |det L1| = |det L2| != 0, read off the
     two Gram records.  B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so
-    T = (B2 . o_star^T . B1^T) . den . G1^-1, tested entry by entry
-    against the Bareiss inverse of G1; the first non-integral entry ends
-    the test.  A singular B1 spans no full-rank lattice, so the answer is
-    False.  No HNF runs here, so the verifier shares no kernel with the
-    canonical forms the solver builds.
+    T = (B2 . o_star^T . B1^T) . den . G1^-1.  With B_i = A_i / e_i and
+    o_star = M / D cleared to integers, B2 . o_star^T . B1^T is
+    A2 . M^T . A1^T / (e1 . e2 . D), formed over the integers, and T is
+    tested entry by entry against the Bareiss inverse of G1; the first
+    non-integral entry ends the test.  A singular B1 spans no full-rank
+    lattice, so the answer is False.  No HNF runs here, so the verifier
+    shares no kernel with the canonical forms the solver builds.
     """
     if isinstance(o_star, RatMatrix):
         if o_star.rows != l1.n or o_star.cols != l1.n:
@@ -155,11 +187,15 @@ def verify_isomorphism(
             return False
     if not l1.n == l2.n == o_star.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
         return False
-    image = l2.basis.mul(o_star.matrix.transpose())
-    p, dp = image.mul(l1.basis.transpose()).clear_denominators()
+    m, d = o_star.matrix.clear_denominators()
+    (a1, e1), (a2, e2) = l1.int_basis, l2.int_basis
+    # The rows of M are the columns of M^T, and likewise for A1.
+    image = [[sum(map(mul, row, mr)) for mr in m] for row in a2]
+    p = [[sum(map(mul, row, ar)) for ar in a1] for row in image]
     (_, den), (ginv, q) = l1.gram_record.cleared, l1.gram_record.inverse
+    big = e1 * e2 * d * q
     # G1^-1 is symmetric, so its rows are its columns.
-    return all(den * sum(map(mul, row, col)) % (dp * q) == 0 for row in p for col in ginv)
+    return all(den * sum(map(mul, row, col)) % big == 0 for row in p for col in ginv)
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:
@@ -176,7 +212,7 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     n = l1.n
     transcript: list[dict] = []
 
-    hulls: tuple[LatticeBasis, LatticeBasis] | None = None
+    hulls: tuple[IntMatrix, IntMatrix] | None = None
     if k is not None:
         if k < 2 or k % 4 == 0:
             _fail(transcript, BadModulus(f"modulus must be >= 2 and not 0 mod 4, got {k}"))
@@ -225,20 +261,21 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     # _hull_det_matches accepted both hulls, so each |det| is exactly k^n.
     transcript.append({"step": "hull", "k": k, "hull_dets": [str(k**n)] * 2})
 
-    sols = []
-    for idx, hull in ((1, h1), (2, h2)):
+    # T_i = U_i . C_i: the frame T_i . B_i of k Z^n in L_i's basis coordinates.
+    frames = []
+    for idx, lattice, coeff in ((1, l1, h1), (2, l2, h2)):
         try:
-            sol = solve_scaled_zlip(hull, k)
+            sol = solve_scaled_zlip(sublattice_gram(lattice, coeff), k)
         except NotARotation as exc:
             _fail(transcript, ZlipFailed(f"hull of lattice {idx} is not a rotation of kZ^n: {exc}"))
         transcript.append({"step": "zlip", "lattice": idx, "method": sol.method})
-        sols.append(sol)
-    sol1, sol2 = sols
+        frames.append(sol.u.mul(coeff))
+    t1, t2 = frames
 
     codes = []
-    for idx, lattice, sol in ((1, l1, sol1), (2, l2, sol2)):
+    for idx, lattice, t in ((1, l1, t1), (2, l2, t2)):
         try:
-            code = mod_reduce_to_code(rotate(lattice, sol.o_hat), k)
+            code = mod_reduce_to_code(integral_rotation(lattice, t, k), k)
         except (NotIntegral, DoesNotContainKZn) as exc:
             _fail(transcript, SpepFailed(f"lattice {idx} does not reduce to a code mod k: {exc}"))
         codes.append(code)
@@ -270,10 +307,7 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     transcript[-1]["sigma"] = list(s.sigma)
     transcript[-1]["signs"] = list(s.signs)
 
-    # The product of orthonormal factors is checked once, as the witness.
-    o_star = RationalOrthogonal(
-        sol1.o_hat.matrix.transpose().mul(_perm_rotation(s)).mul(sol2.o_hat.matrix)
-    )
+    o_star = _assemble(l1, l2, t1, t2, s, k)
     ok = verify_isomorphism(l1, l2, o_star)
     transcript.append({"step": "verify", "ok": ok})
     if not ok:

@@ -33,6 +33,10 @@ from .errors import (
 from .modring import ModMatrix
 
 RETRY_CAP = 10_000
+# Search nodes per graph-isomorphism call: ten times the retry cap, so the
+# cap still ends a search that yields solutions; pinned attacks take at
+# most a few dozen.
+GI_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,8 @@ def solve_weighted_gi(
     Individualization-refinement with deterministic branching: target
     cell of lowest color id, candidates in ascending vertex order.  Every
     leaf candidate is checked against the full matrices before being
-    yielded, zero weights included.
+    yielded, zero weights included.  A search that visits more than
+    GI_NODE_BUDGET nodes raises ExtractionExhausted.
     """
     if stats is not None:
         stats.setdefault("nodes", 0)
@@ -156,7 +161,13 @@ def solve_weighted_gi(
                 init_ids[val] = len(init_ids)
             c.append(init_ids[val])
 
+    nodes = 0
+
     def search(colors1, colors2):
+        nonlocal nodes
+        nodes += 1
+        if nodes > GI_NODE_BUDGET:
+            raise ExtractionExhausted(f"graph isomorphism search exceeded {GI_NODE_BUDGET} nodes")
         if stats is not None:
             stats["nodes"] += 1
         refined = _refine(a1, a2, colors1, colors2, n)

@@ -73,8 +73,8 @@ class SpepFailed(HullAttackError):
 
 
 class ExtractionExhausted(HullAttackError):
-    """Graph-isomorphism solutions ran out (or the retry cap was hit)
-    without a pair-respecting signed permutation."""
+    """Graph-isomorphism solutions ran out (or the retry cap or the node
+    budget was hit) without a pair-respecting signed permutation."""
 
 
 class VerificationFailed(HullAttackError):

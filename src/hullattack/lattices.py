@@ -9,6 +9,12 @@ taken exactly; B^-1 is B^T.G^-1, and the lazily cached G^-1 is the
 only inverse the attack takes of a lattice.  A rotation is an
 orthonormal image with the same G, so it shares the record of the
 lattice it came from, G^-1 included.
+The attack moves between lattices by integer transforms of a basis,
+and reads each through the Gram record instead of forming the new
+basis: the rows C.B of an integer C have Gram matrix C.G.C^T/den
+(`sublattice_gram`), and when the frame T.B is a scaled orthonormal
+family the rotated basis B.(T.B/s)^T is the integer product
+G.T^T/(den.s) (`integral_rotation`).
 Rows are checked independent only where outside data enters, in
 `LatticeBasis.from_dict`; the bases built here are nonsingular by
 construction (Construction A checks its HNF rank, a rotation is an
@@ -38,10 +44,27 @@ from .errors import (
     ParseError,
     Singular,
 )
-from .linalg import IntMatrix, RatMatrix, bareiss_det, hnf, inv_int_rows, json_int, same_lattice
+from .linalg import (
+    IntMatrix,
+    RatMatrix,
+    bareiss_det,
+    congruence,
+    hnf,
+    inv_int_rows,
+    json_int,
+    same_lattice,
+    symmetric_product,
+)
 from .modring import ModMatrix, kernel_mod
 
 PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
+
+
+def _lowest_terms(g: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """(G', den') with G/den = G'/den' in lowest terms, for symmetric G.
+    The form is unique, so two routes to one Gram matrix agree."""
+    d = gcd(den, *(x for i, gi in enumerate(g) for x in gi[i:]))
+    return [[x // d for x in gi] for gi in g], den // d
 
 
 class GramRecord:
@@ -61,14 +84,7 @@ class GramRecord:
     def cleared(self) -> tuple[list[list[int]], int]:
         """(G, den) with B.B^T = G/den, equal to `gram().clear_denominators()`."""
         a, db = self._basis.clear_denominators()
-        n = len(a)
-        g = [[0] * n for _ in range(n)]
-        for i, ai in enumerate(a):
-            gi = g[i]
-            for j in range(i, n):
-                gi[j] = g[j][i] = sum(map(mul, ai, a[j]))
-        d = gcd(db * db, *(x for i, gi in enumerate(g) for x in gi[i:]))
-        return [[x // d for x in gi] for gi in g], db * db // d
+        return _lowest_terms(symmetric_product(a, a), db * db)
 
     @cached_property
     def abs_det(self) -> Fraction:
@@ -112,11 +128,16 @@ class LatticeBasis:
         return self.gram_record.abs_det
 
     @cached_property
+    def int_basis(self) -> tuple[list[list[int]], int]:
+        """(A, db) with B = A/db, db the lcm of the entry denominators."""
+        return self.basis.clear_denominators()
+
+    @cached_property
     def _inverse(self) -> tuple[list[list[int]], int]:
         """(N, q) with B^-1 = N / q.  B^-1 = B^T.(B.B^T)^-1: with B = A/db
         and B.B^T = G/den, that is den.A^T.G^-1/db, so the only inverse
         taken is the Gram record's."""
-        a, db = self.basis.clear_denominators()
+        a, db = self.int_basis
         (_, den), (ginv, q) = self.gram_record.cleared, self.gram_record.inverse
         # G^-1 is symmetric, so its rows are its columns.
         return [[den * sum(map(mul, col, row)) for row in ginv] for col in zip(*a)], db * q
@@ -224,6 +245,14 @@ def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
     return LatticeBasis(lattice.n, hull_coefficients(lattice, s).to_rat().mul(lattice.basis))
 
 
+def sublattice_gram(lattice: LatticeBasis, c: IntMatrix) -> tuple[list[list[int]], int]:
+    """The Gram record (G', den') of the rows C.B for an integer C, without
+    forming C.B: (C.B).(C.B)^T = C.G.C^T/den, brought to lowest terms.
+    The form is unique, so this equals the record of C.B itself."""
+    g, den = lattice.gram_record.cleared
+    return _lowest_terms(congruence(c.entries, g), den)
+
+
 def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:
     """Apply the orthonormal transform row-wise: rows become row . O^T.
 
@@ -233,6 +262,26 @@ def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:
     if o.n != lattice.n:
         raise DimensionMismatch(f"transform is {o.n}-dimensional, lattice is {lattice.n}")
     return LatticeBasis(lattice.n, lattice.basis.mul(o.matrix.transpose()), lattice.gram_record)
+
+
+def integral_rotation(lattice: LatticeBasis, t: IntMatrix, s: int) -> LatticeBasis:
+    """rotate(lattice, O) for O = T.B/s, computed without O.
+
+    T is an integer matrix whose frame T.B has pairwise orthogonal rows
+    of norm s, i.e. T.G.T^T = s^2.den.I (which `solve_scaled_zlip`
+    checks), so O is orthonormal.  The rotated rows are
+    B.O^T = B.B^T.T^T/s = G.T^T/(den.s), one integer product of
+    Gram-sized entries, and the image shares the input's record.
+    Raises NotIntegral unless den.s divides every entry.
+    """
+    g, den = lattice.gram_record.cleared
+    q = den * s
+    # G is symmetric, so its rows are its columns.
+    rows = [[sum(map(mul, gi, tj)) for tj in t.entries] for gi in g]
+    if any(x % q for row in rows for x in row):
+        raise NotIntegral("rotated lattice has non-integer entries")
+    basis = RatMatrix(tuple(tuple(Fraction(x // q) for x in row) for row in rows))
+    return LatticeBasis(lattice.n, basis, lattice.gram_record)
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:

@@ -191,6 +191,25 @@ def _check_matrix_dict(d: dict) -> tuple[int, int, list]:
     return rows, cols, flat
 
 
+def symmetric_product(x, y) -> list[list[int]]:
+    """x . y^T for integer rows whose product is known to be symmetric
+    (a Gram matrix A.A^T, or a congruence T.G.T^T given T.G as x): only
+    the upper triangle is formed and the rest mirrored."""
+    n = len(x)
+    out = [[0] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        oi = out[i]
+        for j in range(i, n):
+            oi[j] = out[j][i] = sum(map(mul, xi, y[j]))
+    return out
+
+
+def congruence(t, g) -> list[list[int]]:
+    """T . G . T^T for integer rows T and a symmetric integer G."""
+    # G is symmetric, so its rows are its columns.
+    return symmetric_product([[sum(map(mul, row, col)) for col in g] for row in t], t)
+
+
 def hnf(m: IntMatrix) -> IntMatrix:
     """Canonical row Hermite normal form; zero rows dropped."""
     return IntMatrix.from_rows(kernels.hnf_rows([list(r) for r in m.entries], m.cols), m.cols)
@@ -327,29 +346,31 @@ def canonical_basis(b: RatMatrix) -> RatMatrix:
     return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in h))
 
 
-def gram_schmidt(b: RatMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Gram-Schmidt: returns (mu, squared norms of the b* vectors)."""
-    rows = [list(r) for r in b.entries]
-    n = len(rows)
-    star: list[list[Fraction]] = []
-    norms: list[Fraction] = []
+def gram_schmidt(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact Gram-Schmidt data of a basis, read off its Gram matrix
+    G = B.B^T (square rows of rationals): (mu, squared norms of the b*
+    vectors).  <b_i, b*_j> = G[i][j] - sum_t mu[j][t].mu[i][t].|b*_t|^2,
+    so the basis itself is never needed.  Raises Singular on dependent
+    rows."""
+    n = len(gram)
     mu = [[Fraction(0)] * n for _ in range(n)]
+    norms: list[Fraction] = []
     for i in range(n):
-        v = [Fraction(x) for x in rows[i]]
+        mi = mu[i]
         for j in range(i):
-            if norms[j] == 0:
-                raise Singular("dependent rows")
-            mu[i][j] = sum((a * c for a, c in zip(rows[i], star[j])), Fraction(0)) / norms[j]
-            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
-        star.append(v)
-        norms.append(sum((x * x for x in v), Fraction(0)))
-    if norms and norms[-1] == 0:
-        raise Singular("dependent rows")
+            mj = mu[j]
+            r = gram[i][j] - sum((mj[t] * mi[t] * norms[t] for t in range(j)), Fraction(0))
+            mi[j] = r / norms[j]
+        norm = gram[i][i] - sum((mi[t] * mi[t] * norms[t] for t in range(i)), Fraction(0))
+        if norm == 0:
+            raise Singular("dependent rows")
+        norms.append(Fraction(norm))
     return mu, norms
 
 
-def enumerate_short_vectors(b: RatMatrix, bound: Fraction) -> list[tuple[int, ...]]:
-    """All coefficient vectors x != 0 with ||x . b||^2 <= bound, one per
+def enumerate_short_vectors(gram, bound: Fraction) -> list[tuple[int, ...]]:
+    """All coefficient vectors x != 0 with x . G . x^T <= bound, for the
+    Gram matrix G = B.B^T of a basis (so ||x . B||^2 <= bound), one per
     +-pair (representative: first nonzero coefficient positive).
 
     Depth-first search over the exact Gram-Schmidt triangle; interval
@@ -357,12 +378,12 @@ def enumerate_short_vectors(b: RatMatrix, bound: Fraction) -> list[tuple[int, ..
     Vectors appear in discovery order, which is deterministic.
     """
     bound = Fraction(bound)
-    n = b.rows
-    if n != b.cols:
-        raise NonSquare("enumeration needs a square basis")
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise NonSquare("enumeration needs a square Gram matrix")
     if bound < 0:
         return []
-    mu, norms = gram_schmidt(b)
+    mu, norms = gram_schmidt(gram)
     out: list[tuple[int, ...]] = []
     x = [0] * n
 

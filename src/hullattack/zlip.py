@@ -1,46 +1,46 @@
-"""Solving the scaled integer-lattice isomorphism.
+"""Solving the scaled integer-lattice isomorphism on a Gram matrix.
 
-Given a lattice promised to be an orthonormal rotation of k*Z^n, find a
-transform carrying it back.  LLL runs on the lattice's integer Gram
-matrix G with B.B^T = G/den, read off the lattice's cached Gram
-record, and returns a transform H, never touching the large basis
-entries.  When H.G.H^T = k^2.den.I the frame H.B has pairwise
-orthogonal rows of norm k, so o_hat = frame/k.
-Given that identity, the image B.o_hat^T equals k.H^-1, so it spans
-k*Z^n exactly when |det H| = 1; both are checked in exact integers,
-recomputed from G and H.  When LLL does not hand over an orthogonal
-frame, the norm-k vectors of H.B are enumerated exactly and assembled
-into an orthogonal basis by backtracking, and that image is checked
-with `same_lattice`.  A broken promise surfaces as NotARotation, never
-as a wrong answer.
+A lattice with basis B is promised to be an orthonormal rotation of
+k*Z^n; only its integer Gram record B.B^T = G/den is read, never B.
+The answer is a unimodular integer transform U with U.G.U^T = k^2.den.I.
+That identity makes the frame U.B a family of pairwise orthogonal rows
+of norm k, so o_hat = U.B/k is orthonormal, and the image
+B.o_hat^T = k.U^-1 spans k*Z^n exactly when |det U| = 1.  Both are
+checked in exact integers, recomputed from G and U.
+
+LLL on G hands over U = H directly almost always.  When it does not,
+the vectors of squared norm k^2 are enumerated in the coordinates of the
+LLL rows, on their Gram matrix H.G.H^T, and n pairwise orthogonal ones
+K are assembled by backtracking; U = K.H then passes the same two
+checks.  A broken promise surfaces as NotARotation, never as a wrong
+answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotARotation
 from .kernels import lll_gram
-from .lattices import LatticeBasis, RationalOrthogonal
-from .linalg import IntMatrix, RatMatrix, bareiss_det, enumerate_short_vectors, same_lattice
+from .lattices import RationalOrthogonal
+from .linalg import IntMatrix, RatMatrix, bareiss_det, congruence, enumerate_short_vectors
 
 NODE_BUDGET = 10**6
 
 
-def assemble_orthogonal_basis(b: RatMatrix, k: int) -> RatMatrix | None:
-    """Search the norm-k vectors of the lattice of b for n pairwise
-    orthogonal ones.  None when no such family exists; NotARotation when
-    the backtracking budget runs out."""
-    n = b.rows
-    k2 = Fraction(k * k)
-    vecs = []
-    for coeff in enumerate_short_vectors(b, k2):
-        v = tuple(
-            sum((coeff[t] * b.entries[t][j] for t in range(n)), Fraction(0)) for j in range(n)
-        )
-        if sum((x * x for x in v), Fraction(0)) == k2:
-            vecs.append(v)
+def assemble_orthogonal_basis(gram, target: int) -> list[tuple[int, ...]] | None:
+    """Coefficient rows K of n pairwise orthogonal vectors of squared norm
+    `target` in the lattice with integer Gram matrix `gram`, so that
+    K.G.K^T = target.I.  None when no such family exists; NotARotation
+    when the backtracking budget runs out."""
+    n = len(gram)
+    vecs = []  # (x, G.x) for every x with x.G.x = target
+    for x in enumerate_short_vectors(gram, target):
+        gx = [sum(map(mul, row, x)) for row in gram]
+        if sum(map(mul, gx, x)) == target:
+            vecs.append((x, gx))
     chosen: list[tuple] = []
     nodes = 0
 
@@ -52,9 +52,9 @@ def assemble_orthogonal_basis(b: RatMatrix, k: int) -> RatMatrix | None:
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise NotARotation(f"orthogonal assembly exceeded {NODE_BUDGET} nodes")
-            v = vecs[idx]
-            if all(sum((a * c for a, c in zip(v, u)), Fraction(0)) == 0 for u in chosen):
-                chosen.append(v)
+            x, gx = vecs[idx]
+            if all(sum(map(mul, gx, y)) == 0 for y, _ in chosen):
+                chosen.append(vecs[idx])
                 if extend(idx + 1):
                     return True
                 chosen.pop()
@@ -62,42 +62,48 @@ def assemble_orthogonal_basis(b: RatMatrix, k: int) -> RatMatrix | None:
 
     if not extend(0):
         return None
-    return RatMatrix.from_rows(chosen)
+    return [x for x, _ in chosen]
 
 
 @dataclass(frozen=True)
 class ZlipSolution:
-    o_hat: RationalOrthogonal
+    u: IntMatrix  # unimodular, U.G.U^T = k^2.den.I
+    k: int
     method: str  # "lll" or "enumeration"
 
+    def o_hat(self, basis: RatMatrix) -> RationalOrthogonal:
+        """U.B/k for the basis B whose Gram matrix was solved: the
+        orthonormal transform with rotate(lattice, o_hat) = k*Z^n, built
+        and checked on request."""
+        return RationalOrthogonal(self.u.to_rat().mul(basis).scale(Fraction(1, self.k)))
 
-def solve_scaled_zlip(lattice: LatticeBasis, k: int) -> ZlipSolution:
-    """Orthonormal o_hat with rotate(lattice, o_hat) = k*Z^n."""
+
+def _is_scalar(m: list[list[int]], c: int) -> bool:
+    return all(x == (c if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
+
+
+def solve_scaled_zlip(gram: tuple[list[list[int]], int], k: int) -> ZlipSolution:
+    """Unimodular U with U.G.U^T = k^2.den.I for the Gram record
+    (G, den) of a lattice, so that U.B/k carries it onto k*Z^n."""
     if k < 1:
         raise ValueError(f"scale must be positive, got {k}")
-    gram, den = lattice.gram_record.cleared
+    g, den = gram
     try:
-        h, _ = lll_gram(gram, 99, 100)
+        h, _ = lll_gram(g, 99, 100)
     except ValueError as exc:
         raise NotARotation(str(exc)) from None
-    if abs(bareiss_det(h)) != 1:
-        raise NotARotation("LLL transform is not unimodular")
-    hm = IntMatrix.from_rows(h)
     target = k * k * den
-    reduced_gram = hm.mul(IntMatrix.from_rows(gram)).mul(hm.transpose())
-    red = hm.to_rat().mul(lattice.basis)
-    if all(
-        x == (target if i == j else 0)
-        for i, row in enumerate(reduced_gram.entries)
-        for j, x in enumerate(row)
-    ):
-        # red . red^T = k^2 I, so (red^T)^-1 . k = red / k.
-        return ZlipSolution(o_hat=RationalOrthogonal(red.scale(Fraction(1, k))), method="lll")
-    frame = assemble_orthogonal_basis(red, k)
-    if frame is None:
-        raise NotARotation("no orthogonal family of norm-k vectors")
-    o_hat = RationalOrthogonal(frame.scale(Fraction(1, k)))
-    image = lattice.basis.mul(o_hat.matrix.transpose())
-    if not same_lattice(image, RatMatrix.identity(lattice.n).scale(Fraction(k))):
-        raise NotARotation("transform does not carry the lattice onto k*Z^n")
-    return ZlipSolution(o_hat=o_hat, method="enumeration")
+    u, method = IntMatrix.from_rows(h), "lll"
+    # The kernel's own H.G.H^T is not trusted: every check is recomputed from G.
+    reduced = congruence(u.entries, g)
+    if not _is_scalar(reduced, target):
+        coeffs = assemble_orthogonal_basis(reduced, target)
+        if coeffs is None:
+            raise NotARotation("no orthogonal family of norm-k vectors")
+        u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"
+        reduced = congruence(u.entries, g)
+    if not _is_scalar(reduced, target):
+        raise NotARotation("transform does not carry the Gram matrix to k^2.den.I")
+    if abs(bareiss_det(u.entries)) != 1:
+        raise NotARotation("transform is not unimodular")
+    return ZlipSolution(u=u, k=k, method=method)

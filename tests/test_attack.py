@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from hullattack.attack import (
     AttackResult,
+    _assemble,
+    _hull_det_matches,
     _integer_root,
     hull_attack,
     recover_modulus,
@@ -19,7 +21,7 @@ from hullattack.attack import (
 from hullattack import attack, codes, kernels, lattices, linalg, zlip
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, random_free_lcd
-from hullattack.equiv import brute_force_spep
+from hullattack.equiv import SignedPerm, brute_force_spep
 from hullattack.errors import (
     BadModulus,
     DimensionMismatch,
@@ -34,12 +36,16 @@ from hullattack.lattices import (
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
+    hull_coefficients,
+    integral_rotation,
     lattice_equal,
     random_rational_orthogonal,
     rotate,
     s_hull,
+    sublattice_gram,
 )
 from hullattack.linalg import RatMatrix, bareiss_det, det, inv_int_rows, same_lattice
+from hullattack.zlip import solve_scaled_zlip
 
 
 def diag_lattice(entries) -> LatticeBasis:
@@ -131,13 +137,14 @@ class TestHullAttack:
         assert not verify_isomorphism(l1, l2, random_rational_orthogonal(5, seed=1))
 
     def test_orthonormality_checked_once_per_witness(self, monkeypatch):
-        # Two checks in ZLIP (one per hull) and one on the assembled o_star.
+        # Only the assembled o_star: ZLIP checks U.G.U^T = k^2.den.I on the
+        # hull's Gram matrix instead of building o_hat.
         l1, l2, _ = make_instance(6, 4, 2, seed=13, depth=6)
         calls = []
         check = RationalOrthogonal.__post_init__
         monkeypatch.setattr(RationalOrthogonal, "__post_init__", lambda o: calls.append(check(o)))
         hull_attack(l1, l2)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_assembly_orients_a_non_involutive_permutation(self):
         # Rotated instances recover involutive sigmas, for which P = P^T; an
@@ -148,6 +155,21 @@ class TestHullAttack:
         res = hull_attack(l1, l2)
         sigma = next(e["sigma"] for e in res.transcript if e["step"] == "spep")
         assert any(sigma[sigma[i]] != i for i in range(6))
+        assert verify_isomorphism(l1, l2, res.o_star.matrix)
+
+    def test_enumeration_fallback_through_the_attack(self, monkeypatch):
+        # LLL hands back the identity, so ZLIP must enumerate on both hulls.
+        l1, l2, _ = make_instance(5, 4, 2, seed=11, depth=6)
+
+        def identity_transform(gram, delta_num, delta_den):
+            n = len(gram)
+            return [[int(i == j) for j in range(n)] for i in range(n)], gram
+
+        monkeypatch.setattr(zlip, "lll_gram", identity_transform)
+        res = hull_attack(l1, l2)
+        methods = [e["method"] for e in res.transcript if e["step"] == "zlip"]
+        assert methods == ["enumeration", "enumeration"]
+        assert res.transcript[-1] == {"step": "verify", "ok": True}
         assert verify_isomorphism(l1, l2, res.o_star.matrix)
 
     def test_deterministic(self):
@@ -255,6 +277,13 @@ class TestVerifyIsomorphism:
         swap = RatMatrix.from_rows([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
         assert verify_isomorphism(l1, l2, swap)
 
+    def test_rejects_an_orthonormal_map_that_is_no_symmetry(self):
+        # O* = [[3/5, 4/5], [-4/5, 3/5]] maps Z^2 to a lattice with T = O*^T:
+        # integral once the witness denominator 5 is dropped, yet not Z^2.
+        lat = diag_lattice([1, 1])
+        o = RatMatrix.from_rows([[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
+        assert not verify_isomorphism(lat, lat, o)
+
     def test_rejects_shape_mismatch(self):
         l1 = diag_lattice([3, 1])
         assert not verify_isomorphism(l1, diag_lattice([3, 1, 1]), RatMatrix.identity(2))
@@ -336,6 +365,22 @@ def verify_cases(draw):
     return l1, l2, o
 
 
+def rational_product_verdict(l1, l2, o) -> bool:
+    """The verifier that formed B2 . o^T . B1^T as two `RatMatrix`
+    products before testing T = (B2 . o^T . B1^T) . den . G1^-1."""
+    try:
+        o = RationalOrthogonal(o)
+    except NotARotation:
+        return False
+    if not l1.n == l2.n == o.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
+        return False
+    p, dp = l2.basis.mul(o.matrix.transpose()).mul(l1.basis.transpose()).clear_denominators()
+    (_, den), (ginv, q) = l1.gram_record.cleared, l1.gram_record.inverse
+    return all(
+        den * sum(x * y for x, y in zip(row, col)) % (dp * q) == 0 for row in p for col in ginv
+    )
+
+
 def old_verdict(l1, l2, o) -> bool:
     """The verifier before Gram records: o orthonormal and
     T = (B2 . o^T) . B1^-1 integral with |det T| = 1 (`same_lattice`)."""
@@ -350,8 +395,58 @@ class TestVerifierEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(verify_cases())
     def test_matches_same_lattice_verdict(self, case):
+        # Also the verdict of the rational-product verifier it replaced.
         l1, l2, o = case
-        assert verify_isomorphism(l1, l2, o) is old_verdict(l1, l2, o)
+        verdict = verify_isomorphism(l1, l2, o)
+        assert verdict is old_verdict(l1, l2, o)
+        assert verdict is rational_product_verdict(l1, l2, o)
+
+
+def perm_rotation(s: SignedPerm) -> RatMatrix:
+    """M_s^T for the signed permutation matrix M_s[i][sigma[i]] = signs[i]."""
+    rows = [[0] * s.n for _ in range(s.n)]
+    for i in range(s.n):
+        rows[s.sigma[i]][i] = s.signs[i]
+    return RatMatrix.from_rows(rows)
+
+
+@st.composite
+def transform_cases(draw):
+    """An instance over one of k = 2, 6, 9, 15, 3, 5 at n = 3 to 7 and a
+    random signed permutation.  k = 9 proposes the losing modulus 3
+    first, and every candidate's hull is compared."""
+    k = draw(st.sampled_from([2, 6, 9, 15, 3, 5]))
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(1, n - 1))
+    inst = generate_instance(k, n, m, seed=draw(st.integers(0, 10**6)))
+    sigma = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return inst, SignedPerm(tuple(sigma), tuple(signs))
+
+
+class TestIntegerTransformEquivalence:
+    """Each integer transform of the attack equals the rational matrix
+    product it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(transform_cases())
+    def test_integer_transforms_match_rational_products(self, case):
+        inst, s = case
+        k = inst.k
+        frames, o_hats = [], []
+        for lattice in (inst.l1, inst.l2):
+            for cand, _m in recover_modulus(lattice):
+                coeff = hull_coefficients(lattice, cand)
+                assert sublattice_gram(lattice, coeff) == s_hull(lattice, cand).gram_record.cleared
+            coeff = _hull_det_matches(lattice, k)
+            sol = solve_scaled_zlip(sublattice_gram(lattice, coeff), k)
+            o_hat = sol.o_hat(s_hull(lattice, k).basis)  # passes RationalOrthogonal
+            frame = sol.u.mul(coeff)
+            assert integral_rotation(lattice, frame, k).basis == rotate(lattice, o_hat).basis
+            frames.append(frame)
+            o_hats.append(o_hat.matrix)
+        old = o_hats[0].transpose().mul(perm_rotation(s)).mul(o_hats[1])
+        assert _assemble(inst.l1, inst.l2, *frames, s, k).matrix == old
 
 
 @pytest.fixture()
@@ -433,6 +528,40 @@ class TestInverseCount:
         assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
         assert len(lattice_inverses) == 1
         assert lattice_inverses == [l1.gram_record.cleared[0]]
+
+
+@pytest.fixture()
+def rational_products(monkeypatch):
+    """Shapes of the `RatMatrix.mul` calls made while the fixture is active."""
+    shapes = []
+    real = RatMatrix.mul
+
+    def counted(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(RatMatrix, "mul", counted)
+    return shapes
+
+
+class TestRationalProductCount:
+    @pytest.mark.parametrize("k,supplied", [(15, None), (15, 15), (6, None)])
+    def test_attack_on_parsed_lattices_takes_none(self, rational_products, k, supplied):
+        # Hull, ZLIP, rotation, assembly and verify run on integer
+        # transforms; o_star is the one rational matrix built.
+        l1, l2 = parsed_public(generate_instance(k, 8, 4, seed=1))
+        rational_products.clear()
+        res = hull_attack(l1, l2, k=supplied)
+        assert res.transcript[-1]["ok"]
+        assert rational_products == []
+
+    def test_standalone_verify_takes_none(self, rational_products):
+        inst = generate_instance(15, 8, 4, seed=1)
+        o_star = hull_attack(inst.l1, inst.l2).o_star
+        l1, l2 = parsed_public(inst)
+        rational_products.clear()
+        assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
+        assert rational_products == []
 
 
 class TestModuleStructureCount:

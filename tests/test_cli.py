@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hullattack import equiv
 from hullattack.cli import main
 from hullattack.codes import code_from_rows
 from hullattack.instances import generate_instance
@@ -120,6 +121,15 @@ class TestAttack:
         d = read(res)
         assert d["error"]["type"] == "HullNotTrivial"
         assert isinstance(d["transcript"], list)
+
+    def test_gi_node_budget_fails_with_exit_three(self, instance_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(equiv, "GI_NODE_BUDGET", 1)
+        res = tmp_path / "res.json"
+        assert run_cli("attack", "--in", str(instance_file), "--out", str(res)) == 3
+        d = read(res)
+        assert d["error"]["type"] == "SpepFailed"
+        assert "exceeded 1 nodes" in d["error"]["message"]
+        assert [e["step"] for e in d["transcript"]][-1] == "codes"
 
     def test_k_multiple_of_four_is_input_error(self, instance_file):
         assert run_cli("attack", "--in", str(instance_file), "--k", "8") == 2

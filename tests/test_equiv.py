@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from hullattack import equiv
 from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
@@ -27,6 +28,7 @@ from hullattack.equiv import (
 )
 from hullattack.errors import (
     DimensionMismatch,
+    ExtractionExhausted,
     NotFreeLcd,
     NotSymmetric,
     ParseError,
@@ -105,6 +107,13 @@ class TestWeightedGi:
         stats = {}
         list(solve_weighted_gi(g, g, stats))
         assert stats["nodes"] >= 1
+
+    def test_node_budget_ends_the_search(self, monkeypatch):
+        # The clique's six automorphisms take more than five search nodes.
+        g = WeightedGraph(3, ModMatrix.from_rows(3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+        monkeypatch.setattr(equiv, "GI_NODE_BUDGET", 5)
+        with pytest.raises(ExtractionExhausted):
+            list(solve_weighted_gi(g, g))
 
     def test_mismatched_sizes_yield_nothing(self):
         g1 = WeightedGraph(3, ModMatrix.from_rows(3, [[1]]))

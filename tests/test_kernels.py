@@ -45,7 +45,7 @@ class TestLllRows:
         rows = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(5)] for _ in range(3)]
         red = kernels.lll_rows(rows, delta.numerator, delta.denominator)
         assert kernels.hnf_rows(red, 5) == kernels.hnf_rows(rows, 5)
-        mu, norms = gram_schmidt(RatMatrix.from_rows(red))
+        mu, norms = gram_schmidt(gram_of(red))
         for i in range(len(red)):
             assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
             if i:
@@ -65,7 +65,7 @@ def reference_lll(b: RatMatrix, delta: Fraction) -> RatMatrix:
     b = [list(r) for r in b.entries]
 
     def reduce(k, j):
-        mu, _ = gram_schmidt(RatMatrix.from_rows(b))
+        mu, _ = gram_schmidt(gram_of(b))
         if abs(mu[k][j]) > Fraction(1, 2):
             q = floor(mu[k][j] + Fraction(1, 2))
             b[k] = [x - q * y for x, y in zip(b[k], b[j])]
@@ -73,7 +73,7 @@ def reference_lll(b: RatMatrix, delta: Fraction) -> RatMatrix:
     k = 1
     while k < len(b):
         reduce(k, k - 1)
-        mu, norms = gram_schmidt(RatMatrix.from_rows(b))
+        mu, norms = gram_schmidt(gram_of(b))
         if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             b[k], b[k - 1] = b[k - 1], b[k]
             k = max(1, k - 1)

@@ -20,13 +20,15 @@ from hullattack.lattices import (
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
+    integral_rotation,
     lattice_equal,
     mod_reduce_to_code,
     random_rational_orthogonal,
     rotate,
     s_hull,
+    sublattice_gram,
 )
-from hullattack.linalg import RatMatrix, canonical_basis, det
+from hullattack.linalg import IntMatrix, RatMatrix, canonical_basis, det
 
 
 def random_code(rng, k, n):
@@ -236,6 +238,18 @@ def test_mod_reduce_errors():
         mod_reduce_to_code(sparse, 2)
 
 
+def test_integral_rotation_refuses_a_rational_image():
+    # B = I/2: G = I over den = 4, and T = 2I makes the frame T.B = I, so
+    # the rotation is the identity and the image B itself is not integral.
+    half = LatticeBasis(2, RatMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]))
+    with pytest.raises(NotIntegral):
+        integral_rotation(half, IntMatrix.from_rows([[2, 0], [0, 2]]), 1)
+    lat = LatticeBasis(2, RatMatrix.from_rows([[3, 4], [-4, 3]]))
+    image = integral_rotation(lat, IntMatrix.from_rows([[1, 0], [0, 1]]), 5)
+    assert image.basis == RatMatrix.from_rows([[5, 0], [0, 5]])
+    assert image.gram_record is lat.gram_record
+
+
 # --- equality, membership, serialization ---
 
 
@@ -298,10 +312,16 @@ def square_bases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_bases())
-def test_gram_record_matches_the_basis(b):
+@given(square_bases(), st.data())
+def test_gram_record_matches_the_basis(b, data):
     lat = LatticeBasis(b.rows, b)
     assert lat.gram_record.cleared == lat.gram().clear_denominators()
+    # The record of the rows C.B, read off B's record without forming C.B.
+    c = IntMatrix.from_rows(
+        [[data.draw(st.integers(-3, 3)) for _ in range(b.rows)] for _ in range(b.rows)]
+    )
+    combined = LatticeBasis(b.rows, c.to_rat().mul(b))
+    assert sublattice_gram(lat, c) == combined.gram_record.cleared
     assert lat.abs_det == abs(det(b))
     if lat.abs_det:
         inv, q = lat._inverse

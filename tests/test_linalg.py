@@ -309,8 +309,48 @@ def test_same_lattice_edge_cases():
 # --- LLL (kernels.lll_rows on integer bases) ---
 
 
+def gram_of(b: RatMatrix):
+    return b.mul(b.transpose()).entries
+
+
+def projection_gram_schmidt(b: RatMatrix):
+    """Textbook Gram-Schmidt on the rows themselves: (mu, |b*_i|^2), or
+    None when the rows are dependent."""
+    star, norms = [], []
+    mu = [[Fraction(0)] * b.rows for _ in range(b.rows)]
+    for i, row in enumerate(b.entries):
+        v = list(row)
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(row, star[j])) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        norm = sum(x * x for x in v)
+        if norm == 0:
+            return None
+        star.append(v)
+        norms.append(norm)
+    return mu, norms
+
+
+@st.composite
+def square_rational_bases(draw):
+    n = draw(st.integers(0, 5))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return RatMatrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_rational_bases())
+def test_gram_schmidt_from_gram_matches_projections(b):
+    expected = projection_gram_schmidt(b)
+    if expected is None:
+        with pytest.raises(Singular):
+            gram_schmidt(gram_of(b))
+    else:
+        assert gram_schmidt(gram_of(b)) == expected
+
+
 def lovasz_holds(b, delta):
-    mu, norms = gram_schmidt(b)
+    mu, norms = gram_schmidt(gram_of(b))
     n = b.rows
     for i in range(n):
         for j in range(i):
@@ -383,13 +423,13 @@ def enumeration_oracle(b, bound):
 
 
 def test_enumerate_pinned_identity():
-    got = enumerate_short_vectors(RatMatrix.identity(2), Fraction(2))
+    got = enumerate_short_vectors(gram_of(RatMatrix.identity(2)), Fraction(2))
     assert set(got) == {(1, 0), (0, 1), (1, 1), (1, -1)}
 
 
 def test_enumerate_pinned_scaled_rotation():
     b = RatMatrix.from_rows([[3, 4], [-4, 3]])
-    got = enumerate_short_vectors(b, Fraction(25))
+    got = enumerate_short_vectors(gram_of(b), Fraction(25))
     assert len(got) == 2
     for coeff in got:
         v = [sum(coeff[t] * b.entries[t][j] for t in range(2)) for j in range(2)]
@@ -406,13 +446,13 @@ def test_enumerate_matches_brute_force():
                 break
         b = RatMatrix.from_rows(rows)
         bound = Fraction(rng.randrange(1, 30))
-        got = enumerate_short_vectors(b, bound)
+        got = enumerate_short_vectors(gram_of(b), bound)
         assert len(set(got)) == len(got)
         assert set(got) == enumeration_oracle(b, bound)
 
 
 def test_enumerate_zero_bound_empty():
-    assert enumerate_short_vectors(RatMatrix.identity(3), Fraction(0)) == []
+    assert enumerate_short_vectors(gram_of(RatMatrix.identity(3)), Fraction(0)) == []
 
 
 # --- Smith form over Z/kZ ---

@@ -1,15 +1,15 @@
-"""End-to-end attacks at n = 16 to 64 under per-instance time budgets.
+"""End-to-end attacks at n = 16 to 96 under per-instance time budgets.
 
 Each instance must be recovered and its witness accepted by
 `verify_isomorphism` within its budget (attack plus verify, generation
 excluded).  A budget is at least five times what the attack and the
-verifier on Gram records take on a 2-vCPU x86 box (pure Python 3.11).
-At n = 16, 20 and 32 it is below what the verifier that compared two
-canonical HNFs took there: 1.2 s, 15 s and over 370 s.  At n = 48 and
-64 it is below what the verifier that inverted the cleared basis took
-on the same box: 6.6 s and 20 s.  A timer stops an attack at its
-budget, so a regression fails in bounded time rather than hanging the
-suite.
+verifier on integer transforms take on a 2-vCPU x86 box (pure Python
+3.11).  At n = 16, 20 and 32 it is below what the verifier that
+compared two canonical HNFs took there: 1.2 s, 15 s and over 370 s.  At
+n = 48 and 64 it is below what the verifier that inverted the cleared
+basis took on the same box: 6.6 s and 20 s.  A timer stops an attack at
+its budget, so a regression fails in bounded time rather than hanging
+the suite.
 """
 
 import signal
@@ -21,8 +21,8 @@ import pytest
 from hullattack.attack import hull_attack, verify_isomorphism
 from hullattack.instances import generate_instance
 
-# (k, n, m, seed, budget in seconds); measured: 0.05, 0.10, 0.23, 0.27,
-# 0.85 and 1.9 s.
+# (k, n, m, seed, budget in seconds); measured: 0.04, 0.08, 0.14, 0.23,
+# 0.75, 1.8 and 5.6-6.4 s.
 SCALE_CORPUS = [
     (15, 16, 8, 3, 1.0),
     (15, 20, 10, 1, 4.0),
@@ -30,6 +30,7 @@ SCALE_CORPUS = [
     (3, 32, 16, 1, 15.0),
     (3, 48, 24, 1, 5.0),
     (3, 64, 32, 1, 10.0),
+    (3, 96, 48, 1, 35.0),
 ]
 
 

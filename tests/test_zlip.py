@@ -23,15 +23,21 @@ def scaled_zn(n, k):
     return LatticeBasis(n, RatMatrix.identity(n).scale(Fraction(k)))
 
 
+def solved_image(lat, k):
+    """rotate(lat, o_hat) for the ZLIP solution of lat's Gram record."""
+    sol = solve_scaled_zlip(lat.gram_record.cleared, k)
+    return sol, rotate(lat, sol.o_hat(lat.basis))
+
+
 def test_pinned_givens_rotation():
     lat = LatticeBasis(2, RatMatrix.from_rows([[3, 4], [-4, 3]]))
-    sol = solve_scaled_zlip(lat, 5)
-    assert lattice_equal(rotate(lat, sol.o_hat), scaled_zn(2, 5))
+    _, image = solved_image(lat, 5)
+    assert lattice_equal(image, scaled_zn(2, 5))
 
 
 def test_identity_lattice():
-    sol = solve_scaled_zlip(scaled_zn(4, 7), 7)
-    assert lattice_equal(rotate(scaled_zn(4, 7), sol.o_hat), scaled_zn(4, 7))
+    _, image = solved_image(scaled_zn(4, 7), 7)
+    assert lattice_equal(image, scaled_zn(4, 7))
 
 
 def test_random_rotations_recovered():
@@ -41,34 +47,37 @@ def test_random_rotations_recovered():
         k = rng.choice([2, 3, 5, 6, 9, 10, 15])
         o = random_rational_orthogonal(n, seed=rng.randrange(10**6), depth=2 * n)
         lat = rotate(scaled_zn(n, k), o)
-        sol = solve_scaled_zlip(lat, k)
+        sol, image = solved_image(lat, k)
         assert isinstance(sol, ZlipSolution)
         assert sol.method in ("lll", "enumeration")
-        assert lattice_equal(rotate(lat, sol.o_hat), scaled_zn(n, k))
+        assert lattice_equal(image, scaled_zn(n, k))
 
 
 def test_non_rotation_rejected():
     lat = LatticeBasis(2, RatMatrix.from_rows([[1, 0], [0, 4]]))  # det 4, not 2*rot
     with pytest.raises(NotARotation):
-        solve_scaled_zlip(lat, 2)
+        solve_scaled_zlip(lat.gram_record.cleared, 2)
 
 
 def test_wrong_scale_rejected():
     lat = scaled_zn(3, 6)
     with pytest.raises(NotARotation):
-        solve_scaled_zlip(lat, 3)
+        solve_scaled_zlip(lat.gram_record.cleared, 3)
 
 
 def test_assembly_from_unreduced_basis():
+    # Rows (5, 0) and (5, 5): Gram [[25, 25], [25, 50]].
     b = RatMatrix.from_rows([[5, 0], [5, 5]])
-    frame = assemble_orthogonal_basis(b, 5)
-    assert frame is not None
+    coeffs = assemble_orthogonal_basis([[25, 25], [25, 50]], 25)
+    assert coeffs is not None
+    frame = RatMatrix.from_rows(coeffs).mul(b)
     assert frame.mul(frame.transpose()) == RatMatrix.from_rows([[25, 0], [0, 25]])
 
 
 def test_assembly_returns_none_without_orthogonal_family():
-    b = RatMatrix.from_rows([[1, 0], [0, 4]])
-    assert assemble_orthogonal_basis(b, 2) is None
+    # Rows (1, 0) and (0, 4): the only vectors of squared norm 4 are
+    # +-(2, 0), so no orthogonal pair exists.
+    assert assemble_orthogonal_basis([[1, 0], [0, 16]], 4) is None
 
 
 def honest_transform(h):
@@ -90,7 +99,7 @@ def test_transform_of_determinant_two_rejected(monkeypatch, k):
     lat = LatticeBasis(2, RatMatrix.from_rows([[half, half], [half, -half]]))
     monkeypatch.setattr(zlip, "lll_gram", honest_transform([[1, 1], [1, -1]]))
     with pytest.raises(NotARotation):
-        solve_scaled_zlip(lat, k)
+        solve_scaled_zlip(lat.gram_record.cleared, k)
 
 
 @pytest.mark.parametrize("reported", ["true", "claimed"])
@@ -112,6 +121,6 @@ def test_enumeration_fallback_through_solver(monkeypatch, reported):
             return ident, [[k * k * den * x for x in row] for row in ident]
 
     monkeypatch.setattr(zlip, "lll_gram", fake)
-    sol = solve_scaled_zlip(lat, k)
+    sol, image = solved_image(lat, k)
     assert sol.method == "enumeration"
-    assert lattice_equal(rotate(lat, sol.o_hat), scaled_zn(n, k))
+    assert lattice_equal(image, scaled_zn(n, k))
