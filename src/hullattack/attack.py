@@ -10,9 +10,14 @@ Every map before the witness is an integer transform of a lattice's
 basis B, read through its Gram record B.B^T = G/den: the hull is C.B
 for the coefficient HNF C, with Gram matrix C.G.C^T/den; ZLIP returns a
 unimodular U on that Gram matrix, so the frame of k Z^n is T.B with
-T = U.C; and the rotated lattice B.o_hat^T is the integer product
-G.T^T/(den.k).  The one rational matrix built is o_star, from the two
-frames and the signed permutation, and it is checked once.
+T = U.C; and the rotated basis R = B.o_hat^T is the integer product
+G.T^T/(den.k), whose inverse is T/k, so each code is read off R mod k
+with no inverse taken.  The one rational matrix built is o_star, from
+the two frames and the signed permutation P, and it is checked once.
+The witness comes with a change-of-basis certificate, the integer
+matrix T* = R2.P^T.T1/k with T*.B1 = B2.o_star^T, and the verifier
+accepts it from integer products alone: the attack takes no matrix
+inverse, determinant, HNF or LLL after ZLIP.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from fractions import Fraction
 from math import prod
 from operator import mul
 
+from .codes import from_generator
 from .equiv import SignedPerm, spep
 from .errors import (
     BadModulus,
     DimensionMismatch,
-    DoesNotContainKZn,
     ExtractionExhausted,
     HullAttackError,
     HullNotTrivial,
@@ -43,11 +48,11 @@ from .lattices import (
     LatticeBasis,
     RationalOrthogonal,
     hull_coefficients,
-    integral_rotation,
-    mod_reduce_to_code,
+    rotated_rows,
     sublattice_gram,
 )
 from .linalg import IntMatrix, RatMatrix
+from .modring import ModMatrix
 from .zlip import solve_scaled_zlip
 
 
@@ -90,6 +95,9 @@ def recover_modulus(lattice: LatticeBasis) -> list[tuple[int, int]]:
 class AttackResult:
     o_star: RationalOrthogonal
     transcript: list[dict] = field(default_factory=list)
+    # T* with T*.B1 = B2.o_star^T, which the attack verified; not
+    # serialized, so None on a result read back from JSON.
+    certificate: IntMatrix | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -159,8 +167,30 @@ def _assemble(
     )
 
 
+def _certificate(r2: IntMatrix, t1: IntMatrix, s: SignedPerm, k: int) -> IntMatrix:
+    """T* = R2 . P^T . T1 / k, the change of basis with T* . B1 = B2 . o_star^T
+    for the o_star of `_assemble`: B2 . o_star^T = R2 . P^T . o_hat1 and
+    o_hat1 = T1 . B1 / k.  Row j of P^T . T1 is signs[j] times row
+    sigma[j] of T1, so one integer product follows.  Raises NotIntegral
+    unless k divides every entry, which is when L2 . o_star^T lies in L1.
+    """
+    rows = t1.entries
+    moved = [rows[j] if sign == 1 else [-x for x in rows[j]] for j, sign in zip(s.sigma, s.signs)]
+    cols = list(zip(*moved))
+    out = []
+    for row in r2.entries:
+        qs = [divmod(sum(map(mul, row, col)), k) for col in cols]
+        if any(rem for _, rem in qs):
+            raise NotIntegral("the change of basis of the witness is not integral")
+        out.append(tuple(q for q, _ in qs))
+    return IntMatrix(tuple(out))
+
+
 def verify_isomorphism(
-    l1: LatticeBasis, l2: LatticeBasis, o_star: RatMatrix | RationalOrthogonal
+    l1: LatticeBasis,
+    l2: LatticeBasis,
+    o_star: RatMatrix | RationalOrthogonal,
+    certificate: IntMatrix | RatMatrix | None = None,
 ) -> bool:
     """o_star is orthonormal and maps L2 onto L1 (no exceptions).
 
@@ -169,27 +199,46 @@ def verify_isomorphism(
     spans L1 exactly when T = (B2 . o_star^T) . B1^-1 is integral with
     |det T| = 1.  As o_star is orthonormal, |det T| = |det L2| / |det L1|,
     so the determinant half is |det L1| = |det L2| != 0, read off the
-    two Gram records.  B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so
-    T = (B2 . o_star^T . B1^T) . den . G1^-1.  With B_i = A_i / e_i and
-    o_star = M / D cleared to integers, B2 . o_star^T . B1^T is
-    A2 . M^T . A1^T / (e1 . e2 . D), formed over the integers, and T is
-    tested entry by entry against the Bareiss inverse of G1; the first
-    non-integral entry ends the test.  A singular B1 spans no full-rank
-    lattice, so the answer is False.  No HNF runs here, so the verifier
+    two Gram records.  With B_i = A_i / e_i and o_star = M / D cleared to
+    integers, the image is A2 . M^T / (e2 . D), formed over the integers.
+
+    With a `certificate` T* (an IntMatrix, or a RatMatrix that must be
+    integral), T is not computed but checked: T* . B1 = B2 . o_star^T,
+    i.e. T* . A1 . e2 . D = A2 . M^T . e1, row by row.  Products only,
+    no inverse, determinant, HNF or LLL once the two |det L| are cached.
+    Without one, B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so
+    T = (A2 . M^T . A1^T) . den . G1^-1 / (e1 . e2 . D) is tested entry
+    by entry against the Bareiss inverse of G1; the first non-integral
+    entry ends the test.  A singular B1 spans no full-rank lattice, so
+    the answer is False.  No HNF runs on either path, so the verifier
     shares no kernel with the canonical forms the solver builds.
     """
+    n = l1.n
     if isinstance(o_star, RatMatrix):
-        if o_star.rows != l1.n or o_star.cols != l1.n:
+        if o_star.rows != n or o_star.cols != n:
             return False
         try:
             o_star = RationalOrthogonal(o_star)
         except NotARotation:
             return False
-    if not l1.n == l2.n == o_star.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
+    if not n == l2.n == o_star.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
         return False
+    if certificate is not None:
+        if certificate.rows != n or certificate.cols != n:
+            return False
+        if isinstance(certificate, RatMatrix):
+            if not certificate.is_integral():
+                return False
+            certificate = certificate.to_int()
     m, d = o_star.matrix.clear_denominators()
     (a1, e1), (a2, e2) = l1.int_basis, l2.int_basis
     # The rows of M are the columns of M^T, and likewise for A1.
+    if certificate is not None:
+        f, cols = e2 * d, list(zip(*a1))
+        return all(
+            [f * sum(map(mul, t, col)) for col in cols] == [e1 * sum(map(mul, b, mr)) for mr in m]
+            for t, b in zip(certificate.entries, a2)
+        )
     image = [[sum(map(mul, row, mr)) for mr in m] for row in a2]
     p = [[sum(map(mul, row, ar)) for ar in a1] for row in image]
     (_, den), (ginv, q) = l1.gram_record.cleared, l1.gram_record.inverse
@@ -272,13 +321,16 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
         frames.append(sol.u.mul(coeff))
     t1, t2 = frames
 
-    codes = []
+    # R_i = B_i . o_hat_i^T contains k Z^n, as R_i^-1 = T_i / k: its rows
+    # mod k generate the code.
+    rotated, codes = [], []
     for idx, lattice, t in ((1, l1, t1), (2, l2, t2)):
         try:
-            code = mod_reduce_to_code(integral_rotation(lattice, t, k), k)
-        except (NotIntegral, DoesNotContainKZn) as exc:
+            r = rotated_rows(lattice, t, k)
+        except NotIntegral as exc:
             _fail(transcript, SpepFailed(f"lattice {idx} does not reduce to a code mod k: {exc}"))
-        codes.append(code)
+        rotated.append(r)
+        codes.append(from_generator(ModMatrix.from_rows(k, r.entries, n)))
     c1, c2 = codes
     transcript.append(
         {
@@ -308,8 +360,12 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     transcript[-1]["signs"] = list(s.signs)
 
     o_star = _assemble(l1, l2, t1, t2, s, k)
-    ok = verify_isomorphism(l1, l2, o_star)
+    try:
+        certificate = _certificate(rotated[1], t1, s, k)
+    except NotIntegral:
+        certificate = None
+    ok = certificate is not None and verify_isomorphism(l1, l2, o_star, certificate)
     transcript.append({"step": "verify", "ok": ok})
     if not ok:
         _fail(transcript, VerificationFailed("composed map does not send L2 to L1"))
-    return AttackResult(o_star=o_star, transcript=transcript)
+    return AttackResult(o_star=o_star, transcript=transcript, certificate=certificate)

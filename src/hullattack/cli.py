@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .attack import AttackResult, hull_attack, verify_isomorphism
-from .errors import HullAttackError, ParseError, Timeout
+from .errors import HullAttackError, ParseError, Timeout, VerificationFailed
 from .instances import Instance, generate_instance
 from .lattices import LatticeBasis
 from .linalg import RatMatrix
@@ -97,7 +97,7 @@ def cmd_attack(args) -> int:
         if args.out:
             _dump_json(args.out, failure)
         _err(f"attack failed ({type(exc).__name__}): {exc}")
-        return EXIT_FAILED
+        return EXIT_UNVERIFIED if isinstance(exc, VerificationFailed) else EXIT_FAILED
     payload = res.to_dict()
     if args.out:
         _dump_json(args.out, payload)

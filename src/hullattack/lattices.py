@@ -5,16 +5,20 @@ must preserve the Gram matrix, so rows are never silently rebased).
 Its determinant and inverse come from one integer Gram record,
 B.B^T = G/den in lowest terms, whose entries stay small where the
 basis entries of a rotated lattice do not.  |det B| is sqrt(det G),
-taken exactly; B^-1 is B^T.G^-1, and the lazily cached G^-1 is the
-only inverse the attack takes of a lattice.  A rotation is an
-orthonormal image with the same G, so it shares the record of the
-lattice it came from, G^-1 included.
+taken exactly; B^-1 is B^T.G^-1, from the lazily cached G^-1.  A
+rotation is an orthonormal image with the same G, so it shares the
+record of the lattice it came from, G^-1 included.  The attack never
+asks for G^-1: only membership (`contains`), `mod_reduce_to_code` and
+the verifier run without a certificate take it, on lattices that come
+from outside.
 The attack moves between lattices by integer transforms of a basis,
 and reads each through the Gram record instead of forming the new
 basis: the rows C.B of an integer C have Gram matrix C.G.C^T/den
 (`sublattice_gram`), and when the frame T.B is a scaled orthonormal
 family the rotated basis B.(T.B/s)^T is the integer product
-G.T^T/(den.s) (`integral_rotation`).
+R = G.T^T/(den.s) (`rotated_rows`).  The frame gives T.R = s.I, so
+R^-1 = T/s is known without an inverse, and for s = k it proves that
+the rotated lattice contains kZ^n.
 Rows are checked independent only where outside data enters, in
 `LatticeBasis.from_dict`; the bases built here are nonsingular by
 construction (Construction A checks its HNF rank, a rotation is an
@@ -264,14 +268,15 @@ def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:
     return LatticeBasis(lattice.n, lattice.basis.mul(o.matrix.transpose()), lattice.gram_record)
 
 
-def integral_rotation(lattice: LatticeBasis, t: IntMatrix, s: int) -> LatticeBasis:
-    """rotate(lattice, O) for O = T.B/s, computed without O.
+def rotated_rows(lattice: LatticeBasis, t: IntMatrix, s: int) -> IntMatrix:
+    """The rows of rotate(lattice, O) for O = T.B/s, computed without O.
 
     T is an integer matrix whose frame T.B has pairwise orthogonal rows
     of norm s, i.e. T.G.T^T = s^2.den.I (which `solve_scaled_zlip`
     checks), so O is orthonormal.  The rotated rows are
-    B.O^T = B.B^T.T^T/s = G.T^T/(den.s), one integer product of
-    Gram-sized entries, and the image shares the input's record.
+    R = B.O^T = B.B^T.T^T/s = G.T^T/(den.s), one integer product of
+    Gram-sized entries.  The frame is s.I in the rotated coordinates,
+    T.R = s.I, so R^-1 = T/s with no inverse taken.
     Raises NotIntegral unless den.s divides every entry.
     """
     g, den = lattice.gram_record.cleared
@@ -280,8 +285,12 @@ def integral_rotation(lattice: LatticeBasis, t: IntMatrix, s: int) -> LatticeBas
     rows = [[sum(map(mul, gi, tj)) for tj in t.entries] for gi in g]
     if any(x % q for row in rows for x in row):
         raise NotIntegral("rotated lattice has non-integer entries")
-    basis = RatMatrix(tuple(tuple(Fraction(x // q) for x in row) for row in rows))
-    return LatticeBasis(lattice.n, basis, lattice.gram_record)
+    return IntMatrix(tuple(tuple(x // q for x in row) for row in rows))
+
+
+def integral_rotation(lattice: LatticeBasis, t: IntMatrix, s: int) -> LatticeBasis:
+    """`rotated_rows` as a lattice, which shares the input's Gram record."""
+    return LatticeBasis(lattice.n, rotated_rows(lattice, t, s).to_rat(), lattice.gram_record)
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
@@ -296,7 +305,9 @@ def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode:
 
     Row i of k . B^-1 holds the coordinates of k*e_i in the basis, so
     k*Z^n lies in L exactly when k . B^-1 is integral; B^-1 comes from the
-    Gram record's inverse, which a rotated lattice shares with its source.
+    Gram record's inverse.  This is the check for a lattice from outside;
+    the attack reads its codes off `rotated_rows`, whose inverse T/k it
+    already knows.
     """
     if not lattice.basis.is_integral():
         raise NotIntegral("lattice basis has non-integer entries")

@@ -246,35 +246,51 @@ def bareiss_det(rows: list[list[int]]) -> int:
 def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     """Exact inverse of a square integer matrix as (numerators, den).
 
-    Fraction-free Gauss-Jordan (Bareiss/Montante): after the sweep the
-    left block is den * I and the right block is den * inverse, with
-    den = +-det.  Every interior division is exact.
+    Fraction-free Gauss-Jordan (Bareiss/Montante) on [M | I]: after the
+    sweep the left block is den * I and the right block is den * inverse,
+    with den = +-det.  Every interior division is exact.
+
+    At pivot p only the columns that can be nonzero off their own row
+    are swept: the left columns after p, and the identity columns owned
+    by the rows already used as pivots (a row swap swaps owners).  The
+    left columns before p hold only their row's diagonal entry, and an
+    identity column not yet reached only its owner's entry, so the
+    skipped updates would compute 0 from 0; those two entries of each
+    row are updated on their own, so the diagonal invariant is checked
+    on computed values.
     """
     n = len(rows)
     m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    w = 2 * n
+    owner = list(range(n, 2 * n))  # owner[i]: the identity column that row i holds
     prev = 1
     for p in range(n):
         if m[p][p] == 0:
             for r in range(p + 1, n):
                 if m[r][p]:
                     m[p], m[r] = m[r], m[p]
+                    owner[p], owner[r] = owner[r], owner[p]
                     break
             else:
                 raise Singular("matrix is singular")
         piv = m[p][p]
+        rp = m[p]
+        swept = list(range(p + 1, n)) + owner[: p + 1]
         for i in range(n):
             if i == p:
                 continue
             f = m[i][p]
-            ri, rp = m[i], m[p]
-            for j in range(w):
-                if j == p:
-                    continue
+            ri = m[i]
+            for j in swept:
                 q, rem = divmod(piv * ri[j] - f * rp[j], prev)
                 if rem:
                     raise AssertionError("inexact division in fraction-free elimination")
                 ri[j] = q
+            # Row i's own entry: its diagonal once eliminated, else its identity entry.
+            j = i if i < p else owner[i]
+            q, rem = divmod(piv * ri[j], prev)
+            if rem:
+                raise AssertionError("inexact division in fraction-free elimination")
+            ri[j] = q
             ri[p] = 0
         prev = piv
     den = m[0][0] if n else 1

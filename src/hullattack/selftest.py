@@ -265,7 +265,8 @@ def check_end_to_end(
     progress=None,
     timings: list | None = None,
 ) -> int:
-    """Generate, attack, verify; every instance must verify."""
+    """Generate, attack, verify; every instance must verify, with and
+    without the attack's certificate."""
     count = 0
     for k in ks:
         for n in n_values:
@@ -275,8 +276,13 @@ def check_end_to_end(
                 t0 = time.time()
                 inst = generate_instance(k, n, m, seed=rng.randrange(2**32), depth=depth)
                 res = hull_attack(inst.l1, inst.l2)
+                # The verifier through G1^-1 and the one that checks the
+                # attack's change-of-basis certificate must both accept.
                 assert verify_isomorphism(inst.l1, inst.l2, res.o_star.matrix), (
                     f"unverified witness for k={k}, n={n}, m={m}"
+                )
+                assert verify_isomorphism(inst.l1, inst.l2, res.o_star, res.certificate), (
+                    f"certificate rejected for k={k}, n={n}, m={m}"
                 )
                 if timings is not None:
                     timings.append((n, time.time() - t0))

@@ -12,24 +12,27 @@ from hypothesis import strategies as st
 from hullattack.attack import (
     AttackResult,
     _assemble,
+    _certificate,
     _hull_det_matches,
     _integer_root,
     hull_attack,
     recover_modulus,
     verify_isomorphism,
 )
-from hullattack import attack, codes, kernels, lattices, linalg, zlip
+from hullattack import attack, codes, kernels, lattices, linalg, modring, zlip
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, random_free_lcd
-from hullattack.equiv import SignedPerm, brute_force_spep
+from hullattack.equiv import EquivResult, SignedPerm, brute_force_spep
 from hullattack.errors import (
     BadModulus,
     DimensionMismatch,
     HullNotTrivial,
     NoCandidate,
     NotARotation,
+    NotIntegral,
     Singular,
     SpepFailed,
+    VerificationFailed,
 )
 from hullattack.instances import generate_instance
 from hullattack.lattices import (
@@ -39,12 +42,14 @@ from hullattack.lattices import (
     hull_coefficients,
     integral_rotation,
     lattice_equal,
+    mod_reduce_to_code,
     random_rational_orthogonal,
     rotate,
+    rotated_rows,
     s_hull,
     sublattice_gram,
 )
-from hullattack.linalg import RatMatrix, bareiss_det, det, inv_int_rows, same_lattice
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, det, inv_int_rows, same_lattice
 from hullattack.zlip import solve_scaled_zlip
 
 
@@ -449,6 +454,141 @@ class TestIntegerTransformEquivalence:
         assert _assemble(inst.l1, inst.l2, *frames, s, k).matrix == old
 
 
+def frame(lattice, k):
+    """T = U.C: the frame T.B of k Z^n found by the attack's hull and ZLIP."""
+    coeff = _hull_det_matches(lattice, k)
+    return solve_scaled_zlip(sublattice_gram(lattice, coeff), k).u.mul(coeff)
+
+
+def exact_change_of_basis(l1, l2, o) -> RatMatrix:
+    """T = B2 . o^T . B1^-1 in rationals, for a nonsingular B1."""
+    return l2.basis.mul(o.transpose()).mul(linalg.rat_inverse(l1.basis))
+
+
+class TestChangeOfBasisCertificate:
+    @pytest.mark.parametrize("k", [2, 3, 5, 6, 9, 10, 15])
+    @pytest.mark.parametrize("n,m,seed", [(8, 4, 1), (12, 6, 2)])
+    def test_rotated_basis_inverts_to_frame_over_k(self, k, n, m, seed):
+        # R.(T/k) = (T/k).R = I, so the rotated lattice contains k Z^n and
+        # its code reads the same as through the kZ^n check on B^-1.
+        inst = generate_instance(k, n, m, seed=seed)
+        k_identity = IntMatrix.from_rows([[k * int(i == j) for j in range(n)] for i in range(n)])
+        for lattice in (inst.l1, inst.l2):
+            t = frame(lattice, k)
+            r = rotated_rows(lattice, t, k)
+            assert r.mul(t) == t.mul(r) == k_identity
+            code = codes.from_generator(modring.ModMatrix.from_rows(k, r.entries, n))
+            assert code == mod_reduce_to_code(integral_rotation(lattice, t, k), k)
+
+    @pytest.mark.parametrize("k", [2, 6, 9, 15])
+    def test_certificate_is_the_unimodular_change_of_basis(self, k):
+        inst = generate_instance(k, 8, 4, seed=3)
+        res = hull_attack(inst.l1, inst.l2)
+        cert = res.certificate
+        assert cert.to_rat() == exact_change_of_basis(inst.l1, inst.l2, res.o_star.matrix)
+        assert abs(bareiss_det(cert.entries)) == 1
+        assert verify_isomorphism(inst.l1, inst.l2, res.o_star, cert)
+        assert verify_isomorphism(inst.l1, inst.l2, res.o_star, cert.to_rat())
+
+    def test_rejects_a_certificate_off_by_one(self):
+        inst = generate_instance(15, 8, 4, seed=1)
+        res = hull_attack(inst.l1, inst.l2)
+        rng = random.Random(5)
+        for _ in range(8):
+            rows = [list(r) for r in res.certificate.entries]
+            rows[rng.randrange(8)][rng.randrange(8)] += rng.choice([1, -1])
+            spoiled = IntMatrix.from_rows(rows)
+            assert not verify_isomorphism(inst.l1, inst.l2, res.o_star, spoiled)
+
+    def test_rejects_a_certificate_of_the_wrong_shape(self):
+        inst = generate_instance(15, 8, 4, seed=1)
+        res = hull_attack(inst.l1, inst.l2)
+        short = IntMatrix(res.certificate.entries[:7])
+        assert not verify_isomorphism(inst.l1, inst.l2, res.o_star, short)
+
+    def test_rejects_a_non_integral_certificate(self):
+        # L1 = 2Z x Z and L2 = Z x 2Z: under o = I the exact change of
+        # basis is diag(1/2, 2), which satisfies T.B1 = B2 and has det 1.
+        l1, l2 = diag_lattice([2, 1]), diag_lattice([1, 2])
+        ident = RatMatrix.identity(2)
+        t = exact_change_of_basis(l1, l2, ident)
+        assert t == RatMatrix.from_rows([[Fraction(1, 2), 0], [0, 2]])
+        assert not verify_isomorphism(l1, l2, ident, t)
+        assert not verify_isomorphism(l1, l2, ident)
+        swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+        assert verify_isomorphism(l1, l2, swap, exact_change_of_basis(l1, l2, swap))
+
+    def test_rejects_lattices_of_unequal_determinant(self):
+        # T = diag(1, 2) is integral and T.B1 = B2 . I^T, but L2 has index 2.
+        l1, l2 = diag_lattice([1, 1]), diag_lattice([1, 2])
+        cert = IntMatrix.from_rows([[1, 0], [0, 2]])
+        assert not verify_isomorphism(l1, l2, RatMatrix.identity(2), cert)
+
+    def test_rejects_a_non_orthonormal_map(self):
+        # o = 2I with T = 2I: integral, equal determinants, T.B1 = B2.o^T.
+        lat = diag_lattice([1, 1])
+        double = RatMatrix.identity(2).scale(Fraction(2))
+        cert = IntMatrix.from_rows([[2, 0], [0, 2]])
+        assert not verify_isomorphism(lat, lat, double, cert)
+
+    @settings(max_examples=300, deadline=None)
+    @given(verify_cases())
+    def test_matches_the_inverse_verifier(self, case):
+        # Given the exact change of basis as its certificate, the verifier
+        # agrees with the one that computes it through G1^-1.
+        l1, l2, o = case
+        verdict = verify_isomorphism(l1, l2, o)
+        cert = exact_change_of_basis(l1, l2, o) if l1.abs_det else RatMatrix.identity(l1.n)
+        assert verify_isomorphism(l1, l2, o, cert) is verdict
+
+    def test_certificate_refuses_a_wrong_sign(self):
+        inst = generate_instance(15, 8, 4, seed=1)
+        t1 = frame(inst.l1, 15)
+        r2 = rotated_rows(inst.l2, frame(inst.l2, 15), 15)
+        res = hull_attack(inst.l1, inst.l2)
+        s = next(e for e in res.transcript if e["step"] == "spep")
+        right = SignedPerm(tuple(s["sigma"]), tuple(s["signs"]))
+        assert _certificate(r2, t1, right, 15) == res.certificate
+        wrong = SignedPerm(right.sigma, (-right.signs[0],) + right.signs[1:])
+        with pytest.raises(NotIntegral):
+            _certificate(r2, t1, wrong, 15)
+
+
+def flip_first_sign(monkeypatch):
+    """Make the attack's SPEP answer with the sign of coordinate 0 flipped."""
+    real = attack.spep
+
+    def wrong_sign(c1, c2, stats=None):
+        res = real(c1, c2, stats)
+        p = res.perm
+        return EquivResult(res.outcome, SignedPerm(p.sigma, (-p.signs[0],) + p.signs[1:]))
+
+    monkeypatch.setattr(attack, "spep", wrong_sign)
+
+
+class TestVerificationFailure:
+    def test_wrong_sign_fails_verification(self, monkeypatch, lattice_inverses):
+        # k does not divide R2.P^T.T1, so no certificate exists and the
+        # attack fails without falling back to the verifier's G1^-1.
+        inst = generate_instance(15, 8, 4, seed=1)
+        flip_first_sign(monkeypatch)
+        with pytest.raises(VerificationFailed) as exc_info:
+            hull_attack(inst.l1, inst.l2)
+        assert exc_info.value.transcript[-1] == {"step": "verify", "ok": False}
+        assert lattice_inverses == []
+
+    def test_cli_attack_exits_four_without_traceback(self, monkeypatch, tmp_path, capsys):
+        inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+        argv = ["gen", "--k", "15", "--n", "8", "--m", "4", "--seed", "1", "--out", str(inst)]
+        assert cli_main(argv) == 0
+        flip_first_sign(monkeypatch)
+        assert cli_main(["attack", "--in", str(inst), "--out", str(res)]) == 4
+        d = json.loads(res.read_text())
+        assert d["error"]["type"] == "VerificationFailed"
+        assert d["transcript"][-1] == {"step": "verify", "ok": False}
+        assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.fixture()
 def lattice_dets(monkeypatch):
     """Sizes of the Bareiss determinants taken on lattice data, counted in
@@ -500,10 +640,6 @@ def lattice_inverses(monkeypatch):
     return seen
 
 
-def is_symmetric(rows) -> bool:
-    return all(x == rows[j][i] for i, row in enumerate(rows) for j, x in enumerate(row))
-
-
 def parsed_public(inst):
     pub = inst.to_dict()["public"]
     return LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
@@ -511,14 +647,49 @@ def parsed_public(inst):
 
 class TestInverseCount:
     @pytest.mark.parametrize("k", [None, 15])
-    def test_attack_inverts_the_two_gram_matrices(self, lattice_inverses, k):
-        # The rotated lattices of code extraction share G^-1 with L1 and
-        # L2, and verify reuses G1^-1: no cleared basis is inverted.
+    def test_attack_inverts_nothing(self, lattice_inverses, k):
+        # Code extraction knows R^-1 = T/k, and verify checks the
+        # change-of-basis certificate instead of inverting G1.
         l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
         hull_attack(l1, l2, k=k)
-        assert len(lattice_inverses) == 2
-        assert all(is_symmetric(m) for m in lattice_inverses)
-        assert lattice_inverses == [l1.gram_record.cleared[0], l2.gram_record.cleared[0]]
+        assert lattice_inverses == []
+
+    @pytest.mark.parametrize("k", [None, 15])
+    def test_attack_verify_runs_on_products_only(self, monkeypatch, k):
+        """The attack's verify step gets a certificate and reaches no
+        inverse, determinant, HNF or LLL kernel, in any module."""
+        l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
+        kernel_names = ("inv_int_rows", "bareiss_det", "hnf_rows", "lll_gram")
+        in_verify, reached, certificates = [False], [], []
+
+        def watched(name, fn):
+            def call(*args, **kwargs):
+                if in_verify[0]:
+                    reached.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for mod in (attack, codes, kernels, lattices, linalg, modring, zlip):
+            for name in kernel_names:
+                fn = getattr(mod, name, None)
+                if fn is not None:
+                    monkeypatch.setattr(mod, name, watched(name, fn))
+        real_verify = attack.verify_isomorphism
+
+        def verify(*args, **kwargs):
+            certificates.append(kwargs.get("certificate", args[3] if len(args) > 3 else None))
+            in_verify[0] = True
+            try:
+                return real_verify(*args, **kwargs)
+            finally:
+                in_verify[0] = False
+
+        monkeypatch.setattr(attack, "verify_isomorphism", verify)
+        res = hull_attack(l1, l2, k=k)
+        assert res.transcript[-1] == {"step": "verify", "ok": True}
+        assert len(certificates) == 1 and certificates[0] is res.certificate is not None
+        assert reached == []
 
     def test_standalone_verify_inverts_one(self, lattice_inverses):
         inst = generate_instance(15, 8, 4, seed=1)

@@ -217,6 +217,49 @@ def test_inverse_matches_fraction_gauss_jordan():
         checked += 1
 
 
+def full_sweep_inverse(rows):
+    """Fraction-free Gauss-Jordan that sweeps all 2n columns of [M | I] at
+    every pivot: the reference for the (N, den) of `inv_int_rows`."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for p in range(n):
+        piv_row = next((r for r in range(p, n) if m[r][p]), None)
+        if piv_row is None:
+            return None
+        m[p], m[piv_row] = m[piv_row], m[p]
+        piv = m[p][p]
+        for i in range(n):
+            if i != p:
+                f = m[i][p]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[p])]
+        prev = piv
+    return [r[n:] for r in m], (m[0][0] if n else 1)
+
+
+@st.composite
+def sparse_square(draw):
+    n = draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_square())
+def test_inverse_matches_the_full_sweep(rows):
+    # Mostly-zero entries force row swaps; the skipped columns change no
+    # value, so the numerators and the denominator are the full sweep's.
+    ref = full_sweep_inverse(rows)
+    if ref is None:
+        with pytest.raises(Singular):
+            inv_int_rows(rows)
+        return
+    num, den = inv_int_rows(rows)
+    assert (num, den) == ref
+    assert abs(den) == abs(bareiss_det(rows))
+    assert [[Fraction(x, den) for x in r] for r in num] == fraction_inverse(rows)
+
+
 def test_inverse_handles_permutation_pivoting():
     rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     num, den = inv_int_rows(rows)
