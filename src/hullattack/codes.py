@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
+from operator import mul
 
 from .errors import BadModulus, NotAUnit, NotFreeLcd, ParseError, Timeout
 from .linalg import IntMatrix, json_int
@@ -167,19 +169,67 @@ def extended_signed_closure(c: LinearCode) -> LinearCode:
 
 def projection_matrix(c: LinearCode) -> ModMatrix:
     """The canonical projector onto C: Pi = G^T (G G^T)^-1 G for a
-    minimal free generator G.  Independent of the choice of G."""
+    minimal free generator G.  Independent of the choice of G.
+
+    Pi is symmetric, so after H = (G G^T)^-1 G only the upper triangle
+    of G^T H is formed, and mirrored.
+    """
     if c.free_gen is None:
         raise NotFreeLcd("projection needs a free LCD code")
     g = c.free_gen
     try:
-        gram_inv = inverse_mod(g.mul(g.transpose()))
+        h = inverse_mod(g.mul(g.transpose())).mul(g)
     except NotAUnit as exc:
         raise NotFreeLcd(f"Gram determinant is not a unit: {exc}") from None
-    return g.transpose().mul(gram_inv).mul(g)
+    k, n = c.k, c.n
+    gcols = list(zip(*g.entries))
+    hcols = list(zip(*h.entries))
+    pi = [[0] * n for _ in range(n)]
+    for i, gi in enumerate(gcols):
+        row = pi[i]
+        for j in range(i, n):
+            row[j] = pi[j][i] = sum(map(mul, gi, hcols[j])) % k
+    return ModMatrix(k, n, tuple(map(tuple, pi)))
 
 
-def apply_signed_perm(c: LinearCode, sigma, signs) -> LinearCode:
-    """The code {y : y_sigma(i) = signs_i * x_i, x in C}."""
+def closure_projection(c: LinearCode, mode: str) -> ModMatrix:
+    """The projector of `signed_closure(c)` (mode "signed") or of
+    `extended_signed_closure(c)` (mode "extended"), read off C's own
+    projector without building the closure.
+
+    The closure is generated by G.T, where column a of T holds a single
+    coefficient c_a in {1, -1, h} on row i_a (h = k/2 for the extended
+    tail), and T.T^T = t.I with t = 2, or t = h^2 + 2 when extended.  So
+    its projector is t^-1 . T^T . Pi . T, whose entry (a, b) is
+    t^-1 . c_a . c_b . Pi[i_a][i_b].  The closure's Gram determinant is
+    t^m . det(G G^T) for rank m, so when t is not a unit mod k a nonzero
+    code's closure is not free LCD, and NotFreeLcd is raised as
+    `projection_matrix` of the closure would raise it.
+    """
+    k, n = c.k, c.n
+    coords = [(i, s) for i in range(n) for s in (1, -1)]
+    t = 2
+    if mode == "extended":
+        if k % 2 or k % 4 == 0:
+            raise BadModulus(f"extended closure needs k = 2m with m odd, got k={k}")
+        h = k // 2
+        coords += [(i, h) for i in range(n)]
+        t += h * h
+    elif mode != "signed":
+        raise ValueError(f"unknown closure mode {mode!r}")
+    pi = projection_matrix(c).entries
+    if not c.free_rank:
+        return ModMatrix(k, len(coords), tuple((0,) * len(coords) for _ in coords))
+    if gcd(t, k) != 1:
+        raise NotFreeLcd(f"the closure scales inner products by {t}, not a unit mod {k}")
+    u = pow(t, -1, k)
+    wide = [[u * cb * row[j] for j, cb in coords] for row in pi]
+    rows = tuple(tuple([(ca * x) % k for x in wide[i]]) for i, ca in coords)
+    return ModMatrix(k, len(coords), rows)
+
+
+def _signed_image(c: LinearCode, sigma, signs) -> ModMatrix:
+    """Generator rows of {y : y_sigma(i) = signs_i * x_i, x in C}."""
     n = c.n
     sigma = list(sigma)
     signs = list(signs)
@@ -195,7 +245,22 @@ def apply_signed_perm(c: LinearCode, sigma, signs) -> LinearCode:
         for i in range(n):
             out[sigma[i]] = (signs[i] * row[i]) % c.k
         rows.append(out)
-    return from_generator(ModMatrix.from_rows(c.k, rows, n))
+    return ModMatrix.from_rows(c.k, rows, n)
+
+
+def apply_signed_perm(c: LinearCode, sigma, signs) -> LinearCode:
+    """The code {y : y_sigma(i) = signs_i * x_i, x in C}."""
+    return from_generator(_signed_image(c, sigma, signs))
+
+
+def signed_perm_maps(c: LinearCode, sigma, signs, target: LinearCode) -> bool:
+    """Whether `apply_signed_perm(c, sigma, signs) == target`.
+
+    Code equality compares the canonical generators (whose k and width
+    are the code's), so one Howell form of width n decides it; the
+    image's module structure is not needed.
+    """
+    return howell_form(_signed_image(c, sigma, signs)) == target.gen
 
 
 def random_free_lcd(

@@ -5,21 +5,24 @@ complete permutation-equivalence invariant, so PEP reduces to weighted
 graph isomorphism on projection matrices.  Signed equivalence (SPEP)
 goes through the signed closures: a permutation solution on closure
 coordinates that respects the (+x, -x) pairing folds back to a signed
-permutation on the original coordinates.
+permutation on the original coordinates.  A closure enters only through
+its projector, which `codes.closure_projection` expands from the code's
+own n x n projector, so no closure code is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import compress, permutations, product
+from operator import add
 from typing import Iterator
 
 from .codes import (
     LinearCode,
     apply_signed_perm,
-    extended_signed_closure,
+    closure_projection,
     projection_matrix,
-    signed_closure,
+    signed_perm_maps,
 )
 from .errors import (
     BadModulus,
@@ -100,33 +103,48 @@ def graph_from_projection(pi: ModMatrix) -> WeightedGraph:
     return WeightedGraph(k=pi.k, adjacency=pi)
 
 
-def _refine(a1, a2, colors1, colors2, n):
-    """Joint color refinement; None when the color histograms split."""
+def _neighbours(a) -> list[tuple[list[int], list[int]]]:
+    """Per vertex, the indices and weights of its nonzero off-diagonal
+    entries: the edges refinement reads."""
+    out = []
+    for v, row in enumerate(a):
+        idx = list(compress(range(len(row)), row))
+        if row[v]:
+            idx.remove(v)
+        out.append((idx, list(map(row.__getitem__, idx))))
+    return out
+
+
+def _refine(nbrs1, nbrs2, colors1, colors2, k):
+    """Joint color refinement; None when the color histograms split.
+
+    A vertex's signature is its color and the multiset of its neighbours'
+    (color, weight) pairs, each encoded as the integer color * k + weight
+    (weights lie in [1, k)).  Signatures are numbered by first appearance,
+    graph 1 before graph 2, so once the histograms agree every cell is
+    numbered by its first vertex in graph 1.  Rounds stop when no cell
+    splits; a discrete coloring stops at once, because a further round
+    would only renumber it to the same ids, and a bijection that round
+    would reject fails the caller's full-matrix check anyway.
+    """
+    n = len(colors1)
+    cells = len(set(colors1))
     while True:
         sig_ids: dict = {}
-        new1 = [0] * n
-        new2 = [0] * n
-        for a, colors, new in ((a1, colors1, new1), (a2, colors2, new2)):
-            for v in range(n):
-                row = a[v]
-                sig = (
-                    colors[v],
-                    tuple(sorted((colors[u], row[u]) for u in range(n) if u != v and row[u])),
-                )
-                if sig not in sig_ids:
-                    sig_ids[sig] = len(sig_ids)
-                new[v] = sig_ids[sig]
-        hist1: dict = {}
-        hist2: dict = {}
-        for c in new1:
-            hist1[c] = hist1.get(c, 0) + 1
-        for c in new2:
-            hist2[c] = hist2.get(c, 0) + 1
-        if hist1 != hist2:
+        refined = []
+        for nbrs, colors in ((nbrs1, colors1), (nbrs2, colors2)):
+            code = [c * k for c in colors].__getitem__
+            new = []
+            for c, (idx, wts) in zip(colors, nbrs):
+                sig = (c, tuple(sorted(map(add, map(code, idx), wts))))
+                new.append(sig_ids.setdefault(sig, len(sig_ids)))
+            refined.append(new)
+        new1, new2 = refined
+        if sorted(new1) != sorted(new2):
             return None
-        if len(set(new1)) == len(set(colors1)):
+        if len(sig_ids) in (cells, n):
             return new1, new2
-        colors1, colors2 = new1, new2
+        colors1, colors2, cells = new1, new2, len(sig_ids)
 
 
 def solve_weighted_gi(
@@ -135,31 +153,28 @@ def solve_weighted_gi(
     """All isomorphisms p with A1[i][j] == A2[p(i)][p(j)], lazily.
 
     Individualization-refinement with deterministic branching: target
-    cell of lowest color id, candidates in ascending vertex order.  Every
-    leaf candidate is checked against the full matrices before being
-    yielded, zero weights included.  A search that visits more than
-    GI_NODE_BUDGET nodes raises ExtractionExhausted.
+    cell of lowest color id, candidates in ascending vertex order (McKay
+    & Piperno, "Practical graph isomorphism II", 2014).  Every leaf
+    candidate is checked against the full matrices before being yielded,
+    zero weights included.  A search that visits more than GI_NODE_BUDGET
+    nodes raises ExtractionExhausted.
     """
     if stats is not None:
         stats.setdefault("nodes", 0)
     if g1.k != g2.k or g1.n != g2.n:
         return
-    n = g1.n
+    n, k = g1.n, g1.k
     if n == 0:
         yield ()
         return
-    a1 = [list(r) for r in g1.adjacency.entries]
-    a2 = [list(r) for r in g2.adjacency.entries]
+    a1 = g1.adjacency.entries
+    a2 = g2.adjacency.entries
+    nbrs1 = _neighbours(a1)
+    nbrs2 = _neighbours(a2)
 
     init_ids: dict = {}
-    c1 = []
-    c2 = []
-    for a, c in ((a1, c1), (a2, c2)):
-        for v in range(n):
-            val = a[v][v]
-            if val not in init_ids:
-                init_ids[val] = len(init_ids)
-            c.append(init_ids[val])
+    c1 = [init_ids.setdefault(a1[v][v], len(init_ids)) for v in range(n)]
+    c2 = [init_ids.setdefault(a2[v][v], len(init_ids)) for v in range(n)]
 
     nodes = 0
 
@@ -170,7 +185,7 @@ def solve_weighted_gi(
             raise ExtractionExhausted(f"graph isomorphism search exceeded {GI_NODE_BUDGET} nodes")
         if stats is not None:
             stats["nodes"] += 1
-        refined = _refine(a1, a2, colors1, colors2, n)
+        refined = _refine(nbrs1, nbrs2, colors1, colors2, k)
         if refined is None:
             return
         colors1, colors2 = refined
@@ -189,10 +204,8 @@ def solve_weighted_gi(
             for color, vs in cells1.items():
                 perm[vs[0]] = cells2[color][0]
             for i in range(n):
-                ri, rp = a1[i], a2[perm[i]]
-                for j in range(n):
-                    if ri[j] != rp[perm[j]]:
-                        return
+                if a1[i] != tuple(map(a2[perm[i]].__getitem__, perm)):
+                    return
             yield tuple(perm)
             return
         v = cells1[target][0]
@@ -241,14 +254,6 @@ def _require_comparable(c1: LinearCode, c2: LinearCode) -> None:
         )
 
 
-def _gi_on_projections(c1: LinearCode, c2: LinearCode, stats: dict | None):
-    pi1 = projection_matrix(c1)
-    pi2 = projection_matrix(c2)
-    g1 = graph_from_projection(pi1)
-    g2 = graph_from_projection(pi2)
-    return solve_weighted_gi(g1, g2, stats)
-
-
 def pep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
     """Permutation equivalence of free LCD codes.
 
@@ -257,12 +262,14 @@ def pep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResul
     code-level verification.
     """
     _require_comparable(c1, c2)
-    for p in _gi_on_projections(c1, c2, stats):
+    g1 = graph_from_projection(projection_matrix(c1))
+    g2 = graph_from_projection(projection_matrix(c2))
+    for p in solve_weighted_gi(g1, g2, stats):
         inv = [0] * len(p)
         for i, v in enumerate(p):
             inv[v] = i
         s = SignedPerm(tuple(inv), (1,) * len(p))
-        if s.apply_to(c2) != c1:
+        if not signed_perm_maps(c2, s.sigma, s.signs, c1):
             raise VerificationFailed("projector isomorphism is not a code equivalence")
         return EquivResult(outcome="found", perm=s)
     return EquivResult(outcome="not_equivalent")
@@ -303,30 +310,32 @@ def spep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResu
     """Signed permutation equivalence via the closure that fits k.
 
     Odd k uses the length-2n signed closure, k = 2 mod 4 the length-3n
-    extended closure (k = 2 included), k = 0 mod 4 is unsupported.  Every
-    graph-isomorphism solution is folded and the folded map verified on
-    the original codes; structurally useless solutions are skipped up to
-    a retry cap.
+    extended closure (k = 2 included), k = 0 mod 4 is unsupported.  The
+    graphs are the closures' projectors, expanded from the codes' own
+    (the closures themselves are not built).  Every graph-isomorphism
+    solution is folded and the folded map verified on the original codes
+    by one Howell form of width n; structurally useless solutions are
+    skipped up to a retry cap.
     """
     _require_comparable(c1, c2)
     k, n = c1.k, c1.n
     if k % 2 == 1:
         mode = "signed"
-        x1, x2 = signed_closure(c1), signed_closure(c2)
     elif k % 4 == 2:
         mode = "extended"
-        x1, x2 = extended_signed_closure(c1), extended_signed_closure(c2)
     else:
         raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
     if stats is not None:
         stats["mode"] = mode
+    g1 = graph_from_projection(closure_projection(c1, mode))
+    g2 = graph_from_projection(closure_projection(c2, mode))
     tried = 0
-    for p in _gi_on_projections(x1, x2, stats):
+    for p in solve_weighted_gi(g1, g2, stats):
         tried += 1
         if stats is not None:
             stats["solutions_tried"] = tried
         s = extract_signed_perm(p, n, mode)
-        if s is not None and s.apply_to(c2) == c1:
+        if s is not None and signed_perm_maps(c2, s.sigma, s.signs, c1):
             return EquivResult(outcome="found", perm=s)
         if tried >= RETRY_CAP:
             raise ExtractionExhausted(

@@ -737,10 +737,10 @@ class TestRationalProductCount:
 
 class TestModuleStructureCount:
     @pytest.mark.parametrize("k", [15, 6])
-    def test_attack_takes_three_and_closures_none(self, monkeypatch, k):
+    def test_attack_takes_two_and_closures_none(self, monkeypatch, k):
         """Column counts of the module-structure passes of one attack: the
-        two extracted codes and the final check of the signed permutation,
-        all of length n; the closures inherit their structure."""
+        two extracted codes, of length n.  SPEP never builds a closure, and
+        its fold check compares Howell forms only."""
         inst = generate_instance(k, 8, 4, seed=1)
         widths = []
         real = codes.row_module_structure
@@ -751,7 +751,7 @@ class TestModuleStructureCount:
 
         monkeypatch.setattr(codes, "row_module_structure", counted)
         hull_attack(inst.l1, inst.l2)
-        assert widths == [8, 8, 8]
+        assert widths == [8, 8]
 
 
 class TestResultSerialization:

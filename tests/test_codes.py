@@ -16,6 +16,7 @@ from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
     closure_matrices,
+    closure_projection,
     code_from_rows,
     dual,
     extended_signed_closure,
@@ -26,6 +27,7 @@ from hullattack.codes import (
     projection_matrix,
     random_free_lcd,
     signed_closure,
+    signed_perm_maps,
 )
 from hullattack.linalg import IntMatrix
 from hullattack.modring import ModMatrix
@@ -281,6 +283,53 @@ def test_projection_rejects_non_free_lcd():
         projection_matrix(code_from_rows(4, [[2, 0]]))  # not free
 
 
+def _closure_projection_or_none(c: LinearCode, mode: str):
+    try:
+        return closure_projection(c, mode)
+    except NotFreeLcd:
+        return None
+
+
+@st.composite
+def spep_codes(draw):
+    """Codes over odd and 2 mod 4 moduli up to n = 10, free LCD or not."""
+    k = draw(st.sampled_from([2, 3, 5, 6, 7, 9, 10, 14, 15]))
+    n = draw(st.integers(1, 10))
+    rows = draw(
+        st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), min_size=1, max_size=n)
+    )
+    return code_from_rows(k, rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spep_codes())
+def test_closure_projection_matches_the_built_closure(c):
+    # Signed mode on an even k must fail on both paths: 2 is not a unit.
+    built = [("signed", signed_closure)]
+    if c.k % 4 == 2:
+        built.append(("extended", extended_signed_closure))
+    for mode, closure in built:
+        assert _closure_projection_or_none(c, mode) == _projection_or_none(closure(c))
+
+
+def test_closure_projection_rejects_what_the_closure_rejects():
+    not_free = code_from_rows(6, [[2, 0, 0]])
+    self_orthogonal = code_from_rows(3, [[1, 1, 1]])
+    for c, mode, closure in [
+        (not_free, "extended", extended_signed_closure),
+        (self_orthogonal, "signed", signed_closure),
+        (code_from_rows(10, [[1, 0]]), "signed", signed_closure),
+    ]:
+        with pytest.raises(NotFreeLcd):
+            projection_matrix(closure(c))
+        with pytest.raises(NotFreeLcd):
+            closure_projection(c, mode)
+    with pytest.raises(BadModulus):
+        closure_projection(self_orthogonal, "extended")
+    with pytest.raises(ValueError):
+        closure_projection(self_orthogonal, "nonsense")
+
+
 def test_projection_independent_of_generator_presentation():
     a = code_from_rows(5, [[1, 1, 0], [0, 2, 1]])
     b = code_from_rows(5, [[2, 2, 0], [1, 3, 1], [1, 1, 0]])
@@ -336,6 +385,21 @@ def test_apply_signed_perm_matches_word_level_action():
                 y[sigma[i]] = (signs[i] * w[i]) % k
             expect.add(tuple(y))
         assert words(got) == expect
+
+
+def test_signed_perm_maps_agrees_with_apply_to():
+    rng = random.Random(73)
+    for _ in range(200):
+        k = rng.choice([2, 3, 4, 6, 9, 10])
+        n = rng.randrange(1, 5)
+        c = random_code(rng, k, n)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        image = apply_signed_perm(c, sigma, signs)
+        assert signed_perm_maps(c, sigma, signs, image)
+        other = random_code(rng, k, n)
+        assert signed_perm_maps(c, sigma, signs, other) == (image == other)
 
 
 # --- sampling ---

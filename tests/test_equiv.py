@@ -1,11 +1,13 @@
 """Code equivalence: weighted GI solver, PEP, SPEP, extraction."""
 
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hullattack import equiv
+from hullattack import equiv, modring
 from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
@@ -64,6 +66,159 @@ def conjugate(a: ModMatrix, p) -> ModMatrix:
         for j in range(n):
             rows[p[i]][p[j]] = a.entries[i][j]
     return ModMatrix.from_rows(a.k, rows)
+
+
+def refine_oracle(a1, a2, colors1, colors2, n):
+    """Joint color refinement; None when the color histograms split."""
+    while True:
+        sig_ids: dict = {}
+        new1 = [0] * n
+        new2 = [0] * n
+        for a, colors, new in ((a1, colors1, new1), (a2, colors2, new2)):
+            for v in range(n):
+                row = a[v]
+                sig = (
+                    colors[v],
+                    tuple(sorted((colors[u], row[u]) for u in range(n) if u != v and row[u])),
+                )
+                if sig not in sig_ids:
+                    sig_ids[sig] = len(sig_ids)
+                new[v] = sig_ids[sig]
+        hist1: dict = {}
+        hist2: dict = {}
+        for c in new1:
+            hist1[c] = hist1.get(c, 0) + 1
+        for c in new2:
+            hist2[c] = hist2.get(c, 0) + 1
+        if hist1 != hist2:
+            return None
+        if len(set(new1)) == len(set(colors1)):
+            return new1, new2
+        colors1, colors2 = new1, new2
+
+
+def circulant_graph(k: int, n: int, steps) -> ModMatrix:
+    """Adjacency 1 between i and j exactly when j - i or i - j is a step mod n."""
+    return ModMatrix.from_rows(
+        k, [[int((j - i) % n in steps or (i - j) % n in steps) for j in range(n)] for i in range(n)]
+    )
+
+
+# One refinement round makes the colorings of these graphs (from their
+# diagonals) discrete, but the bijection that coloring induces is not an
+# isomorphism: the round that would confirm it rejects it.
+DISCRETE_UNCONFIRMED = (
+    ModMatrix.from_rows(
+        2, [[0, 0, 1, 1, 0], [0, 0, 0, 0, 1], [1, 0, 0, 1, 1], [1, 0, 1, 1, 0], [0, 1, 1, 0, 0]]
+    ),
+    ModMatrix.from_rows(
+        2, [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 1, 0], [0, 1, 1, 0, 1], [0, 0, 0, 1, 0]]
+    ),
+)
+
+
+@st.composite
+def graph_pairs(draw):
+    """Symmetric matrices over few weights, so that refinement stalls and
+    the search branches: random, or circulant (vertex-transitive, as are
+    C6 and two triangles), paired with a conjugate, a conjugate with one
+    symmetric pair changed, or an independent draw of the same kind."""
+    k = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    weight = st.integers(0, min(k - 1, 2))
+    circulant = draw(st.booleans())
+
+    def matrix():
+        rows = [[0] * n for _ in range(n)]
+        if circulant:
+            f = draw(st.lists(weight, min_size=n, max_size=n))
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] = f[min((j - i) % n, (i - j) % n)]
+        else:
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = draw(weight)
+        return rows
+
+    a = ModMatrix.from_rows(k, matrix())
+    how = draw(st.sampled_from(["conjugate", "perturbed", "independent"]))
+    if how == "independent":
+        return k, a, ModMatrix.from_rows(k, matrix())
+    p = draw(st.permutations(range(n)))
+    b = [list(r) for r in conjugate(a, p).entries]
+    if how == "perturbed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        b[i][j] = b[j][i] = (b[i][j] + 1) % k
+    return k, a, ModMatrix.from_rows(k, b)
+
+
+class TestRefinement:
+    """The refinement on neighbour lists against the full-matrix oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_pairs())
+    @example((2, circulant_graph(2, 6, {1}), circulant_graph(2, 6, {2})))  # C6, two triangles
+    @example((2, *DISCRETE_UNCONFIRMED))  # only the leaf check rejects this bijection
+    def test_search_is_unchanged_under_the_oracle(self, pair):
+        k, a, b = pair
+        g1, g2 = WeightedGraph(k, a), WeightedGraph(k, b)
+        n = g1.n
+        a1 = [list(r) for r in a.entries]
+        a2 = [list(r) for r in b.entries]
+        runs = []
+        for refine in (None, lambda nb1, nb2, c1, c2, k: refine_oracle(a1, a2, c1, c2, n)):
+            stats = {}
+            with pytest.MonkeyPatch.context() as mp:
+                if refine is not None:
+                    mp.setattr(equiv, "_refine", refine)
+                # Cliques have n! solutions; the first 30 pin the order.
+                solutions = list(islice(solve_weighted_gi(g1, g2, stats), 30))
+            runs.append((solutions, stats["nodes"]))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_pairs(), st.data())
+    def test_refine_matches_the_oracle(self, pair, data):
+        k, a, b = pair
+        n = a.rows
+        palette = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        colors1 = data.draw(palette)
+        colors2 = data.draw(st.permutations(colors1)) if data.draw(st.booleans()) else data.draw(palette)
+        a1, a2 = a.entries, b.entries
+        got = equiv._refine(
+            equiv._neighbours(a1), equiv._neighbours(a2), colors1, colors2, k
+        )
+        expect = refine_oracle(a1, a2, colors1, colors2, n)
+        if got == expect:
+            return
+        # Only a discrete coloring returns without its confirming round,
+        # which may reject the bijection; the leaf's full-matrix check
+        # rejects that bijection too.
+        assert expect is None
+        new1, new2 = got
+        assert new1 == list(range(n))
+        perm = [new2.index(c) for c in new1]
+        assert any(a1[i][j] != a2[perm[i]][perm[j]] for i in range(n) for j in range(n))
+
+    def test_signature_encoding_keeps_colors_apart(self):
+        # Vertices 2 and 3 see (color 0, weight 2) and (color 1, weight 1):
+        # different pairs whose color + weight would collide.
+        a = ((0, 0, 2, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 1, 0, 0))
+        colors = [0, 1, 2, 2]
+        nbrs = equiv._neighbours(a)
+        got = equiv._refine(nbrs, nbrs, colors, colors, 3)
+        assert got == refine_oracle(a, a, colors, colors, 4) == ([0, 1, 2, 3], [0, 1, 2, 3])
+
+    def test_discrete_coloring_skips_the_confirming_round(self):
+        a1, a2 = (m.entries for m in DISCRETE_UNCONFIRMED)
+        colors1, colors2 = [0, 0, 0, 1, 0], [0, 1, 0, 0, 0]
+        assert refine_oracle(a1, a2, colors1, colors2, 5) is None
+        got = equiv._refine(equiv._neighbours(a1), equiv._neighbours(a2), colors1, colors2, 2)
+        assert got == ([0, 1, 2, 3, 4], [0, 3, 4, 2, 1])
+        stats = {}
+        assert list(solve_weighted_gi(*(WeightedGraph(2, m) for m in DISCRETE_UNCONFIRMED), stats)) == []
+        assert stats["nodes"] == 1
 
 
 class TestWeightedGi:
@@ -323,6 +478,25 @@ class TestSpep:
                 checked_found += 1
             else:
                 checked_not += 1
+
+    @pytest.mark.parametrize("k", [15, 6])
+    def test_builds_no_howell_form_wider_than_n(self, monkeypatch, k):
+        # The closure projectors are expanded from the n x n projectors,
+        # and the fold check takes one Howell form of width n.
+        n = 8
+        c1 = random_free_lcd(k, n, 4, seed=3)
+        c2 = apply_signed_perm(c1, [3, 1, 7, 0, 2, 6, 5, 4], [1, -1, -1, 1, 1, -1, 1, 1])
+        widths = []
+        real = modring._howell_rows
+
+        def counted(rows, cols, k):
+            widths.append(cols)
+            return real(rows, cols, k)
+
+        monkeypatch.setattr(modring, "_howell_rows", counted)
+        res = spep(c1, c2)
+        assert res.outcome == "found"
+        assert widths and max(widths) == n
 
     def test_self_equivalence_is_identity_friendly(self):
         c = random_free_lcd(5, 4, 2, seed=8)

@@ -22,8 +22,8 @@ import pytest
 from hullattack.attack import hull_attack, verify_isomorphism
 from hullattack.instances import generate_instance
 
-# (k, n, m, seed, budget in seconds); measured: 0.03-0.05, 0.05-0.08,
-# 0.09-0.14, 0.13-0.21, 0.45-0.72, 1.1-1.6 and 4.6-6.0 s.
+# (k, n, m, seed, budget in seconds); measured: 0.02-0.04, 0.04-0.07,
+# 0.08-0.11, 0.15-0.19, 0.58-0.70, 1.3-1.7 and 4.8-5.7 s.
 SCALE_CORPUS = [
     (15, 16, 8, 3, 1.0),
     (15, 20, 10, 1, 4.0),
