@@ -1,29 +1,38 @@
 #!/usr/bin/env python3
-"""Run perfbench on two checkouts and record both results in one file.
+"""Run perfbench on two checkouts, in pairs, and record every run in one file.
 
     python3 benchmarks/bench_pair.py --parent DIR --change DIR --tag NAME \
-        [--seed 7] [--seconds 40] [--workload W ...]
+        [--pairs 10] [--seed 7] [--seconds 40] [--workload W ...]
 
 DIR is the root of a checkout (for the parent, for example, a
 `git archive` of the parent commit unpacked somewhere).  For each
-workload the two trees run one after the other, parent first, with the
-same seed, each as `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` from its own root, so each builds what it runs
-from its own source.  The last stdout line of every run, perfbench's
-JSON result, goes into benchmarks/BENCH_<NAME>.json.  A run that exits
-non-zero or prints no JSON stops the script.
+workload, pair i runs both trees with seed --seed + i, each as
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
+from its own root, so each builds what it runs from its own source.
+The parent runs first in even pairs and the change in odd ones.
+
+benchmarks/BENCH_<NAME>.json keeps the last stdout line of every run,
+perfbench's JSON result, and per workload and end-to-end metric the
+median and quartiles of each side over the pairs, with the pairs the
+change won and lost ("better" comes from BENCHMARK.json; ties count for
+neither).  A gain may be claimed when the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent's
+interquartile range.  A run that exits non-zero or prints no JSON stops
+the script.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ("small-mixed", "large-verify", "reject")
+TREES = ("parent", "change")
 
 
 def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -36,27 +45,77 @@ def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (the two ends of the range for one value)."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict) -> dict:
+    """Per end-to-end metric: each side's spread and the pairs won."""
+    out = {}
+    for name, direction in better.items():
+        values = {t: [p[t]["metrics"][name]["value"] for p in pairs] for t in TREES}
+        sign = 1 if direction == "lower" else -1
+        diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+        parent, change = spread(values["parent"]), spread(values["change"])
+        out[name] = {
+            "unit": pairs[0]["parent"]["metrics"][name]["unit"],
+            "better": direction,
+            "parent": parent,
+            "change": change,
+            "change_wins": sum(d < 0 for d in diffs),
+            "parent_wins": sum(d > 0 for d in diffs),
+            "gain_claimable": (
+                10 * sum(d < 0 for d in diffs) >= 9 * len(diffs)
+                and sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"]
+            ),
+        }
+    for tree in TREES:
+        out[f"{tree}_ops"] = {
+            "attempted": sum(p[tree]["attempted"] for p in pairs),
+            "failed": sum(p[tree]["failed"] for p in pairs),
+            "all_correct": all(p[tree]["correct"] for p in pairs),
+        }
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--tag", required=True)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--seconds", type=int, default=40)
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = {
-        "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
-        "seed": args.seed,
+        "command": f"perfbench/run.py --seed S --seconds {args.seconds} --trace 0",
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "pairs": args.pairs,
         "seconds": args.seconds,
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "workloads": {},
     }
     for workload in args.workload or WORKLOADS:
-        out["workloads"][workload] = {
-            tree: run(root.resolve(), workload, args.seed, args.seconds)
-            for tree, root in (("parent", args.parent), ("change", args.change))
-        }
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = TREES if i % 2 == 0 else TREES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for tree in order:
+                pair[tree] = run(roots[tree], workload, seed, args.seconds)
+            pairs.append(pair)
+            print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        out["workloads"][workload] = {"summary": summarize(pairs, better), "runs": pairs}
     path = HERE / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

@@ -8,12 +8,14 @@ compose the three maps into a single orthonormal witness.
 
 Every map before the witness is an integer transform of a lattice's
 basis B, read through its Gram record B.B^T = G/den: the hull is C.B
-for the coefficient HNF C, with Gram matrix C.G.C^T/den; ZLIP returns a
+for the coefficient HNF C (the lifted Howell form of a kernel mod
+k.den), with Gram matrix C.G.C^T/den; ZLIP returns a
 unimodular U on that Gram matrix, so the frame of k Z^n is T.B with
 T = U.C; and the rotated basis R = B.o_hat^T is the integer product
 G.T^T/(den.k), whose inverse is T/k, so each code is read off R mod k
-with no inverse taken.  The one rational matrix built is o_star, from
-the two frames and the signed permutation P, and it is checked once.
+with no inverse taken.  The one rational matrix built is o_star, one
+integer matrix over one denominator from the two frames and the signed
+permutation P, and it is checked once.
 The witness comes with a change-of-basis certificate, the integer
 matrix T* = R2.P^T.T1/k with T*.B1 = B2.o_star^T, and the verifier
 accepts it from integer products alone: the attack takes no matrix
@@ -23,7 +25,6 @@ inverse, determinant, HNF or LLL after ZLIP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 from operator import mul
 
@@ -147,24 +148,18 @@ def _assemble(
     With B_i = A_i / db_i and F_i = T_i . A_i that is
     F1^T . P . F2 / (k^2 . db1 . db2): P moves row i of F2 to row
     sigma[i] with sign signs[i], one integer product follows, and one
-    Fraction is built per entry.  The product of orthonormal factors is
-    checked once, as the witness.
+    gcd brings the quotient to lowest terms.  The product of orthonormal
+    factors is checked once, as the witness.
     """
-    (a1, db1), (a2, db2) = l1.int_basis, l2.int_basis
+    (a1, db1), (a2, db2) = l1.basis.clear_denominators(), l2.basis.clear_denominators()
     f1 = [[sum(map(mul, row, col)) for col in zip(*a1)] for row in t1.entries]
     f2 = [[sum(map(mul, row, col)) for col in zip(*a2)] for row in t2.entries]
     moved = [None] * s.n
     for i, (j, sign) in enumerate(zip(s.sigma, s.signs)):
         moved[j] = f2[i] if sign == 1 else [-x for x in f2[i]]
-    d = k * k * db1 * db2
     cols = list(zip(*moved))
-    return RationalOrthogonal(
-        RatMatrix(
-            tuple(
-                tuple(Fraction(sum(map(mul, fc, mc)), d) for mc in cols) for fc in zip(*f1)
-            )
-        )
-    )
+    rows = [[sum(map(mul, fc, mc)) for mc in cols] for fc in zip(*f1)]
+    return RationalOrthogonal(RatMatrix.over(rows, k * k * db1 * db2))
 
 
 def _certificate(r2: IntMatrix, t1: IntMatrix, s: SignedPerm, k: int) -> IntMatrix:
@@ -199,8 +194,8 @@ def verify_isomorphism(
     spans L1 exactly when T = (B2 . o_star^T) . B1^-1 is integral with
     |det T| = 1.  As o_star is orthonormal, |det T| = |det L2| / |det L1|,
     so the determinant half is |det L1| = |det L2| != 0, read off the
-    two Gram records.  With B_i = A_i / e_i and o_star = M / D cleared to
-    integers, the image is A2 . M^T / (e2 . D), formed over the integers.
+    two Gram records.  With B_i = A_i / e_i and o_star = M / D as stored,
+    the image is A2 . M^T / (e2 . D), formed over the integers.
 
     With a `certificate` T* (an IntMatrix, or a RatMatrix that must be
     integral), T is not computed but checked: T* . B1 = B2 . o_star^T,
@@ -210,8 +205,8 @@ def verify_isomorphism(
     T = (A2 . M^T . A1^T) . den . G1^-1 / (e1 . e2 . D) is tested entry
     by entry against the Bareiss inverse of G1; the first non-integral
     entry ends the test.  A singular B1 spans no full-rank lattice, so
-    the answer is False.  No HNF runs on either path, so the verifier
-    shares no kernel with the canonical forms the solver builds.
+    the answer is False.  No Howell form runs on either path, so the
+    verifier shares no kernel with the canonical forms the solver builds.
     """
     n = l1.n
     if isinstance(o_star, RatMatrix):
@@ -231,7 +226,7 @@ def verify_isomorphism(
                 return False
             certificate = certificate.to_int()
     m, d = o_star.matrix.clear_denominators()
-    (a1, e1), (a2, e2) = l1.int_basis, l2.int_basis
+    (a1, e1), (a2, e2) = l1.basis.clear_denominators(), l2.basis.clear_denominators()
     # The rows of M are the columns of M^T, and likewise for A1.
     if certificate is not None:
         f, cols = e2 * d, list(zip(*a1))

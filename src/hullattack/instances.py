@@ -1,9 +1,11 @@
 """Instance files: a hidden code, two rotated lattices, optional secrets.
 
 An instance is a pair of public bases obtained by rotating the same
-Construction A lattice by two secret orthonormal maps.  The attack sees
-only the public part; the secret block exists so that generated
-challenges can be audited.
+Construction A lattice, the HNF read off the code's Howell form, by two
+secret orthonormal maps.  Every matrix is held as integers over one
+denominator and written entry by entry as "p" or "p/q" in lowest terms.
+The attack sees only the public part; the secret block exists so that
+generated challenges can be audited.
 """
 
 from __future__ import annotations

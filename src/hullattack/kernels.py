@@ -1,4 +1,4 @@
-"""Integer kernels: extended gcd, row HNF and all-integer LLL.
+"""Integer kernels: extended gcd and all-integer LLL.
 
 Everything works on plain lists of Python ints, so results are exact for
 arbitrary magnitudes.  Their cost is big-integer arithmetic on entries
@@ -21,53 +21,6 @@ def xgcd(a, b):
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def hnf_rows(rows, ncols):
-    """Row-style Hermite normal form.
-
-    Returns the nonzero rows: echelon shape, positive pivots, entries
-    above each pivot reduced into [0, pivot).  Zero rows are dropped, so
-    the result is the canonical basis of the row lattice.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if not m[i][c]:
-                continue
-            a, b = m[r][c], m[i][c]
-            g, x, y = xgcd(a, b)
-            u, v = -(b // g), a // g
-            ri, rj = m[r], m[i]
-            for t in range(c, ncols):
-                rt, it = ri[t], rj[t]
-                ri[t] = x * rt + y * it
-                rj[t] = u * rt + v * it
-        if m[r][c] < 0:
-            m[r] = [-t for t in m[r]]
-        p = m[r][c]
-        rr = m[r]
-        for i in range(r):
-            q = m[i][c] // p
-            if q:
-                ri = m[i]
-                for t in range(c, ncols):
-                    ri[t] -= q * rr[t]
-        r += 1
-        if r == nrows:
-            break
-    return m[:r]
 
 
 def lll_gram(gram, delta_num, delta_den):

@@ -1,7 +1,8 @@
 """Full-rank rational lattices, Construction A, hulls, and rotations.
 
 A LatticeBasis keeps the literal basis rows it was built with (rotations
-must preserve the Gram matrix, so rows are never silently rebased).
+must preserve the Gram matrix, so rows are never silently rebased), as
+one integer matrix over one denominator (`RatMatrix`).
 Its determinant and inverse come from one integer Gram record,
 B.B^T = G/den in lowest terms, whose entries stay small where the
 basis entries of a rotated lattice do not.  |det B| is sqrt(det G),
@@ -21,9 +22,9 @@ R^-1 = T/s is known without an inverse, and for s = k it proves that
 the rotated lattice contains kZ^n.
 Rows are checked independent only where outside data enters, in
 `LatticeBasis.from_dict`; the bases built here are nonsingular by
-construction (Construction A checks its HNF rank, a rotation is an
-orthonormal image, a hull is full-rank integer coefficients times the
-lattice's basis).
+construction (Construction A is an HNF with nonzero pivots, lifted from
+the code's Howell form, a rotation is an orthonormal image, a hull is
+full-rank integer coefficients times the lattice's basis).
 Set-level questions need no canonical form: two bases span the same
 lattice when one is a unimodular recombination of the other (decided
 by `same_lattice` in `lattice_equal`), and a vector lies in the lattice
@@ -46,14 +47,12 @@ from .errors import (
     NotARotation,
     NotIntegral,
     ParseError,
-    Singular,
 )
 from .linalg import (
     IntMatrix,
     RatMatrix,
     bareiss_det,
     congruence,
-    hnf,
     inv_int_rows,
     json_int,
     same_lattice,
@@ -86,7 +85,7 @@ class GramRecord:
 
     @cached_property
     def cleared(self) -> tuple[list[list[int]], int]:
-        """(G, den) with B.B^T = G/den, equal to `gram().clear_denominators()`."""
+        """(G, den) with B.B^T = G/den in lowest terms."""
         a, db = self._basis.clear_denominators()
         return _lowest_terms(symmetric_product(a, a), db * db)
 
@@ -132,22 +131,14 @@ class LatticeBasis:
         return self.gram_record.abs_det
 
     @cached_property
-    def int_basis(self) -> tuple[list[list[int]], int]:
-        """(A, db) with B = A/db, db the lcm of the entry denominators."""
-        return self.basis.clear_denominators()
-
-    @cached_property
     def _inverse(self) -> tuple[list[list[int]], int]:
         """(N, q) with B^-1 = N / q.  B^-1 = B^T.(B.B^T)^-1: with B = A/db
         and B.B^T = G/den, that is den.A^T.G^-1/db, so the only inverse
         taken is the Gram record's."""
-        a, db = self.int_basis
+        a, db = self.basis.clear_denominators()
         (_, den), (ginv, q) = self.gram_record.cleared, self.gram_record.inverse
         # G^-1 is symmetric, so its rows are its columns.
         return [[den * sum(map(mul, col, row)) for row in ginv] for col in zip(*a)], db * q
-
-    def gram(self) -> RatMatrix:
-        return self.basis.mul(self.basis.transpose())
 
     def contains(self, v) -> bool:
         """Exact membership of a rational vector: v . B^-1 is integral."""
@@ -180,7 +171,8 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class RationalOrthogonal:
-    """Exactly orthonormal rational matrix: M . M^T = I."""
+    """Exactly orthonormal rational matrix: M . M^T = I, checked once, at
+    construction, as N . N^T = D^2 . I on the integers of M = N/D."""
 
     matrix: RatMatrix
 
@@ -206,16 +198,38 @@ class RationalOrthogonal:
             raise ParseError(str(exc)) from None
 
 
+def _hermite_lift(howell: ModMatrix) -> tuple[tuple[int, ...], ...]:
+    """The row HNF of the lattice spanned by the lifted rows of a Howell
+    form over Z_q and qZ^n, read off without an elimination.
+
+    The Howell rows are in echelon form, each pivot divides q and the
+    entries above it lie in [0, pivot); the other entries lie in [0, q).
+    So the lifted rows, with q.e_j put in for each column j that has no
+    pivot, are square, upper triangular and reduced.  They span the
+    lattice: q.e_j for a pivot column is (q/p) times the pivot row minus
+    a vector of the row module that vanishes up to column j, which the
+    Howell property puts in the span of the rows below.  The HNF of a
+    lattice is unique, so this is it.
+    """
+    q, n = howell.k, howell.cols
+    rows = iter(howell.entries)
+    row = next(rows, None)
+    out = []
+    for j in range(n):
+        # The zeros before j are checked, so a nonzero row[j] is its pivot.
+        if row is not None and row[j]:
+            out.append(row)
+            row = next(rows, None)
+        else:
+            out.append(tuple(q if i == j else 0 for i in range(n)))
+    return tuple(out)
+
+
 def construction_a(c: LinearCode) -> LatticeBasis:
-    """The lattice {x in Z^n : x mod k in C}, as the HNF of the lifted
-    generator stacked over k*I."""
-    k, n = c.k, c.n
-    rows = [list(r) for r in c.gen.entries]
-    rows += [[k * int(i == j) for j in range(n)] for i in range(n)]
-    h = hnf(IntMatrix.from_rows(rows))
-    if h.rows != n:
-        raise Singular("construction lattice is not full rank")
-    return LatticeBasis(n, h.to_rat())
+    """The lattice {x in Z^n : x mod k in C}, C + kZ^n.  Its basis is the
+    row HNF, lifted from the code's generator, which is its Howell form
+    (see `_hermite_lift`)."""
+    return LatticeBasis(c.n, RatMatrix(_hermite_lift(c.gen)))
 
 
 def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
@@ -225,22 +239,20 @@ def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
     In basis coordinates x = c.B the dual condition x.y in sZ for all
     y in L reads c.G = 0 mod s*den (G the Gram matrix cleared of its
     denominator den), so the coefficient lattice is a kernel over
-    Z_{s*den} plus (s*den)Z^n.  An explicit dual basis would square the
-    entry denominators of a rotated basis; this stays small.  C is upper
-    triangular, so |det hull| is the product of its pivots times |det L|.
+    Z_{s*den} plus (s*den)Z^n, whose HNF is the lifted Howell form of the
+    kernel (see `_hermite_lift`).  An explicit dual basis would square
+    the entry denominators of a rotated basis; this stays small.  C is
+    upper triangular, so |det hull| is the product of its pivots times
+    |det L|.
     """
     if s < 1:
         raise ValueError(f"scale must be positive, got {s}")
-    n = lattice.n
     scaled, den = lattice.gram_record.cleared
     big = s * den
-    ker = kernel_mod(ModMatrix.from_rows(big, scaled))
-    rows = [list(r) for r in ker.lift().entries]
-    rows += [[big * int(i == j) for j in range(n)] for i in range(n)]
-    coeff = hnf(IntMatrix.from_rows(rows))
-    if coeff.rows != n:
-        raise Singular("hull coefficient lattice is not full rank")
-    return coeff
+    if big == 1:
+        # Every c satisfies c.G = 0 mod 1 (and Z_1 is no ModMatrix modulus).
+        return IntMatrix.identity(lattice.n)
+    return IntMatrix(_hermite_lift(kernel_mod(ModMatrix.from_rows(big, scaled))))
 
 
 def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
@@ -260,8 +272,10 @@ def sublattice_gram(lattice: LatticeBasis, c: IntMatrix) -> tuple[list[list[int]
 def rotate(lattice: LatticeBasis, o: RationalOrthogonal) -> LatticeBasis:
     """Apply the orthonormal transform row-wise: rows become row . O^T.
 
-    The Gram matrix of the returned basis equals the input's exactly (o
-    passed its M.M^T = I check), so the image shares the input's record.
+    With B = A/db and O = M/D that is the one integer product A . M^T
+    over db . D, brought to lowest terms by one gcd.  The Gram matrix of
+    the returned basis equals the input's exactly (o passed its
+    M.M^T = I check), so the image shares the input's record.
     """
     if o.n != lattice.n:
         raise DimensionMismatch(f"transform is {o.n}-dimensional, lattice is {lattice.n}")
@@ -316,7 +330,7 @@ def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode:
     for i, row in enumerate(inv):
         if any(k * x % q for x in row):
             raise DoesNotContainKZn(f"k*e_{i + 1} is not in the lattice")
-    rows = [[int(x) % k for x in row] for row in lattice.basis.entries]
+    rows = [[x % k for x in row] for row in lattice.basis.num]
     return from_generator(ModMatrix.from_rows(k, rows, n))
 
 
@@ -327,8 +341,9 @@ def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> R
     Each column is kept as integers over its own denominator.  A rotation
     touches two columns only: both are brought to the lcm of their
     denominators, which is then multiplied by the triple's hypotenuse, an
-    O(n) update.  The signed permutation moves and negates columns.
-    Fractions are built once, at the end.
+    O(n) update.  The signed permutation moves and negates columns, each
+    brought to the lcm D of all column denominators, and the matrix is
+    the integer one over D, reduced by one gcd.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
@@ -358,8 +373,9 @@ def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> R
             dens[i] = dens[j] = d * c
     sigma = list(range(n))
     rng.shuffle(sigma)
+    den = lcm(*dens)
     out = [None] * n
     for t in range(n):
-        sign = rng.choice((1, -1))
-        out[sigma[t]] = [Fraction(sign * x, dens[t]) for x in cols[t]]
-    return RationalOrthogonal(RatMatrix(tuple(zip(*out))))
+        f = rng.choice((1, -1)) * (den // dens[t])
+        out[sigma[t]] = [f * x for x in cols[t]]
+    return RationalOrthogonal(RatMatrix.over(list(zip(*out)), den))

@@ -1,23 +1,25 @@
 """Exact integer and rational matrix algebra.
 
-All arithmetic is exact: integer matrices use Python ints, rational ones
-use Fraction entries.  Nothing here ever rounds, so every downstream
-equality check is a real equality.
+All arithmetic is exact and on Python ints.  An integer matrix is a
+tuple of int rows; a rational one is an integer matrix over one common
+denominator, kept in lowest terms (see `RatMatrix`).  Nothing here ever
+rounds, so every downstream equality check is a real equality.
 
-Rational products never add Fractions term by term: each row of the left
-factor and each column of the right factor is cleared to integers over
-its own lcm denominator, and every entry of the product is one integer
-dot product over the product of the two denominators.
+A rational product is one integer product over the product of the two
+denominators, brought back to lowest terms by one gcd; no Fraction is
+built per entry.  Fractions appear only where one rational is the
+answer (`det`) and in the Gram-Schmidt data of short-vector enumeration.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from . import kernels
 from .errors import NonSquare, ParseError, Singular
 
 
@@ -58,7 +60,7 @@ class IntMatrix:
         )
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in self.entries))
+        return RatMatrix(self.entries)
 
     def to_dict(self) -> dict:
         return {
@@ -79,97 +81,138 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rational matrix (tuple of row tuples of Fractions)."""
+    """Immutable rational matrix num/den: one integer matrix (tuple of row
+    tuples) over one denominator den > 0.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    The form is canonical: gcd(den, every entry) = 1, so den is the lcm
+    of the reduced entry denominators, and two equal matrices have equal
+    fields.  `over` brings any (rows, den) to it with one gcd; the bare
+    constructor trusts its caller to pass the canonical form.
+    """
+
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.num[0]) if self.num else 0
+
+    @staticmethod
+    def over(rows, den: int) -> "RatMatrix":
+        """rows/den for integer rows and a nonzero den, in canonical form."""
+        g = gcd(den, *chain.from_iterable(rows))
+        if den < 0:
+            g = -g
+        if g == 1:
+            return RatMatrix(tuple(map(tuple, rows)), den)
+        return RatMatrix(tuple(tuple(x // g for x in row) for row in rows), den // g)
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
-        rows = [tuple(Fraction(x) for x in r) for r in rows]
+        """From rows of anything `Fraction` accepts."""
+        rows = [[Fraction(x) for x in r] for r in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged rows")
-        return RatMatrix(tuple(rows))
+        den = lcm(*(x.denominator for r in rows for x in r))
+        return RatMatrix(
+            tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows), den
+        )
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rat()
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.entries))) if self.entries else self
+        return RatMatrix(tuple(zip(*self.num)), self.den) if self.num else self
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
+        """One integer product over the product of the two denominators,
+        then one gcd."""
         if self.cols != other.rows:
             raise NonSquare(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [_clear(col) for col in zip(*other.entries)]
-        return RatMatrix(
-            tuple(
-                tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
-                for a, da in map(_clear, self.entries)
-            )
+        cols = list(zip(*other.num))
+        return RatMatrix.over(
+            [[sum(map(mul, a, b)) for b in cols] for a in self.num], self.den * other.den
         )
 
     def rows_orthonormal(self) -> bool:
-        """self . self^T = I.  Each row is cleared to a/d over its own lcm,
-        so the test reads a.a = d^2 and a.b = 0 on the upper triangle only;
-        the first failing product ends it."""
-        rows = [_clear(row) for row in self.entries]
+        """self . self^T = I, read as num . num^T = den^2 . I on the upper
+        triangle only; the first failing product ends it."""
+        rows, d2 = self.num, self.den * self.den
         return all(
-            sum(map(mul, a, b)) == (da * da if i == j else 0)
-            for i, (a, da) in enumerate(rows)
-            for j, (b, _) in enumerate(rows[i:], i)
+            sum(map(mul, a, b)) == (d2 if i == j else 0)
+            for i, a in enumerate(rows)
+            for j, b in enumerate(rows[i:], i)
         )
 
     def scale(self, c: Fraction) -> "RatMatrix":
         c = Fraction(c)
-        return RatMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        return RatMatrix.over(
+            [[c.numerator * x for x in row] for row in self.num], self.den * c.denominator
+        )
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return self.den == 1
 
-    def clear_denominators(self) -> tuple[list[list[int]], int]:
-        """Return (den * self as int rows, den) with den the entrywise lcm."""
-        den = lcm(*(x.denominator for row in self.entries for x in row))
-        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in self.entries]
-        return scaled, den
+    def clear_denominators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(den * self as int rows, den): the stored pair."""
+        return self.num, self.den
 
     def to_int(self) -> IntMatrix:
-        if not self.is_integral():
+        if self.den != 1:
             raise ParseError("matrix has non-integer entries")
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in self.entries))
+        return IntMatrix(self.num)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [_rat_str(x) for row in self.entries for x in row],
-        }
+        """Entries as "p" or "p/q" in lowest terms, row by row."""
+        den = self.den
+        flat = list(chain.from_iterable(self.num))
+        if den == 1:
+            entries = list(map(str, flat))
+        else:
+            entries = []
+            for x in flat:
+                g = gcd(x, den)
+                entries.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @staticmethod
     def from_dict(d: dict) -> "RatMatrix":
+        """Parse the entries, accepting and rejecting exactly the strings
+        (and JSON numbers) `Fraction` does.  The plain forms "p" and "p/q"
+        are read as integers; anything else goes through `Fraction`."""
         rows, cols, flat = _check_matrix_dict(d)
+        nums, dens = [], []
         try:
-            vals = [Fraction(s) for s in flat]
+            for s in flat:
+                m = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
+                if m is None:
+                    x = Fraction(s)
+                    p, q = x.numerator, x.denominator
+                else:
+                    p, q = m.groups()
+                    p, q = int(p), 1 if q is None else int(q)
+                    if q != 1:
+                        if not q:
+                            raise ZeroDivisionError(f"Fraction({p}, 0)")
+                        g = gcd(p, q)
+                        p, q = p // g, q // g
+                nums.append(p)
+                dens.append(q)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational entry: {exc}") from None
-        return RatMatrix(tuple(tuple(vals[i * cols : (i + 1) * cols]) for i in range(rows)))
+        den = lcm(*set(dens))
+        if den != 1:
+            nums = [p * (den // q) for p, q in zip(nums, dens)]
+        return RatMatrix(tuple(tuple(nums[i * cols : (i + 1) * cols]) for i in range(rows)), den)
 
 
-def _clear(vec) -> tuple[list[int], int]:
-    """(den * vec as ints, den) with den the lcm of the entry denominators."""
-    den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+# The forms `RatMatrix.to_dict` writes; Fraction reads them to the same value.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def json_int(d: dict, key: str) -> int:
@@ -208,11 +251,6 @@ def congruence(t, g) -> list[list[int]]:
     """T . G . T^T for integer rows T and a symmetric integer G."""
     # G is symmetric, so its rows are its columns.
     return symmetric_product([[sum(map(mul, row, col)) for col in g] for row in t], t)
-
-
-def hnf(m: IntMatrix) -> IntMatrix:
-    """Canonical row Hermite normal form; zero rows dropped."""
-    return IntMatrix.from_rows(kernels.hnf_rows([list(r) for r in m.entries], m.cols), m.cols)
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -304,18 +342,16 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
     """Exact inverse of a square rational matrix."""
     if m.rows != m.cols:
         raise NonSquare("inverse needs a square matrix")
-    scaled, den = m.clear_denominators()
-    inv, idet = inv_int_rows(scaled)
-    factor = Fraction(den, idet)
-    return RatMatrix(tuple(tuple(factor * x for x in row) for row in inv))
+    inv, idet = inv_int_rows(m.num)
+    # (N/den)^-1 = den . N^-1
+    return RatMatrix.over([[m.den * x for x in row] for row in inv], idet)
 
 
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant of a square rational matrix."""
     if m.rows != m.cols:
         raise NonSquare("determinant needs a square matrix")
-    scaled, den = m.clear_denominators()
-    return Fraction(bareiss_det(scaled), den ** m.rows)
+    return Fraction(bareiss_det(m.num), m.den**m.rows)
 
 
 def dual_basis(b: RatMatrix) -> RatMatrix:
@@ -337,8 +373,7 @@ def same_lattice(a: RatMatrix, b: RatMatrix) -> bool:
     n = b.rows
     if b.cols != n or a.rows != n or a.cols != n:
         raise NonSquare(f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    sa, da = a.clear_denominators()
-    sb, db = b.clear_denominators()
+    (sa, da), (sb, db) = a.clear_denominators(), b.clear_denominators()
     inv, d = inv_int_rows(sb)
     q = da * d
     cols = list(zip(*inv))
@@ -352,14 +387,6 @@ def same_lattice(a: RatMatrix, b: RatMatrix) -> bool:
             out.append(num)
         t.append(out)
     return abs(bareiss_det(t)) == 1
-
-
-def canonical_basis(b: RatMatrix) -> RatMatrix:
-    """Canonical representative of the row lattice of b: clear the common
-    denominator, take the HNF, scale back.  Unique per lattice."""
-    scaled, den = b.clear_denominators()
-    h = kernels.hnf_rows(scaled, b.cols)
-    return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in h))
 
 
 def gram_schmidt(gram) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -20,7 +20,7 @@ from operator import mul
 
 from .errors import NonSquare, NotAUnit, ParseError, Singular
 from .kernels import xgcd
-from .linalg import IntMatrix, bareiss_det, inv_int_rows, json_int
+from .linalg import bareiss_det, inv_int_rows, json_int
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class ModMatrix:
         if self.k != other.k or self.cols != other.cols:
             raise ParseError("stack needs matching modulus and width")
         return ModMatrix(self.k, self.cols, self.entries + other.entries)
-
-    def lift(self) -> IntMatrix:
-        """Entries as plain integers in [0, k)."""
-        return IntMatrix(self.entries)
 
     def to_dict(self) -> dict:
         return {

@@ -19,13 +19,11 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import NotARotation
 from .kernels import lll_gram
-from .lattices import RationalOrthogonal
-from .linalg import IntMatrix, RatMatrix, bareiss_det, congruence, enumerate_short_vectors
+from .linalg import IntMatrix, bareiss_det, congruence, enumerate_short_vectors
 
 NODE_BUDGET = 10**6
 
@@ -70,12 +68,6 @@ class ZlipSolution:
     u: IntMatrix  # unimodular, U.G.U^T = k^2.den.I
     k: int
     method: str  # "lll" or "enumeration"
-
-    def o_hat(self, basis: RatMatrix) -> RationalOrthogonal:
-        """U.B/k for the basis B whose Gram matrix was solved: the
-        orthonormal transform with rotate(lattice, o_hat) = k*Z^n, built
-        and checked on request."""
-        return RationalOrthogonal(self.u.to_rat().mul(basis).scale(Fraction(1, self.k)))
 
 
 def _is_scalar(m: list[list[int]], c: int) -> bool:

@@ -51,6 +51,7 @@ from hullattack.lattices import (
 )
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, det, inv_int_rows, same_lattice
 from hullattack.zlip import solve_scaled_zlip
+from oracles import fractions, o_hat
 
 
 def diag_lattice(entries) -> LatticeBasis:
@@ -314,13 +315,18 @@ class TestVerifyIsomorphism:
         assert not verify_isomorphism(l1, l1, RatMatrix.identity(2))
 
     def test_calls_no_hnf(self, monkeypatch):
+        # The HNF by elimination left the library (tests/oracles.py keeps
+        # it as an oracle), so no path can reach it; the Howell kernel that
+        # replaced it is refused inside verify.
+        for mod in (attack, codes, kernels, lattices, linalg, modring, zlip):
+            assert not {"hnf_rows", "hnf", "canonical_basis"} & set(vars(mod))
         l1, l2, _ = make_instance(15, 6, 3, seed=71, depth=8)
         res = hull_attack(l1, l2)
 
         def refuse(*args):
-            raise AssertionError("verify_isomorphism reached the HNF kernel")
+            raise AssertionError("verify_isomorphism reached the Howell kernel")
 
-        monkeypatch.setattr(kernels, "hnf_rows", refuse)
+        monkeypatch.setattr(modring, "_howell_rows", refuse)
         assert verify_isomorphism(l1, l2, res.o_star.matrix)
         assert verify_isomorphism(l1, l2, res.o_star)
         assert not verify_isomorphism(l1, l2, random_rational_orthogonal(6, seed=3))
@@ -362,7 +368,7 @@ def verify_cases(draw):
     elif witness == "scaled":
         o = o_true.scale(Fraction(2))
     elif witness == "sheared":
-        rows = [list(r) for r in o_true.entries]
+        rows = [list(r) for r in fractions(o_true)]
         rows[0][0] += 1
         o = RatMatrix.from_rows(rows)
     else:
@@ -445,11 +451,11 @@ class TestIntegerTransformEquivalence:
                 assert sublattice_gram(lattice, coeff) == s_hull(lattice, cand).gram_record.cleared
             coeff = _hull_det_matches(lattice, k)
             sol = solve_scaled_zlip(sublattice_gram(lattice, coeff), k)
-            o_hat = sol.o_hat(s_hull(lattice, k).basis)  # passes RationalOrthogonal
+            o = o_hat(sol, s_hull(lattice, k).basis)  # passes RationalOrthogonal
             frame = sol.u.mul(coeff)
-            assert integral_rotation(lattice, frame, k).basis == rotate(lattice, o_hat).basis
+            assert integral_rotation(lattice, frame, k).basis == rotate(lattice, o).basis
             frames.append(frame)
-            o_hats.append(o_hat.matrix)
+            o_hats.append(o.matrix)
         old = o_hats[0].transpose().mul(perm_rotation(s)).mul(o_hats[1])
         assert _assemble(inst.l1, inst.l2, *frames, s, k).matrix == old
 
@@ -657,9 +663,10 @@ class TestInverseCount:
     @pytest.mark.parametrize("k", [None, 15])
     def test_attack_verify_runs_on_products_only(self, monkeypatch, k):
         """The attack's verify step gets a certificate and reaches no
-        inverse, determinant, HNF or LLL kernel, in any module."""
+        inverse, determinant, Howell form or LLL kernel, in any module
+        (the HNF kernel is gone: `test_calls_no_hnf`)."""
         l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
-        kernel_names = ("inv_int_rows", "bareiss_det", "hnf_rows", "lll_gram")
+        kernel_names = ("inv_int_rows", "bareiss_det", "_howell_rows", "lll_gram")
         in_verify, reached, certificates = [False], [], []
 
         def watched(name, fn):
@@ -733,6 +740,37 @@ class TestRationalProductCount:
         rational_products.clear()
         assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
         assert rational_products == []
+
+
+@pytest.fixture()
+def fractions_built(monkeypatch):
+    """Count of the Fractions constructed while the fixture is active."""
+    built = [0]
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+class TestFractionCount:
+    @pytest.mark.parametrize("k", [15, 6])
+    def test_no_fraction_per_matrix_entry(self, fractions_built, k):
+        # Matrices are integers over one denominator: generation and the
+        # verifier build no Fraction, and parsing and the attack build a
+        # few scalars (|det L| from each Gram record), not one per entry.
+        n = 8
+        d = generate_instance(k, n, 4, seed=1).to_dict()
+        assert fractions_built[0] == 0
+        l1, l2 = LatticeBasis.from_dict(d["public"]["L1"]), LatticeBasis.from_dict(d["public"]["L2"])
+        res = hull_attack(l1, l2).to_dict()
+        assert fractions_built[0] < n
+        fractions_built[0] = 0
+        assert verify_isomorphism(l1, l2, RatMatrix.from_dict(res["o_star"]))
+        assert fractions_built[0] == 0
 
 
 class TestModuleStructureCount:

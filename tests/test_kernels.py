@@ -1,4 +1,5 @@
-"""Integer kernels on plain int rows: xgcd, row HNF, all-integer LLL.
+"""Integer kernels on plain int rows: xgcd and all-integer LLL, plus the
+row HNF oracle kept in tests/oracles.py.
 
 The matrix-level HNF wrapper and the basic LLL properties are tested in
 test_linalg; these cover the edge cases that only the row-list interface
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from hullattack import kernels
 from hullattack.linalg import RatMatrix, bareiss_det, gram_schmidt
+from oracles import fractions, hnf_rows
 
 
 class TestXgcd:
@@ -31,8 +33,8 @@ class TestXgcd:
 
 class TestHnfRows:
     def test_empty_and_zero_rows(self):
-        assert kernels.hnf_rows([], 3) == []
-        assert kernels.hnf_rows([[0, 0]], 2) == []
+        assert hnf_rows([], 3) == []
+        assert hnf_rows([[0, 0]], 2) == []
 
 
 class TestLllRows:
@@ -44,7 +46,7 @@ class TestLllRows:
         rng = random.Random(407)
         rows = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(5)] for _ in range(3)]
         red = kernels.lll_rows(rows, delta.numerator, delta.denominator)
-        assert kernels.hnf_rows(red, 5) == kernels.hnf_rows(rows, 5)
+        assert hnf_rows(red, 5) == hnf_rows(rows, 5)
         mu, norms = gram_schmidt(gram_of(red))
         for i in range(len(red)):
             assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
@@ -62,7 +64,7 @@ def reference_lll(b: RatMatrix, delta: Fraction) -> RatMatrix:
     after every change: the step order of the kernel (reduce against row
     k-1, Lovász test, then swap or size-reduce the rest of row k), none
     of its integral bookkeeping."""
-    b = [list(r) for r in b.entries]
+    b = [list(r) for r in fractions(b)]
 
     def reduce(k, j):
         mu, _ = gram_schmidt(gram_of(b))

@@ -20,6 +20,7 @@ from hullattack.lattices import (
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
+    hull_coefficients,
     integral_rotation,
     lattice_equal,
     mod_reduce_to_code,
@@ -28,7 +29,16 @@ from hullattack.lattices import (
     s_hull,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, canonical_basis, det
+from hullattack.linalg import IntMatrix, RatMatrix, det
+from oracles import (
+    canonical_basis,
+    construction_a_by_hnf,
+    fraction_product,
+    fraction_rows_orthonormal,
+    fractions,
+    gram,
+    hull_coefficients_by_hnf,
+)
 
 
 def random_code(rng, k, n):
@@ -111,6 +121,40 @@ def test_hull_of_lcd_code_is_scaled_integer_lattice():
     assert canonical_basis(h.basis) == RatMatrix.from_rows([[3, 0], [0, 3]])
 
 
+HOWELL_MODULI = [2, 3, 5, 6, 9, 10, 15]
+
+
+@st.composite
+def codes_and_rotations(draw):
+    """A random code over Z_k (any rows, so often neither free nor LCD)
+    and its Construction A lattice, rotated or not."""
+    k = draw(st.sampled_from(HOWELL_MODULI))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), max_size=n + 1))
+    c = code_from_rows(k, rows, n)
+    lat = construction_a(c)
+    if draw(st.booleans()):
+        lat = rotate(lat, random_rational_orthogonal(n, seed=draw(st.integers(0, 999))))
+    return c, lat
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_and_rotations(), st.sampled_from([1, 2, 3, 5, 6, 9, 10, 15]))
+def test_howell_lifts_match_the_hnf_oracle(case, s):
+    # Construction A and the hull coefficients are the lifted Howell forms;
+    # the HNF of the lifted generators stacked over q.I is the same matrix.
+    c, lat = case
+    assert construction_a(c).basis == construction_a_by_hnf(c.k, c.gen).to_rat()
+    for scale in (s, c.k):
+        assert hull_coefficients(lat, scale) == hull_coefficients_by_hnf(lat, scale)
+
+
+def test_hull_coefficients_modulus_one_is_the_identity():
+    # s.den = 1 admits every coefficient vector: C = I.
+    lat = LatticeBasis(2, RatMatrix.from_rows([[1, 1], [0, 2]]))
+    assert hull_coefficients(lat, 1) == IntMatrix.identity(2) == hull_coefficients_by_hnf(lat, 1)
+
+
 def test_hull_of_self_dual_code_is_the_lattice_itself():
     c = code_from_rows(2, [[1, 1]])
     lat = construction_a(c)
@@ -165,12 +209,12 @@ def test_random_rational_orthogonal_matches_givens_product(n):
     for depth in (0, 1, 2 * n):
         for seed in (0, 1, 99):
             got = random_rational_orthogonal(n, seed=seed, depth=depth).matrix
-            assert [list(row) for row in got.entries] == reference_rational_orthogonal(n, seed, depth)
+            assert [list(row) for row in fractions(got)] == reference_rational_orthogonal(n, seed, depth)
 
 
 def test_depth_zero_is_a_signed_permutation():
     o = random_rational_orthogonal(5, seed=7, depth=0)
-    vals = {abs(x) for row in o.matrix.entries for x in row}
+    vals = {abs(x) for row in fractions(o.matrix) for x in row}
     assert vals <= {0, 1}
 
 
@@ -192,8 +236,19 @@ def test_rotate_preserves_gram_exactly():
         lat = construction_a(c)
         o = random_rational_orthogonal(n, seed=rng.randrange(10**6), depth=2 * n)
         rot = rotate(lat, o)
-        assert rot.gram() == lat.gram()
+        assert gram(rot) == gram(lat)
         assert det(rot.basis) in (det(lat.basis), -det(lat.basis))
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_and_rotations(), st.integers(0, 999), st.sampled_from([None, 0, 1, 3]))
+def test_rotate_matches_the_fraction_product(case, seed, depth):
+    _c, lat = case
+    o = random_rational_orthogonal(lat.n, seed=seed, depth=depth)
+    assert fraction_rows_orthonormal(fractions(o.matrix))
+    rot = rotate(lat, o)
+    o_t = list(zip(*fractions(o.matrix)))
+    assert fractions(rot.basis) == fraction_product(fractions(lat.basis), o_t)
 
 
 def test_rotation_shares_the_gram_record():
@@ -274,7 +329,7 @@ def test_contains_matches_exact_solve():
         inv = rat_inverse(RatMatrix.from_rows(rows))
         for v in product(range(-5, 6), repeat=n):
             coeff = [
-                sum(Fraction(v[t]) * inv.entries[t][j] for t in range(n)) for j in range(n)
+                sum(Fraction(v[t]) * fractions(inv)[t][j] for t in range(n)) for j in range(n)
             ]
             assert lat.contains(v) == all(c.denominator == 1 for c in coeff)
 
@@ -315,7 +370,8 @@ def square_bases(draw):
 @given(square_bases(), st.data())
 def test_gram_record_matches_the_basis(b, data):
     lat = LatticeBasis(b.rows, b)
-    assert lat.gram_record.cleared == lat.gram().clear_denominators()
+    g, den = gram(lat).clear_denominators()
+    assert lat.gram_record.cleared == ([list(row) for row in g], den)
     # The record of the rows C.B, read off B's record without forming C.B.
     c = IntMatrix.from_rows(
         [[data.draw(st.integers(-3, 3)) for _ in range(b.rows)] for _ in range(b.rows)]

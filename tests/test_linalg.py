@@ -9,6 +9,7 @@ unimodular transforms for HNF ground truth.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,17 +21,24 @@ from hullattack.linalg import (
     IntMatrix,
     RatMatrix,
     bareiss_det,
-    canonical_basis,
     det,
     dual_basis,
     enumerate_short_vectors,
     gram_schmidt,
-    hnf,
     inv_int_rows,
     rat_inverse,
     same_lattice,
 )
 from hullattack.modring import ModMatrix, howell_form, is_unit_det, smith_mod
+from hullattack.lattices import random_rational_orthogonal
+from oracles import (
+    canonical_basis,
+    fraction_product,
+    fraction_rows_orthonormal,
+    fraction_str,
+    fractions,
+    hnf,
+)
 
 
 def laplace_det(rows):
@@ -107,13 +115,9 @@ def matmul_pairs(draw):
 @given(matmul_pairs())
 def test_ratmul_matches_naive_fraction_product(pair):
     a, b = pair
-    bt = list(zip(*b.entries))
-    naive = tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a.entries
-    )
     got = a.mul(b)
-    assert got.entries == naive
-    assert all(type(x) is Fraction for row in got.entries for x in row)
+    assert fractions(got) == fraction_product(fractions(a), fractions(b))
+    assert got.den > 0 and gcd(got.den, *(x for row in got.num for x in row)) == 1
 
 
 def test_ratmul_rejects_shape_mismatch():
@@ -129,6 +133,96 @@ def test_matrix_shape_must_be_a_json_integer(field, value):
     for cls in (RatMatrix, IntMatrix):
         with pytest.raises(ParseError, match=repr(field)):
             cls.from_dict(d)
+
+
+# --- one integer matrix over one denominator ---
+
+
+def is_canonical(m: RatMatrix) -> bool:
+    return m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+@st.composite
+def fraction_rows(draw):
+    r, c = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    return [[draw(rationals) for _ in range(c)] for _ in range(r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_rows(), rationals, st.integers(-(10**6), 10**6).filter(bool))
+def test_stored_form_is_canonical(rows, c, den):
+    m = RatMatrix.from_rows(rows)
+    assert fractions(m) == tuple(tuple(r) for r in rows)
+    for got in (m, m.transpose(), m.scale(c), m.mul(m.transpose())):
+        assert is_canonical(got)
+    # over() reduces any (rows, den), whatever the sign of den.
+    raw = [[x.numerator for x in r] for r in rows]
+    over = RatMatrix.over(raw, den)
+    assert is_canonical(over)
+    assert fractions(over) == tuple(tuple(Fraction(x.numerator, den) for x in r) for r in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_rows())
+def test_to_dict_matches_fraction_formatting_and_round_trips(rows):
+    m = RatMatrix.from_rows(rows)
+    d = m.to_dict()
+    assert d["entries"] == [fraction_str(x) for r in rows for x in r]
+    back = RatMatrix.from_dict(d)
+    assert back == m
+    assert is_canonical(back)
+
+
+ODD_ENTRIES = [
+    " 3", "3 ", "\t-4\n", "-0", "+5", "007", "-0/7", "6/4", "-6/-4", "1.5", "-.5", "2/0", "0/0",
+    "1e3", "1E-2", "1_000", "1__0", " 1 / 2 ", "1/ 2", "", " ", "-", "/", "1/", "/2", "a", "--1",
+    "0x10", "inf", "nan", "\u0661", "\u00b2", "3/\u0661", 7, -7, 1.5, True, 2**70,
+]
+
+
+@pytest.mark.parametrize("entry", ODD_ENTRIES, ids=repr)
+def test_from_dict_accepts_what_fraction_accepts(entry):
+    d = {"rows": 1, "cols": 1, "entries": [entry]}
+    try:
+        expected = Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            RatMatrix.from_dict(d)
+        return
+    got = RatMatrix.from_dict(d)
+    assert fractions(got) == ((expected,),)
+    assert is_canonical(got)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789-+/ ._eE", max_size=7), min_size=1, max_size=4))
+def test_from_dict_agrees_with_fraction_on_short_strings(entries):
+    d = {"rows": 1, "cols": len(entries), "entries": entries}
+    try:
+        expected = tuple(Fraction(s) for s in entries)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            RatMatrix.from_dict(d)
+        return
+    assert fractions(RatMatrix.from_dict(d)) == (expected,)
+
+
+unit_fractions = st.sampled_from([Fraction(x, 5) for x in range(-5, 6)] + [Fraction(1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_rows_orthonormal_matches_fraction_oracle(n, data):
+    rows = [[data.draw(unit_fractions) for _ in range(n)] for _ in range(n)]
+    candidates = [RatMatrix.from_rows(rows)]
+    o = random_rational_orthogonal(n, seed=data.draw(st.integers(0, 99))).matrix
+    candidates += [o, o.scale(Fraction(-1)), o.scale(Fraction(1, 2))]
+    if n > 1:
+        swapped = list(fractions(o))
+        swapped[0] = swapped[1]
+        candidates.append(RatMatrix.from_rows(swapped))
+    for m in candidates:
+        assert m.rows_orthonormal() is fraction_rows_orthonormal(fractions(m))
 
 
 # --- HNF ---
@@ -270,7 +364,7 @@ def test_inverse_handles_permutation_pivoting():
 def test_dual_basis_pinned_example():
     b = RatMatrix.from_rows([[1, 1], [0, 2]])
     d = dual_basis(b)
-    assert d.entries == ((Fraction(1), Fraction(0)), (Fraction(-1, 2), Fraction(1, 2)))
+    assert fractions(d) == ((Fraction(1), Fraction(0)), (Fraction(-1, 2), Fraction(1, 2)))
 
 
 def test_dual_basis_involution_and_product():
@@ -353,7 +447,7 @@ def test_same_lattice_edge_cases():
 
 
 def gram_of(b: RatMatrix):
-    return b.mul(b.transpose()).entries
+    return fractions(b.mul(b.transpose()))
 
 
 def projection_gram_schmidt(b: RatMatrix):
@@ -361,7 +455,7 @@ def projection_gram_schmidt(b: RatMatrix):
     None when the rows are dependent."""
     star, norms = [], []
     mu = [[Fraction(0)] * b.rows for _ in range(b.rows)]
-    for i, row in enumerate(b.entries):
+    for i, row in enumerate(fractions(b)):
         v = list(row)
         for j in range(i):
             mu[i][j] = sum(x * y for x, y in zip(row, star[j])) / norms[j]
@@ -412,7 +506,7 @@ def test_lll_pinned_short_basis():
     rows = [[1, 0], [10, 1]]
     red = lll(rows)
     assert canonical_basis(red) == canonical_basis(RatMatrix.from_rows(rows))
-    assert max(sum(x * x for x in row) for row in red.entries) <= 2
+    assert max(sum(x * x for x in row) for row in red.num) <= 2
 
 
 def test_lll_preserves_lattice_and_reduces():
@@ -445,7 +539,7 @@ def test_lll_rejects_dependent_rows():
 def enumeration_oracle(b, bound):
     """Brute force over a provably sufficient coefficient box."""
     n = b.rows
-    inv = fraction_inverse([[Fraction(x) for x in row] for row in b.entries])
+    inv = fraction_inverse([list(row) for row in fractions(b)])
     cols = list(zip(*inv))
     found = set()
     caps = []
@@ -458,7 +552,7 @@ def enumeration_oracle(b, bound):
     for coeff in product(*[range(-c, c + 1) for c in caps]):
         if not any(coeff):
             continue
-        v = [sum(Fraction(coeff[t]) * b.entries[t][j] for t in range(n)) for j in range(n)]
+        v = [sum(Fraction(coeff[t]) * fractions(b)[t][j] for t in range(n)) for j in range(n)]
         if sum(x * x for x in v) <= bound:
             lead = next(c for c in coeff if c)
             found.add(coeff if lead > 0 else tuple(-c for c in coeff))
@@ -475,7 +569,7 @@ def test_enumerate_pinned_scaled_rotation():
     got = enumerate_short_vectors(gram_of(b), Fraction(25))
     assert len(got) == 2
     for coeff in got:
-        v = [sum(coeff[t] * b.entries[t][j] for t in range(2)) for j in range(2)]
+        v = [sum(coeff[t] * b.num[t][j] for t in range(2)) for j in range(2)]
         assert sum(x * x for x in v) == 25
 
 

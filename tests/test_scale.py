@@ -1,4 +1,4 @@
-"""End-to-end attacks at n = 16 to 96 under per-instance time budgets.
+"""End-to-end attacks at n = 16 to 128 under per-instance time budgets.
 
 Each instance must be recovered and its witness accepted by
 `verify_isomorphism` within its budget (attack plus verify, generation
@@ -11,19 +11,24 @@ n = 48 and 64 it is below what the verifier that inverted the cleared
 basis took on the same box: 6.6 s and 20 s.  A timer stops an attack at
 its budget, so a regression fails in bounded time rather than hanging
 the suite.
+
+A row may also carry a budget for `generate_instance`, under the same
+five-times rule.  At n = 128 generation took 477 s while Construction A
+ran an integer HNF and takes 0.7 s reading it off the code's Howell form.
 """
 
 import signal
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from hullattack.attack import hull_attack, verify_isomorphism
 from hullattack.instances import generate_instance
 
-# (k, n, m, seed, budget in seconds); measured: 0.02-0.04, 0.04-0.07,
-# 0.08-0.11, 0.15-0.19, 0.58-0.70, 1.3-1.7 and 4.8-5.7 s.
+# (k, n, m, seed, budget in seconds); attack plus verify measured:
+# 0.02-0.04, 0.04-0.07, 0.08-0.11, 0.15-0.19, 0.58-0.70, 1.3-1.7,
+# 4.8-5.7 and 9.4-12.3 s.
 SCALE_CORPUS = [
     (15, 16, 8, 3, 1.0),
     (15, 20, 10, 1, 4.0),
@@ -32,7 +37,10 @@ SCALE_CORPUS = [
     (3, 48, 24, 1, 5.0),
     (3, 64, 32, 1, 10.0),
     (3, 96, 48, 1, 35.0),
+    (3, 128, 64, 1, 65.0),
 ]
+# (k, n, m, seed) -> generation budget in seconds; measured 0.69-0.70 s.
+GEN_BUDGETS = {(3, 128, 64, 1): 4.0}
 
 
 class BudgetExceeded(Exception):
@@ -59,7 +67,14 @@ def deadline(seconds):
 
 @pytest.mark.parametrize("k,n,m,seed,budget", SCALE_CORPUS)
 def test_attack_within_budget(acceptance_report, k, n, m, seed, budget):
-    inst = generate_instance(k, n, m, seed)
+    gen_budget = GEN_BUDGETS.get((k, n, m, seed))
+    t0 = time.perf_counter()
+    with deadline(gen_budget) if gen_budget else nullcontext():
+        inst = generate_instance(k, n, m, seed)
+    dt = time.perf_counter() - t0
+    if gen_budget is not None:
+        acceptance_report(f"SCALE gen k={k} n={n} m={m} seed={seed}: {dt:.2f}s (budget {gen_budget:g}s)")
+        assert dt <= gen_budget, f"generation took {dt:.2f}s, budget {gen_budget}s"
     t0 = time.perf_counter()
     with deadline(budget):
         res = hull_attack(inst.l1, inst.l2)

@@ -17,6 +17,7 @@ from hullattack.lattices import (
 )
 from hullattack.linalg import RatMatrix
 from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
+from oracles import gram as gram_of, o_hat
 
 
 def scaled_zn(n, k):
@@ -26,7 +27,7 @@ def scaled_zn(n, k):
 def solved_image(lat, k):
     """rotate(lat, o_hat) for the ZLIP solution of lat's Gram record."""
     sol = solve_scaled_zlip(lat.gram_record.cleared, k)
-    return sol, rotate(lat, sol.o_hat(lat.basis))
+    return sol, rotate(lat, o_hat(sol, lat.basis))
 
 
 def test_pinned_givens_rotation():
@@ -117,7 +118,7 @@ def test_enumeration_fallback_through_solver(monkeypatch, reported):
     else:
 
         def fake(gram, delta_num, delta_den):
-            den = lat.gram().clear_denominators()[1]
+            den = gram_of(lat).clear_denominators()[1]
             return ident, [[k * k * den * x for x in row] for row in ident]
 
     monkeypatch.setattr(zlip, "lll_gram", fake)
