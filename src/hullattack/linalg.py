@@ -38,7 +38,7 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "IntMatrix":
+    def from_rows(rows) -> "IntMatrix":
         rows = [tuple(int(x) for x in r) for r in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged rows")

@@ -8,8 +8,11 @@ of norm k, so o_hat = U.B/k is orthonormal, and the image
 B.o_hat^T = k.U^-1 spans k*Z^n exactly when |det U| = 1.  Both are
 checked in exact integers, recomputed from G and U.
 
-LLL on G hands over U = H directly almost always.  When it does not,
-the vectors of squared norm k^2 are enumerated in the coordinates of the
+LLL on G hands over U = H directly almost always.  The kernel returns H
+alone and never forms H.G.H^T (a row it reaches for the first time is
+still e_i in H, so its Gram entries are G[i].h_j); that product is formed
+here, once, from G.  When H does not reduce G to k^2.den.I, the vectors
+of squared norm k^2 are enumerated in the coordinates of the
 LLL rows, on their Gram matrix H.G.H^T, and n pairwise orthogonal ones
 K are assembled by backtracking; U = K.H then passes the same two
 checks.  A broken promise surfaces as NotARotation, never as a wrong
@@ -81,12 +84,12 @@ def solve_scaled_zlip(gram: tuple[list[list[int]], int], k: int) -> ZlipSolution
         raise ValueError(f"scale must be positive, got {k}")
     g, den = gram
     try:
-        h, _ = lll_gram(g, 99, 100)
+        h = lll_gram(g, 99, 100)
     except ValueError as exc:
         raise NotARotation(str(exc)) from None
     target = k * k * den
     u, method = IntMatrix.from_rows(h), "lll"
-    # The kernel's own H.G.H^T is not trusted: every check is recomputed from G.
+    # The kernel hands back H alone: every check is computed here from G.
     reduced = congruence(u.entries, g)
     if not _is_scalar(reduced, target):
         coeffs = assemble_orthogonal_basis(reduced, target)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hullattack import kernels
 from hullattack.errors import NonSquare, ParseError, Singular
 from hullattack.linalg import (
     IntMatrix,
@@ -38,6 +37,7 @@ from oracles import (
     fraction_str,
     fractions,
     hnf,
+    lll_rows,
 )
 
 
@@ -443,7 +443,7 @@ def test_same_lattice_edge_cases():
         same_lattice(RatMatrix.identity(2), RatMatrix.from_rows([[1, 2], [2, 4]]))
 
 
-# --- LLL (kernels.lll_rows on integer bases) ---
+# --- LLL (the oracle lll_rows on integer bases) ---
 
 
 def gram_of(b: RatMatrix):
@@ -499,7 +499,7 @@ def lovasz_holds(b, delta):
 
 
 def lll(rows, delta=Fraction(99, 100)):
-    return RatMatrix.from_rows(kernels.lll_rows(rows, delta.numerator, delta.denominator))
+    return RatMatrix.from_rows(lll_rows(rows, delta.numerator, delta.denominator))
 
 
 def test_lll_pinned_short_basis():

@@ -27,8 +27,8 @@ from hullattack.attack import hull_attack, verify_isomorphism
 from hullattack.instances import generate_instance
 
 # (k, n, m, seed, budget in seconds); attack plus verify measured:
-# 0.02-0.04, 0.04-0.07, 0.08-0.11, 0.15-0.19, 0.58-0.70, 1.3-1.7,
-# 4.8-5.7 and 9.4-12.3 s.
+# 0.02-0.03, 0.05-0.06, 0.08, 0.14-0.15, 0.44-0.52, 1.14-1.17,
+# 3.5-4.3 and 10.2-10.9 s.
 SCALE_CORPUS = [
     (15, 16, 8, 3, 1.0),
     (15, 20, 10, 1, 4.0),
@@ -39,7 +39,7 @@ SCALE_CORPUS = [
     (3, 96, 48, 1, 35.0),
     (3, 128, 64, 1, 65.0),
 ]
-# (k, n, m, seed) -> generation budget in seconds; measured 0.69-0.70 s.
+# (k, n, m, seed) -> generation budget in seconds; measured 0.69-0.74 s.
 GEN_BUDGETS = {(3, 128, 64, 1): 4.0}
 
 

@@ -17,7 +17,7 @@ from hullattack.lattices import (
 )
 from hullattack.linalg import RatMatrix
 from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
-from oracles import gram as gram_of, o_hat
+from oracles import o_hat
 
 
 def scaled_zn(n, k):
@@ -82,11 +82,10 @@ def test_assembly_returns_none_without_orthogonal_family():
 
 
 def honest_transform(h):
-    """A stand-in for lll_gram that returns h and the true H.G.H^T."""
+    """A stand-in for lll_gram that returns the transform h."""
 
     def fake(gram, delta_num, delta_den):
-        hg = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in h]
-        return h, [[sum(a * b for a, b in zip(row, hj)) for hj in h] for row in hg]
+        return h
 
     return fake
 
@@ -103,25 +102,20 @@ def test_transform_of_determinant_two_rejected(monkeypatch, k):
         solve_scaled_zlip(lat.gram_record.cleared, k)
 
 
-@pytest.mark.parametrize("reported", ["true", "claimed"])
-def test_enumeration_fallback_through_solver(monkeypatch, reported):
-    # LLL is made to hand back the unreduced basis; its Gram matrix is
-    # recomputed from G and H, so a kernel that claims k^2.den.I is not believed.
+@pytest.mark.parametrize(
+    "handed", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 1, 1]]],
+    ids=["identity", "shear"],
+)
+def test_enumeration_fallback_through_solver(monkeypatch, handed):
+    # LLL is made to hand back an unreduced basis, the given one or a
+    # shear of it; its Gram matrix H.G.H^T is formed from G by the solver,
+    # which then enumerates.
     n, k = 3, 5
     unimodular = RatMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     lat = rotate(
         LatticeBasis(n, unimodular.scale(Fraction(k))), random_rational_orthogonal(n, seed=7)
     )
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    if reported == "true":
-        fake = honest_transform(ident)
-    else:
-
-        def fake(gram, delta_num, delta_den):
-            den = gram_of(lat).clear_denominators()[1]
-            return ident, [[k * k * den * x for x in row] for row in ident]
-
-    monkeypatch.setattr(zlip, "lll_gram", fake)
+    monkeypatch.setattr(zlip, "lll_gram", honest_transform(handed))
     sol, image = solved_image(lat, k)
     assert sol.method == "enumeration"
     assert lattice_equal(image, scaled_zn(n, k))
