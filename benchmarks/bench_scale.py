@@ -15,10 +15,19 @@ JSON and then times, in process time:
   verify  verify_isomorphism on lattices parsed again, with no
           certificate, so it takes its own inverse of G1.
 
+On a shared host the same stage can take up to 1.8 times as long while a
+neighbour loads the sibling hyperthread.  So each stage sits between two
+samples of perfbench's fixed reference kernel (perfbench/calibrate.py,
+taken from this script's own checkout, so both trees are gauged alike),
+and beside its raw process time it gets a load-corrected time: the raw
+time divided by the mean of the two samples, times REFERENCE_S, which
+reads as seconds on an unshared core.
+
 It also records the sha256 of the attack's result JSON; the script stops
 if the two trees disagree on it, or if an attack is not verified.
-benchmarks/BENCH_<NAME>.json keeps every run and, per cell and tree, the
-median of each stage, with the parent-to-change ratio of the medians.
+benchmarks/BENCH_<NAME>.json keeps every run (raw and corrected) and,
+per cell and tree, the median of each stage's corrected time, with the
+parent-to-change ratio of those medians.
 """
 
 import argparse
@@ -33,10 +42,26 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+import calibrate  # noqa: E402  (perfbench/calibrate.py)
+
 GRID = ((15, 32, 16), (3, 64, 32), (3, 96, 48))
 SEED = 1
 STAGES = ("parse", "attack", "verify")
 TREES = ("parent", "change")
+
+
+def timed(fn, out: dict, stage: str):
+    """fn(), with its process time in out["raw_s"][stage] and the
+    load-corrected time (see the module docstring) in out["corrected_s"]."""
+    before = calibrate.sample()
+    t0 = time.process_time()
+    result = fn()
+    t = time.process_time() - t0
+    after = calibrate.sample()
+    out["raw_s"][stage] = t
+    out["corrected_s"][stage] = t * calibrate.REFERENCE_S / ((before + after) / 2)
+    return result
 
 
 def child(root: str, k: int, n: int, m: int, seed: int) -> None:
@@ -52,17 +77,11 @@ def child(root: str, k: int, n: int, m: int, seed: int) -> None:
         pub = json.loads(text)["public"]
         return LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
 
-    out = {}
-    t0 = time.process_time()
+    out = {"raw_s": {}, "corrected_s": {}}
+    l1, l2 = timed(parse, out, "parse")
+    res = timed(lambda: hull_attack(l1, l2), out, "attack")
     l1, l2 = parse()
-    out["parse"] = time.process_time() - t0
-    t0 = time.process_time()
-    res = hull_attack(l1, l2)
-    out["attack"] = time.process_time() - t0
-    l1, l2 = parse()
-    t0 = time.process_time()
-    out["ok"] = verify_isomorphism(l1, l2, res.o_star.matrix)
-    out["verify"] = time.process_time() - t0
+    out["ok"] = timed(lambda: verify_isomorphism(l1, l2, res.o_star.matrix), out, "verify")
     out["sha256"] = hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest()
     print(json.dumps(out))
 
@@ -95,7 +114,8 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = {
         "command": f"benchmarks/bench_scale.py --reps {args.reps}",
-        "clock": "process time",
+        "clock": "process time, load-corrected by perfbench/calibrate.py",
+        "reference_s": calibrate.REFERENCE_S,
         "seed": SEED,
         "reps": args.reps,
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count()},
@@ -113,11 +133,12 @@ def main(argv=None) -> int:
             runs.append(rep)
             print(f"{cell} rep {i + 1}/{args.reps} done", file=sys.stderr)
         medians = {
-            tree: {s: statistics.median(r[tree][s] for r in runs) for s in STAGES} for tree in TREES
+            tree: {s: statistics.median(r[tree]["corrected_s"][s] for r in runs) for s in STAGES}
+            for tree in TREES
         }
         ratio = {s: medians["parent"][s] / medians["change"][s] for s in STAGES}
         out["cells"]["k={} n={} m={}".format(*cell)] = {
-            "median_s": medians,
+            "median_corrected_s": medians,
             "parent_over_change": ratio,
             "runs": runs,
         }

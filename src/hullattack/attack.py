@@ -151,7 +151,7 @@ def _assemble(
     gcd brings the quotient to lowest terms.  The product of orthonormal
     factors is checked once, as the witness.
     """
-    (a1, db1), (a2, db2) = l1.basis.clear_denominators(), l2.basis.clear_denominators()
+    (a1, db1), (a2, db2) = (l1.basis.num, l1.basis.den), (l2.basis.num, l2.basis.den)
     f1 = [[sum(map(mul, row, col)) for col in zip(*a1)] for row in t1.entries]
     f2 = [[sum(map(mul, row, col)) for col in zip(*a2)] for row in t2.entries]
     moved = [None] * s.n
@@ -185,7 +185,7 @@ def verify_isomorphism(
     l1: LatticeBasis,
     l2: LatticeBasis,
     o_star: RatMatrix | RationalOrthogonal,
-    certificate: IntMatrix | RatMatrix | None = None,
+    certificate: IntMatrix | None = None,
 ) -> bool:
     """o_star is orthonormal and maps L2 onto L1 (no exceptions).
 
@@ -197,10 +197,10 @@ def verify_isomorphism(
     two Gram records.  With B_i = A_i / e_i and o_star = M / D as stored,
     the image is A2 . M^T / (e2 . D), formed over the integers.
 
-    With a `certificate` T* (an IntMatrix, or a RatMatrix that must be
-    integral), T is not computed but checked: T* . B1 = B2 . o_star^T,
-    i.e. T* . A1 . e2 . D = A2 . M^T . e1, row by row.  Products only,
-    no inverse, determinant, HNF or LLL once the two |det L| are cached.
+    With a `certificate` T*, an integer matrix, T is not computed but
+    checked: T* . B1 = B2 . o_star^T, i.e. T* . A1 . e2 . D = A2 . M^T . e1,
+    row by row.  Products only, no inverse, determinant, HNF or LLL once
+    the two |det L| are cached.
     Without one, B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so
     T = (A2 . M^T . A1^T) . den . G1^-1 / (e1 . e2 . D) is tested entry
     by entry against the Bareiss inverse of G1; the first non-integral
@@ -218,15 +218,10 @@ def verify_isomorphism(
             return False
     if not n == l2.n == o_star.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
         return False
-    if certificate is not None:
-        if certificate.rows != n or certificate.cols != n:
-            return False
-        if isinstance(certificate, RatMatrix):
-            if not certificate.is_integral():
-                return False
-            certificate = certificate.to_int()
-    m, d = o_star.matrix.clear_denominators()
-    (a1, e1), (a2, e2) = l1.basis.clear_denominators(), l2.basis.clear_denominators()
+    if certificate is not None and (certificate.rows != n or certificate.cols != n):
+        return False
+    m, d = o_star.matrix.num, o_star.matrix.den
+    (a1, e1), (a2, e2) = (l1.basis.num, l1.basis.den), (l2.basis.num, l2.basis.den)
     # The rows of M are the columns of M^T, and likewise for A1.
     if certificate is not None:
         f, cols = e2 * d, list(zip(*a1))

@@ -98,25 +98,22 @@ def is_free_lcd(c: LinearCode) -> bool:
 class ClosureMatrices:
     """Integer matrices behind the signed closures.
 
-    interleave maps x to (x_1, -x_1, ..., x_n, -x_n); deinterleave is its
-    right inverse (interleave . deinterleave = identity over Z).  For
-    k = 2m with m odd, extended appends the block m*I, mapping x to
+    interleave maps x to (x_1, -x_1, ..., x_n, -x_n); reading back every
+    other coordinate is a right inverse over Z.  For k = 2m with m odd,
+    extended appends the block m*I, mapping x to
     (x_1, -x_1, ..., x_n, -x_n, m*x_1, ..., m*x_n).
     """
 
     n: int
     interleave: IntMatrix
-    deinterleave: IntMatrix
     extended: IntMatrix | None
 
 
 def closure_matrices(n: int, k: int | None = None) -> ClosureMatrices:
     inter = [[0] * (2 * n) for _ in range(n)]
-    deinter = [[0] * n for _ in range(2 * n)]
     for i in range(n):
         inter[i][2 * i] = 1
         inter[i][2 * i + 1] = -1
-        deinter[2 * i][i] = 1
     ext = None
     if k is not None:
         if k % 2 or k % 4 == 0:
@@ -124,12 +121,7 @@ def closure_matrices(n: int, k: int | None = None) -> ClosureMatrices:
         m = k // 2
         ext = [row + [m * int(i == j) for j in range(n)] for i, row in enumerate(inter)]
         ext = IntMatrix.from_rows(ext)
-    return ClosureMatrices(
-        n=n,
-        interleave=IntMatrix.from_rows(inter),
-        deinterleave=IntMatrix.from_rows(deinter),
-        extended=ext,
-    )
+    return ClosureMatrices(n=n, interleave=IntMatrix.from_rows(inter), extended=ext)
 
 
 def _inherit_closure(c: LinearCode, t: IntMatrix) -> LinearCode:

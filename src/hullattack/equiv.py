@@ -28,7 +28,6 @@ from .errors import (
     BadModulus,
     DimensionMismatch,
     ExtractionExhausted,
-    NotSymmetric,
     ParseError,
     TooLarge,
     VerificationFailed,
@@ -60,48 +59,8 @@ class SignedPerm:
     def n(self) -> int:
         return len(self.sigma)
 
-    @staticmethod
-    def identity(n: int) -> "SignedPerm":
-        return SignedPerm(tuple(range(n)), (1,) * n)
-
     def apply_to(self, code: LinearCode) -> LinearCode:
         return apply_signed_perm(code, self.sigma, self.signs)
-
-    def to_dict(self) -> dict:
-        return {"sigma": list(self.sigma), "signs": list(self.signs)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "SignedPerm":
-        try:
-            return SignedPerm(tuple(int(x) for x in d["sigma"]), tuple(int(x) for x in d["signs"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad signed permutation JSON: {exc}") from None
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Complete graph on n vertices with edge and vertex weights in Z_k
-    (weight 0 plays the role of a non-edge during refinement)."""
-
-    k: int
-    adjacency: ModMatrix
-
-    def __post_init__(self):
-        a = self.adjacency
-        if a.rows != a.cols:
-            raise NotSymmetric("adjacency matrix must be square")
-        if a.entries != a.transpose().entries:
-            raise NotSymmetric("adjacency matrix must be symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.rows
-
-
-def graph_from_projection(pi: ModMatrix) -> WeightedGraph:
-    """Projection matrices are symmetric, so they are weighted graphs."""
-    return WeightedGraph(k=pi.k, adjacency=pi)
-
 
 def _neighbours(a) -> list[tuple[list[int], list[int]]]:
     """Per vertex, the indices and weights of its nonzero off-diagonal
@@ -148,9 +107,14 @@ def _refine(nbrs1, nbrs2, colors1, colors2, k):
 
 
 def solve_weighted_gi(
-    g1: WeightedGraph, g2: WeightedGraph, stats: dict | None = None
+    pi1: ModMatrix, pi2: ModMatrix, stats: dict | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All isomorphisms p with A1[i][j] == A2[p(i)][p(j)], lazily.
+
+    A1 and A2 are the entries of two symmetric matrices over Z_k (code
+    projectors, built symmetric), read as complete graphs with edge and
+    vertex weights in Z_k; weight 0 plays the role of a non-edge during
+    refinement.
 
     Individualization-refinement with deterministic branching: target
     cell of lowest color id, candidates in ascending vertex order (McKay
@@ -161,14 +125,13 @@ def solve_weighted_gi(
     """
     if stats is not None:
         stats.setdefault("nodes", 0)
-    if g1.k != g2.k or g1.n != g2.n:
+    if pi1.k != pi2.k or pi1.rows != pi2.rows:
         return
-    n, k = g1.n, g1.k
+    n, k = pi1.rows, pi1.k
     if n == 0:
         yield ()
         return
-    a1 = g1.adjacency.entries
-    a2 = g2.adjacency.entries
+    a1, a2 = pi1.entries, pi2.entries
     nbrs1 = _neighbours(a1)
     nbrs2 = _neighbours(a2)
 
@@ -226,26 +189,6 @@ class EquivResult:
     perm: SignedPerm | None = None
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        d: dict = {"outcome": self.outcome}
-        if self.perm is not None:
-            d["sigma"] = list(self.perm.sigma)
-            d["signs"] = list(self.perm.signs)
-        if self.reason is not None:
-            d["reason"] = self.reason
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "EquivResult":
-        try:
-            outcome = d["outcome"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad equivalence JSON: {exc}") from None
-        perm = None
-        if "sigma" in d:
-            perm = SignedPerm.from_dict(d)
-        return EquivResult(outcome=outcome, perm=perm, reason=d.get("reason"))
-
 
 def _require_comparable(c1: LinearCode, c2: LinearCode) -> None:
     if c1.k != c2.k or c1.n != c2.n:
@@ -262,9 +205,7 @@ def pep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResul
     code-level verification.
     """
     _require_comparable(c1, c2)
-    g1 = graph_from_projection(projection_matrix(c1))
-    g2 = graph_from_projection(projection_matrix(c2))
-    for p in solve_weighted_gi(g1, g2, stats):
+    for p in solve_weighted_gi(projection_matrix(c1), projection_matrix(c2), stats):
         inv = [0] * len(p)
         for i, v in enumerate(p):
             inv[v] = i
@@ -327,10 +268,9 @@ def spep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResu
         raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
     if stats is not None:
         stats["mode"] = mode
-    g1 = graph_from_projection(closure_projection(c1, mode))
-    g2 = graph_from_projection(closure_projection(c2, mode))
+    p1, p2 = closure_projection(c1, mode), closure_projection(c2, mode)
     tried = 0
-    for p in solve_weighted_gi(g1, g2, stats):
+    for p in solve_weighted_gi(p1, p2, stats):
         tried += 1
         if stats is not None:
             stats["solutions_tried"] = tried

@@ -25,10 +25,6 @@ class Singular(HullAttackError):
     """Matrix (or basis) does not have full rank."""
 
 
-class NotSymmetric(HullAttackError):
-    """A symmetric matrix was required."""
-
-
 class NotAUnit(HullAttackError):
     """Element or determinant is not invertible modulo k."""
 
@@ -44,10 +40,6 @@ class NotFreeLcd(HullAttackError):
 
 class NotIntegral(HullAttackError):
     """Lattice basis has non-integer entries where integers are required."""
-
-
-class DoesNotContainKZn(HullAttackError):
-    """Integral lattice does not contain k·Z^n."""
 
 
 class NotARotation(HullAttackError):

@@ -3,15 +3,13 @@
 A LatticeBasis keeps the literal basis rows it was built with (rotations
 must preserve the Gram matrix, so rows are never silently rebased), as
 one integer matrix over one denominator (`RatMatrix`).
-Its determinant and inverse come from one integer Gram record,
-B.B^T = G/den in lowest terms, whose entries stay small where the
-basis entries of a rotated lattice do not.  |det B| is sqrt(det G),
-taken exactly; B^-1 is B^T.G^-1, from the lazily cached G^-1.  A
-rotation is an orthonormal image with the same G, so it shares the
-record of the lattice it came from, G^-1 included.  The attack never
-asks for G^-1: only membership (`contains`), `mod_reduce_to_code` and
-the verifier run without a certificate take it, on lattices that come
-from outside.
+Its determinant comes from one integer Gram record, B.B^T = G/den in
+lowest terms, whose entries stay small where the basis entries of a
+rotated lattice do not: |det B| is sqrt(det G), taken exactly.  The
+record also caches G^-1, which only the verifier run without a
+certificate takes, on a lattice that comes from outside; a basis has no
+inverse of its own.  A rotation is an orthonormal image with the same
+G, so it shares the record of the lattice it came from.
 The attack moves between lattices by integer transforms of a basis,
 and reads each through the Gram record instead of forming the new
 basis: the rows C.B of an integer C have Gram matrix C.G.C^T/den
@@ -25,10 +23,9 @@ Rows are checked independent only where outside data enters, in
 construction (Construction A is an HNF with nonzero pivots, lifted from
 the code's Howell form, a rotation is an orthonormal image, a hull is
 full-rank integer coefficients times the lattice's basis).
-Set-level questions need no canonical form: two bases span the same
-lattice when one is a unimodular recombination of the other (decided
-by `same_lattice` in `lattice_equal`), and a vector lies in the lattice
-when its coordinates in the basis are integers.
+Whether two bases span the same lattice is decided in one place,
+`attack.verify_isomorphism`, and this module has no other membership
+or equality test.
 """
 
 from __future__ import annotations
@@ -40,14 +37,8 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .codes import LinearCode, from_generator
-from .errors import (
-    DimensionMismatch,
-    DoesNotContainKZn,
-    NotARotation,
-    NotIntegral,
-    ParseError,
-)
+from .codes import LinearCode
+from .errors import DimensionMismatch, NotARotation, NotIntegral, ParseError
 from .linalg import (
     IntMatrix,
     RatMatrix,
@@ -55,7 +46,6 @@ from .linalg import (
     congruence,
     inv_int_rows,
     json_int,
-    same_lattice,
     symmetric_product,
 )
 from .modring import ModMatrix, kernel_mod
@@ -86,7 +76,7 @@ class GramRecord:
     @cached_property
     def cleared(self) -> tuple[list[list[int]], int]:
         """(G, den) with B.B^T = G/den in lowest terms."""
-        a, db = self._basis.clear_denominators()
+        a, db = self._basis.num, self._basis.den
         return _lowest_terms(symmetric_product(a, a), db * db)
 
     @cached_property
@@ -129,26 +119,6 @@ class LatticeBasis:
     def abs_det(self) -> Fraction:
         """|det B| from the Gram record; 0 when the rows are dependent."""
         return self.gram_record.abs_det
-
-    @cached_property
-    def _inverse(self) -> tuple[list[list[int]], int]:
-        """(N, q) with B^-1 = N / q.  B^-1 = B^T.(B.B^T)^-1: with B = A/db
-        and B.B^T = G/den, that is den.A^T.G^-1/db, so the only inverse
-        taken is the Gram record's."""
-        a, db = self.basis.clear_denominators()
-        (_, den), (ginv, q) = self.gram_record.cleared, self.gram_record.inverse
-        # G^-1 is symmetric, so its rows are its columns.
-        return [[den * sum(map(mul, col, row)) for row in ginv] for col in zip(*a)], db * q
-
-    def contains(self, v) -> bool:
-        """Exact membership of a rational vector: v . B^-1 is integral."""
-        v = [Fraction(x) for x in v]
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.n}")
-        dv = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (dv // x.denominator) for x in v]
-        inv, q = self._inverse
-        return all(sum(map(mul, w, col)) % (dv * q) == 0 for col in zip(*inv))
 
     def to_dict(self) -> dict:
         d = self.basis.to_dict()
@@ -255,12 +225,6 @@ def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
     return IntMatrix(_hermite_lift(kernel_mod(ModMatrix.from_rows(big, scaled))))
 
 
-def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
-    """The s-hull: the intersection of L with s times its dual (see
-    `hull_coefficients`)."""
-    return LatticeBasis(lattice.n, hull_coefficients(lattice, s).to_rat().mul(lattice.basis))
-
-
 def sublattice_gram(lattice: LatticeBasis, c: IntMatrix) -> tuple[list[list[int]], int]:
     """The Gram record (G', den') of the rows C.B for an integer C, without
     forming C.B: (C.B).(C.B)^T = C.G.C^T/den, brought to lowest terms.
@@ -300,38 +264,6 @@ def rotated_rows(lattice: LatticeBasis, t: IntMatrix, s: int) -> IntMatrix:
     if any(x % q for row in rows for x in row):
         raise NotIntegral("rotated lattice has non-integer entries")
     return IntMatrix(tuple(tuple(x // q for x in row) for row in rows))
-
-
-def integral_rotation(lattice: LatticeBasis, t: IntMatrix, s: int) -> LatticeBasis:
-    """`rotated_rows` as a lattice, which shares the input's Gram record."""
-    return LatticeBasis(lattice.n, rotated_rows(lattice, t, s).to_rat(), lattice.gram_record)
-
-
-def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Set-level equality: each basis is a unimodular recombination of
-    the other (see `same_lattice`)."""
-    return a.n == b.n and same_lattice(a.basis, b.basis)
-
-
-def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode:
-    """Recover the code C with L = C + k*Z^n from an integral lattice
-    containing k*Z^n.
-
-    Row i of k . B^-1 holds the coordinates of k*e_i in the basis, so
-    k*Z^n lies in L exactly when k . B^-1 is integral; B^-1 comes from the
-    Gram record's inverse.  This is the check for a lattice from outside;
-    the attack reads its codes off `rotated_rows`, whose inverse T/k it
-    already knows.
-    """
-    if not lattice.basis.is_integral():
-        raise NotIntegral("lattice basis has non-integer entries")
-    n = lattice.n
-    inv, q = lattice._inverse
-    for i, row in enumerate(inv):
-        if any(k * x % q for x in row):
-            raise DoesNotContainKZn(f"k*e_{i + 1} is not in the lattice")
-    rows = [[x % k for x in row] for row in lattice.basis.num]
-    return from_generator(ModMatrix.from_rows(k, rows, n))
 
 
 def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> RationalOrthogonal:

@@ -7,8 +7,9 @@ rounds, so every downstream equality check is a real equality.
 
 A rational product is one integer product over the product of the two
 denominators, brought back to lowest terms by one gcd; no Fraction is
-built per entry.  Fractions appear only where one rational is the
-answer (`det`) and in the Gram-Schmidt data of short-vector enumeration.
+built per entry.  Fractions appear only where rational input is read
+(`RatMatrix.from_rows`, and `from_dict` on entries other than "p" and
+"p/q") and in the Gram-Schmidt data of short-vector enumeration.
 """
 
 from __future__ import annotations
@@ -61,22 +62,6 @@ class IntMatrix:
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(x) for row in self.entries for x in row],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "IntMatrix":
-        rows, cols, flat = _check_matrix_dict(d)
-        try:
-            vals = [int(s) for s in flat]
-        except ValueError as exc:
-            raise ParseError(f"bad integer entry: {exc}") from None
-        return IntMatrix(tuple(tuple(vals[i * cols : (i + 1) * cols]) for i in range(rows)))
 
 
 @dataclass(frozen=True)
@@ -148,24 +133,6 @@ class RatMatrix:
             for i, a in enumerate(rows)
             for j, b in enumerate(rows[i:], i)
         )
-
-    def scale(self, c: Fraction) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix.over(
-            [[c.numerator * x for x in row] for row in self.num], self.den * c.denominator
-        )
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def clear_denominators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(den * self as int rows, den): the stored pair."""
-        return self.num, self.den
-
-    def to_int(self) -> IntMatrix:
-        if self.den != 1:
-            raise ParseError("matrix has non-integer entries")
-        return IntMatrix(self.num)
 
     def to_dict(self) -> dict:
         """Entries as "p" or "p/q" in lowest terms, row by row."""
@@ -336,57 +303,6 @@ def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:
         if m[i][i] != den:
             raise AssertionError("fraction-free elimination lost its diagonal invariant")
     return [m[i][n:] for i in range(n)], den
-
-
-def rat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square rational matrix."""
-    if m.rows != m.cols:
-        raise NonSquare("inverse needs a square matrix")
-    inv, idet = inv_int_rows(m.num)
-    # (N/den)^-1 = den . N^-1
-    return RatMatrix.over([[m.den * x for x in row] for row in inv], idet)
-
-
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    if m.rows != m.cols:
-        raise NonSquare("determinant needs a square matrix")
-    return Fraction(bareiss_det(m.num), m.den**m.rows)
-
-
-def dual_basis(b: RatMatrix) -> RatMatrix:
-    """Basis D of the dual lattice: D . B^T = I."""
-    if b.rows != b.cols:
-        raise NonSquare("dual basis needs a square basis")
-    return rat_inverse(b.transpose())
-
-
-def same_lattice(a: RatMatrix, b: RatMatrix) -> bool:
-    """Whether the rows of a and of a nonsingular b span the same lattice.
-
-    They do exactly when T = a . b^-1 is an integer matrix with
-    |det T| = 1.  With a = A/da and b = B/db cleared to integers and
-    B^-1 = N/D from the fraction-free inverse, T = db . A . N / (da . D);
-    the first non-integral entry ends the test.  No HNF is taken.
-    Raises NonSquare unless both are n x n, Singular when b is singular.
-    """
-    n = b.rows
-    if b.cols != n or a.rows != n or a.cols != n:
-        raise NonSquare(f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    (sa, da), (sb, db) = a.clear_denominators(), b.clear_denominators()
-    inv, d = inv_int_rows(sb)
-    q = da * d
-    cols = list(zip(*inv))
-    t = []
-    for row in sa:
-        out = []
-        for col in cols:
-            num, rem = divmod(db * sum(map(mul, row, col)), q)
-            if rem:
-                return False
-            out.append(num)
-        t.append(out)
-    return abs(bareiss_det(t)) == 1
 
 
 def gram_schmidt(gram) -> tuple[list[list[Fraction]], list[Fraction]]:

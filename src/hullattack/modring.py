@@ -48,10 +48,6 @@ class ModMatrix:
             raise ParseError("empty matrix needs an explicit column count")
         return ModMatrix(k, cols, tuple(rows))
 
-    @staticmethod
-    def identity(k: int, n: int) -> "ModMatrix":
-        return ModMatrix.from_rows(k, [[int(i == j) for j in range(n)] for i in range(n)], n)
-
     def transpose(self) -> "ModMatrix":
         if not self.entries:
             return ModMatrix(self.k, 0, tuple(() for _ in range(self.cols)))

@@ -3,16 +3,23 @@
 The row HNF by elimination, the canonical basis built on it, the LLL
 that keeps the whole transformed Gram matrix current, and the
 Fraction-per-entry forms of rational matrices serve as oracles for the
-integer code that replaced them; `gram`, `o_hat` and `lll_rows` are the
+integer code that replaced them.  The rational inverse, determinant and
+dual basis, lattice equality by a unimodular change of basis, and
+membership and code reading through B^-1 are the side routes the library
+dropped for `attack.verify_isomorphism`; they stay here as independent
+checks of it.  `gram`, `o_hat`, `s_hull` and `lll_rows` are the
 test-only conveniences that used to live in the library.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
+from hullattack.codes import LinearCode, from_generator
+from hullattack.errors import NonSquare
 from hullattack.kernels import xgcd
-from hullattack.lattices import LatticeBasis, RationalOrthogonal
-from hullattack.linalg import IntMatrix, RatMatrix
+from hullattack.lattices import LatticeBasis, RationalOrthogonal, hull_coefficients
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, inv_int_rows
 from hullattack.modring import ModMatrix, kernel_mod
 
 
@@ -71,8 +78,7 @@ def hnf(m: IntMatrix) -> IntMatrix:
 def canonical_basis(b: RatMatrix) -> RatMatrix:
     """Canonical representative of the row lattice of b: clear the common
     denominator, take the HNF, scale back.  Unique per lattice."""
-    scaled, den = b.clear_denominators()
-    return RatMatrix.over(hnf_rows(scaled, b.cols), den)
+    return RatMatrix.over(hnf_rows(b.num, b.cols), b.den)
 
 
 def lll_gram(gram, delta_num, delta_den):
@@ -210,7 +216,66 @@ def gram(lattice: LatticeBasis) -> RatMatrix:
 def o_hat(sol, basis: RatMatrix) -> RationalOrthogonal:
     """U.B/k for the ZLIP solution of the basis B whose Gram matrix was
     solved: the orthonormal transform with rotate(lattice, o_hat) = k*Z^n."""
-    return RationalOrthogonal(sol.u.to_rat().mul(basis).scale(Fraction(1, sol.k)))
+    frame = sol.u.to_rat().mul(basis)
+    return RationalOrthogonal(RatMatrix.over(frame.num, frame.den * sol.k))
+
+
+def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
+    """The s-hull as a basis: the rows C.B for C = hull_coefficients."""
+    return LatticeBasis(lattice.n, hull_coefficients(lattice, s).to_rat().mul(lattice.basis))
+
+
+def det(m: RatMatrix) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    if m.rows != m.cols:
+        raise NonSquare("determinant needs a square matrix")
+    return Fraction(bareiss_det(m.num), m.den**m.rows)
+
+
+def rat_inverse(m: RatMatrix) -> RatMatrix:
+    """Exact inverse of a square rational matrix: (N/den)^-1 = den.N^-1."""
+    if m.rows != m.cols:
+        raise NonSquare("inverse needs a square matrix")
+    inv, idet = inv_int_rows(m.num)
+    return RatMatrix.over([[m.den * x for x in row] for row in inv], idet)
+
+
+def dual_basis(b: RatMatrix) -> RatMatrix:
+    """Basis D of the dual lattice: D . B^T = I."""
+    return rat_inverse(b.transpose())
+
+
+def same_lattice(a: RatMatrix, b: RatMatrix) -> bool:
+    """Whether the rows of a and of a nonsingular b span the same lattice:
+    T = a . b^-1 is an integer matrix with |det T| = 1.  Raises NonSquare
+    unless both are n x n, Singular when b is singular."""
+    n = b.rows
+    if b.cols != n or a.rows != n or a.cols != n:
+        raise NonSquare(f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    t = a.mul(rat_inverse(b))
+    return t.den == 1 and abs(bareiss_det(t.num)) == 1
+
+
+def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
+    """Set-level equality of two lattices (see `same_lattice`)."""
+    return a.n == b.n and same_lattice(a.basis, b.basis)
+
+
+_inverse = lru_cache(maxsize=16)(rat_inverse)
+
+
+def contains(lattice: LatticeBasis, v) -> bool:
+    """Exact membership of a rational vector: v . B^-1 is integral."""
+    return RatMatrix.from_rows([v]).mul(_inverse(lattice.basis)).den == 1
+
+
+def mod_reduce_to_code(lattice: LatticeBasis, k: int) -> LinearCode | None:
+    """The code C with L = C + kZ^n, read off an integral basis mod k;
+    None unless the basis is integral and contains kZ^n, i.e. k.B^-1 is
+    integral."""
+    if lattice.basis.den != 1 or k % rat_inverse(lattice.basis).den:
+        return None
+    return from_generator(ModMatrix.from_rows(k, lattice.basis.num, lattice.n))
 
 
 def fractions(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -132,7 +132,7 @@ class TestLllGram:
     @given(bases(st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3))))
     def test_rational_basis_through_cleared_gram(self, rows):
         b = RatMatrix.from_rows(rows)
-        gram, _ = b.mul(b.transpose()).clear_denominators()
+        gram = b.mul(b.transpose()).num
         h = kernels.lll_gram(gram, 99, 100)
         assert RatMatrix.from_rows(apply(h, rows)) == reference_lll(b, Fraction(99, 100))
         assert abs(bareiss_det(h)) == 1

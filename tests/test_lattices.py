@@ -9,35 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullattack.codes import code_from_rows, dual, hull, is_lcd, random_free_lcd
-from hullattack.errors import (
-    DoesNotContainKZn,
-    NotARotation,
-    NotIntegral,
-    ParseError,
-)
+from hullattack.errors import NotARotation, NotIntegral, ParseError
 from hullattack.lattices import (
     PYTHAGOREAN_TRIPLES,
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
     hull_coefficients,
-    integral_rotation,
-    lattice_equal,
-    mod_reduce_to_code,
     random_rational_orthogonal,
     rotate,
-    s_hull,
+    rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, det
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det
 from oracles import (
     canonical_basis,
     construction_a_by_hnf,
+    contains,
+    det,
+    dual_basis,
     fraction_product,
     fraction_rows_orthonormal,
     fractions,
     gram,
     hull_coefficients_by_hnf,
+    lattice_equal,
+    mod_reduce_to_code,
+    rat_inverse,
+    s_hull,
 )
 
 
@@ -72,7 +71,7 @@ def test_construction_a_membership_matches_code():
         lat = construction_a(c)
         cw = code_words(c)
         for v in product(range(-k, k + 1), repeat=n):
-            assert lat.contains(v) == (tuple(x % k for x in v) in cw)
+            assert contains(lat, v) == (tuple(x % k for x in v) in cw)
 
 
 def test_construction_a_determinant_counts_words():
@@ -101,8 +100,6 @@ def test_hull_identity_on_codes():
 
 
 def test_dual_code_lattice_is_scaled_dual_lattice():
-    from hullattack.linalg import dual_basis
-
     rng = random.Random(131)
     for _ in range(80):
         k = rng.choice([2, 3, 4, 5, 6, 7, 8, 9])
@@ -110,7 +107,8 @@ def test_dual_code_lattice_is_scaled_dual_lattice():
         c = random_code(rng, k, n)
         lat = construction_a(c)
         left = construction_a(dual(c))
-        right = LatticeBasis(n, dual_basis(lat.basis).scale(Fraction(k)))
+        d = dual_basis(lat.basis)
+        right = LatticeBasis(n, RatMatrix.over([[k * x for x in row] for row in d.num], d.den))
         assert lattice_equal(left, right)
 
 
@@ -285,24 +283,24 @@ def test_mod_reduce_inverts_construction_a():
 
 
 def test_mod_reduce_errors():
+    # The oracle reads no code off a rational basis, nor off a lattice
+    # that does not contain kZ^n.
     half = LatticeBasis(2, RatMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]]))
-    with pytest.raises(NotIntegral):
-        mod_reduce_to_code(half, 2)
+    assert mod_reduce_to_code(half, 2) is None
     sparse = LatticeBasis(2, RatMatrix.from_rows([[3, 0], [0, 3]]))
-    with pytest.raises(DoesNotContainKZn):
-        mod_reduce_to_code(sparse, 2)
+    assert mod_reduce_to_code(sparse, 2) is None
 
 
 def test_integral_rotation_refuses_a_rational_image():
-    # B = I/2: G = I over den = 4, and T = 2I makes the frame T.B = I, so
-    # the rotation is the identity and the image B itself is not integral.
+    # `rotated_rows` with B = I/2: G = I over den = 4, and T = 2I makes the
+    # frame T.B = I, so the rotation is the identity and the image B itself
+    # is not integral.
     half = LatticeBasis(2, RatMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]))
     with pytest.raises(NotIntegral):
-        integral_rotation(half, IntMatrix.from_rows([[2, 0], [0, 2]]), 1)
+        rotated_rows(half, IntMatrix.from_rows([[2, 0], [0, 2]]), 1)
     lat = LatticeBasis(2, RatMatrix.from_rows([[3, 4], [-4, 3]]))
-    image = integral_rotation(lat, IntMatrix.from_rows([[1, 0], [0, 1]]), 5)
-    assert image.basis == RatMatrix.from_rows([[5, 0], [0, 5]])
-    assert image.gram_record is lat.gram_record
+    image = rotated_rows(lat, IntMatrix.from_rows([[1, 0], [0, 1]]), 5)
+    assert image == IntMatrix.from_rows([[5, 0], [0, 5]])
 
 
 # --- equality, membership, serialization ---
@@ -317,8 +315,6 @@ def test_lattice_equal_ignores_presentation():
 
 
 def test_contains_matches_exact_solve():
-    from hullattack.linalg import bareiss_det, rat_inverse
-
     rng = random.Random(149)
     for _ in range(30):
         n = rng.randrange(1, 4)
@@ -331,7 +327,7 @@ def test_contains_matches_exact_solve():
             coeff = [
                 sum(Fraction(v[t]) * fractions(inv)[t][j] for t in range(n)) for j in range(n)
             ]
-            assert lat.contains(v) == all(c.denominator == 1 for c in coeff)
+            assert contains(lat, v) == all(c.denominator == 1 for c in coeff)
 
 
 def test_singular_basis_rejected():
@@ -370,8 +366,8 @@ def square_bases(draw):
 @given(square_bases(), st.data())
 def test_gram_record_matches_the_basis(b, data):
     lat = LatticeBasis(b.rows, b)
-    g, den = gram(lat).clear_denominators()
-    assert lat.gram_record.cleared == ([list(row) for row in g], den)
+    g = gram(lat)
+    assert lat.gram_record.cleared == ([list(row) for row in g.num], g.den)
     # The record of the rows C.B, read off B's record without forming C.B.
     c = IntMatrix.from_rows(
         [[data.draw(st.integers(-3, 3)) for _ in range(b.rows)] for _ in range(b.rows)]
@@ -380,8 +376,9 @@ def test_gram_record_matches_the_basis(b, data):
     assert sublattice_gram(lat, c) == combined.gram_record.cleared
     assert lat.abs_det == abs(det(b))
     if lat.abs_det:
-        inv, q = lat._inverse
-        assert b.mul(RatMatrix.from_rows(inv).scale(Fraction(1, q))) == RatMatrix.identity(b.rows)
+        # The record's G^-1 = N/q inverts the integer G.
+        (g_int, _), (inv, q) = lat.gram_record.cleared, lat.gram_record.inverse
+        assert RatMatrix.over(g_int, 1).mul(RatMatrix.over(inv, q)) == RatMatrix.identity(b.rows)
 
 
 @pytest.mark.parametrize(

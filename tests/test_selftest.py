@@ -1,7 +1,15 @@
 """The selftest harness itself: passing bundles and failure sensitivity."""
 
+import pytest
+
+from hullattack import selftest
 from hullattack.codes import code_from_rows
-from hullattack.selftest import check_closure_preservation, run_level
+from hullattack.selftest import (
+    check_closure_preservation,
+    check_dual_identity,
+    check_hull_identity,
+    run_level,
+)
 
 
 class TestRunLevel:
@@ -34,6 +42,19 @@ class TestSensitivity:
         except AssertionError:
             return
         raise AssertionError("corrupted extended closure slipped through")
+
+    def test_hull_identity_catches_a_hull_that_is_the_code(self, monkeypatch):
+        # The code lattice is its own k-hull only for self-orthogonal codes.
+        monkeypatch.setattr(selftest, "hull", lambda c: c)
+        with pytest.raises(AssertionError, match="hull identity broke"):
+            check_hull_identity(samples=60)
+
+    def test_dual_identity_catches_a_dual_that_is_the_code(self, monkeypatch):
+        # Containment in k.L* and the covolume both hold only for
+        # self-dual codes.
+        monkeypatch.setattr(selftest, "dual", lambda c: c)
+        with pytest.raises(AssertionError, match="dual"):
+            check_dual_identity(samples=60)
 
     def test_report_lines_mark_failures(self):
         # Patch one check to fail and confirm run_level reports it.

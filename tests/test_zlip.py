@@ -9,19 +9,14 @@ import pytest
 
 from hullattack import zlip
 from hullattack.errors import NotARotation
-from hullattack.lattices import (
-    LatticeBasis,
-    lattice_equal,
-    random_rational_orthogonal,
-    rotate,
-)
+from hullattack.lattices import LatticeBasis, random_rational_orthogonal, rotate
 from hullattack.linalg import RatMatrix
 from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
-from oracles import o_hat
+from oracles import lattice_equal, o_hat
 
 
 def scaled_zn(n, k):
-    return LatticeBasis(n, RatMatrix.identity(n).scale(Fraction(k)))
+    return LatticeBasis(n, RatMatrix.over([[k * (i == j) for j in range(n)] for i in range(n)], 1))
 
 
 def solved_image(lat, k):
@@ -111,9 +106,10 @@ def test_enumeration_fallback_through_solver(monkeypatch, handed):
     # shear of it; its Gram matrix H.G.H^T is formed from G by the solver,
     # which then enumerates.
     n, k = 3, 5
-    unimodular = RatMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    unimodular = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
     lat = rotate(
-        LatticeBasis(n, unimodular.scale(Fraction(k))), random_rational_orthogonal(n, seed=7)
+        LatticeBasis(n, RatMatrix.from_rows([[k * x for x in row] for row in unimodular])),
+        random_rational_orthogonal(n, seed=7),
     )
     monkeypatch.setattr(zlip, "lll_gram", honest_transform(handed))
     sol, image = solved_image(lat, k)
