@@ -3,17 +3,21 @@
 
     python3 benchmarks/bench_scale.py --parent DIR --change DIR --tag NAME [--reps 5]
 
-DIR is the root of a checkout.  Each cell of the grid (k, n, m) =
-(15, 32, 16), (3, 64, 32) and (3, 96, 48), seed 1, is run --reps times (default 5)
-per tree, each run in a fresh interpreter that imports the tree's own
-`src/`.  The parent runs first in even repetitions and the change in odd
-ones.  A run generates the instance (untimed), writes its public part to
-JSON and then times, in process time:
+DIR is the root of a checkout.  Each cell of the grid, seed 1, is run
+--reps times (default 5) per tree, each run in a fresh interpreter that
+imports the tree's own `src/`.  The parent runs first in even
+repetitions and the change in odd ones.  The cells are instances
+(k, n, m) = (15, 32, 16), (3, 64, 32) and (3, 96, 48), and one non-LCD
+pair at (3, 64, 32): two rotations of the Construction A lattice of the
+first code of m random rows over Z_k that is not LCD, which the attack
+must refuse.  A run builds its input (untimed), writes the public part
+to JSON and then times, in process time:
 
   parse   both public lattices read back from that JSON,
-  attack  hull_attack on them,
+  attack  hull_attack on them (on the non-LCD pair, until it raises
+          HullNotTrivial),
   verify  verify_isomorphism on lattices parsed again, with no
-          certificate, so it takes its own inverse of G1.
+          certificate, so it takes its own inverse of G1 (instances only).
 
 On a shared host the same stage can take up to 1.8 times as long while a
 neighbour loads the sibling hyperthread.  So each stage sits between two
@@ -23,11 +27,16 @@ and beside its raw process time it gets a load-corrected time: the raw
 time divided by the mean of the two samples, times REFERENCE_S, which
 reads as seconds on an unshared core.
 
-It also records the sha256 of the attack's result JSON; the script stops
-if the two trees disagree on it, or if an attack is not verified.
-benchmarks/BENCH_<NAME>.json keeps every run (raw and corrected) and,
-per cell and tree, the median of each stage's corrected time, with the
-parent-to-change ratio of those medians.
+The two samples gauge the load at the ends of a stage, not the load it
+ran under, so for a stage of seconds the corrected time can drift where
+the raw one does not; both are kept.
+
+It also records the sha256 of the attack's result JSON (of the error and
+transcript on the non-LCD pair); the script stops if the two trees
+disagree on it, if an attack is not verified, or if the non-LCD pair is
+not refused.  benchmarks/BENCH_<NAME>.json keeps every run (raw and
+corrected) and, per cell and tree, the median of each stage's raw and
+corrected time, with the parent-to-change ratio of each kind of median.
 """
 
 import argparse
@@ -35,6 +44,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -45,9 +55,13 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 import calibrate  # noqa: E402  (perfbench/calibrate.py)
 
-GRID = ((15, 32, 16), (3, 64, 32), (3, 96, 48))
+GRID = (
+    ("instance", 15, 32, 16),
+    ("instance", 3, 64, 32),
+    ("instance", 3, 96, 48),
+    ("non_lcd", 3, 64, 32),
+)
 SEED = 1
-STAGES = ("parse", "attack", "verify")
 TREES = ("parent", "change")
 
 
@@ -64,14 +78,14 @@ def timed(fn, out: dict, stage: str):
     return result
 
 
-def child(root: str, k: int, n: int, m: int, seed: int) -> None:
+def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
     """One run in this interpreter, on the checkout at root; prints JSON."""
     sys.path.insert(0, str(Path(root) / "src"))
     from hullattack.attack import hull_attack, verify_isomorphism
-    from hullattack.instances import generate_instance
+    from hullattack.errors import HullNotTrivial
     from hullattack.lattices import LatticeBasis
 
-    text = json.dumps(generate_instance(k, n, m, seed).to_dict(include_secret=False))
+    text = json.dumps({"public": public_lattices(kind, k, n, m, seed)})
 
     def parse():
         pub = json.loads(text)["public"]
@@ -79,14 +93,45 @@ def child(root: str, k: int, n: int, m: int, seed: int) -> None:
 
     out = {"raw_s": {}, "corrected_s": {}}
     l1, l2 = timed(parse, out, "parse")
-    res = timed(lambda: hull_attack(l1, l2), out, "attack")
-    l1, l2 = parse()
-    out["ok"] = timed(lambda: verify_isomorphism(l1, l2, res.o_star.matrix), out, "verify")
-    out["sha256"] = hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest()
+    if kind == "non_lcd":
+        def refuse():
+            try:
+                hull_attack(l1, l2)
+            except HullNotTrivial as exc:
+                return {"error": str(exc), "transcript": exc.transcript}
+            return None
+
+        result = timed(refuse, out, "attack")
+        out["ok"] = result is not None
+    else:
+        res = timed(lambda: hull_attack(l1, l2), out, "attack")
+        l1, l2 = parse()
+        out["ok"] = timed(lambda: verify_isomorphism(l1, l2, res.o_star.matrix), out, "verify")
+        result = res.to_dict()
+    out["sha256"] = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
     print(json.dumps(out))
 
 
-def run(root: Path, cell: tuple[int, int, int]) -> dict:
+def public_lattices(kind: str, k: int, n: int, m: int, seed: int) -> dict:
+    """The public L1 and L2 of a cell, as the "public" block of an
+    instance file."""
+    from hullattack.codes import code_from_rows, is_lcd
+    from hullattack.instances import generate_instance
+    from hullattack.lattices import construction_a, random_rational_orthogonal, rotate
+
+    if kind == "instance":
+        return generate_instance(k, n, m, seed).to_dict(include_secret=False)["public"]
+    rng = random.Random(seed)
+    while True:
+        code = code_from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
+        if not is_lcd(code):
+            break
+    base = construction_a(code)
+    rotations = [random_rational_orthogonal(n, seed=rng.randrange(2**32)) for _ in "12"]
+    return {f"L{i}": rotate(base, o).to_dict() for i, o in enumerate(rotations, 1)}
+
+
+def run(root: Path, cell: tuple[str, int, int, int]) -> dict:
     argv = [sys.executable, __file__, "--child", str(root), *map(str, cell), str(SEED)]
     proc = subprocess.run(argv, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -94,14 +139,14 @@ def run(root: Path, cell: tuple[int, int, int]) -> dict:
         sys.exit(f"{root}: {cell} failed (exit {proc.returncode}):\n{proc.stderr}")
     out = json.loads(lines[-1])
     if not out["ok"]:
-        sys.exit(f"{root}: {cell} attack not verified")
+        sys.exit(f"{root}: {cell} attack not verified, or the non-LCD pair not refused")
     return out
 
 
 def main(argv=None) -> int:
     if argv is None and len(sys.argv) > 1 and sys.argv[1] == "--child":
-        root, *nums = sys.argv[2:]
-        child(root, *map(int, nums))
+        root, kind, *nums = sys.argv[2:]
+        child(root, kind, *map(int, nums))
         return 0
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -114,7 +159,7 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = {
         "command": f"benchmarks/bench_scale.py --reps {args.reps}",
-        "clock": "process time, load-corrected by perfbench/calibrate.py",
+        "clock": "process time, raw and load-corrected by perfbench/calibrate.py",
         "reference_s": calibrate.REFERENCE_S,
         "seed": SEED,
         "reps": args.reps,
@@ -132,16 +177,18 @@ def main(argv=None) -> int:
                 sys.exit(f"{cell}: the two trees return different attack results")
             runs.append(rep)
             print(f"{cell} rep {i + 1}/{args.reps} done", file=sys.stderr)
-        medians = {
-            tree: {s: statistics.median(r[tree]["corrected_s"][s] for r in runs) for s in STAGES}
-            for tree in TREES
-        }
-        ratio = {s: medians["parent"][s] / medians["change"][s] for s in STAGES}
-        out["cells"]["k={} n={} m={}".format(*cell)] = {
-            "median_corrected_s": medians,
-            "parent_over_change": ratio,
-            "runs": runs,
-        }
+        summary = {}
+        for clock, key in (("raw_s", "raw"), ("corrected_s", "corrected")):
+            stages = list(runs[0]["parent"][clock])
+            medians = {
+                tree: {s: statistics.median(r[tree][clock][s] for r in runs) for s in stages}
+                for tree in TREES
+            }
+            summary[f"median_{key}_s"] = medians
+            summary[f"parent_over_change_{key}"] = {
+                s: medians["parent"][s] / medians["change"][s] for s in stages
+            }
+        out["cells"]["{} k={} n={} m={}".format(*cell)] = {**summary, "runs": runs}
     path = HERE / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

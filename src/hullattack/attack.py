@@ -5,11 +5,14 @@ both lattices (which is a rotation of k Z^n exactly when the underlying
 code is LCD), solve scaled ZLIP on each hull, pull the codes back through
 the recovered rotations, solve signed permutation equivalence, and
 compose the three maps into a single orthonormal witness.
+A candidate modulus is tested on the order of the Gram matrix's row
+module mod k.den, one Howell form of width n, so a losing candidate or a
+non-LCD input is refused without taking any kernel.
 
 Every map before the witness is an integer transform of a lattice's
 basis B, read through its Gram record B.B^T = G/den: the hull is C.B
-for the coefficient HNF C (the lifted Howell form of a kernel mod
-k.den), with Gram matrix C.G.C^T/den; ZLIP returns a
+for the coefficient HNF C (the lifted Howell form of the kernel of
+that row module), with Gram matrix C.G.C^T/den; ZLIP returns a
 unimodular U on that Gram matrix, so the frame of k Z^n is T.B with
 T = U.C; and the rotated basis R = B.o_hat^T is the integer product
 G.T^T/(den.k), whose inverse is T/k, so each code is read off R mod k
@@ -25,7 +28,6 @@ inverse, determinant, HNF or LLL after ZLIP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from operator import mul
 
 from .codes import from_generator
@@ -48,12 +50,13 @@ from .errors import (
 from .lattices import (
     LatticeBasis,
     RationalOrthogonal,
-    hull_coefficients,
+    gram_row_module,
+    hull_coefficients_from,
     rotated_rows,
     sublattice_gram,
 )
 from .linalg import IntMatrix, RatMatrix
-from .modring import ModMatrix
+from .modring import ModMatrix, howell_order
 from .zlip import solve_scaled_zlip
 
 
@@ -128,15 +131,17 @@ def _hull_det_matches(lattice: LatticeBasis, k: int) -> IntMatrix | None:
     the hull's determinant carries the trivial-hull signature.
 
     det(hull) = k^n / |C intersect C_dual|, so equality with k^n holds
-    exactly for LCD codes.  C is triangular, so |det hull| = |det C| .
-    |det L| is the product of its pivots times the lattice's cached
-    `abs_det`; the hull basis itself is never formed.
+    exactly for LCD codes.  |det hull| = [L : hull] . |det L|, and the
+    index is the order of the Gram matrix's row module mod k.den, read
+    off its Howell form (`gram_row_module`); the lattice's cached
+    `abs_det` does the rest.  So a losing modulus costs one Howell form
+    of width n, and only an accepted one takes the kernel of that form
+    for C.  The hull basis itself is never formed.
     """
-    n = lattice.n
-    coeff = hull_coefficients(lattice, k)
-    if prod(coeff.entries[i][i] for i in range(n)) * lattice.abs_det != k**n:
+    module = gram_row_module(lattice, k)
+    if howell_order(module) * lattice.abs_det != k**lattice.n:
         return None
-    return coeff
+    return hull_coefficients_from(module)
 
 
 def _assemble(
@@ -241,7 +246,10 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     """Recover an orthonormal o_star with o_star . L2 = L1.
 
     When k is None the modulus is recovered from the determinant and
-    validated by the hull signature on both inputs.  Raises NoCandidate,
+    validated by the hull signature on both inputs, candidate by
+    candidate in increasing order; a candidate that fails on L1 is not
+    tried on L2, and each failure costs one Howell form of width n
+    (`_hull_det_matches`).  Raises NoCandidate,
     HullNotTrivial, BadModulus, ZlipFailed, SpepFailed or
     VerificationFailed; each failure carries the partial transcript on
     the exception's .transcript attribute.

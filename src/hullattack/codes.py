@@ -258,13 +258,21 @@ def signed_perm_maps(c: LinearCode, sigma, signs, target: LinearCode) -> bool:
 def random_free_lcd(
     k: int, n: int, m: int, seed: int | random.Random, max_draws: int = 10_000
 ) -> LinearCode:
-    """Rejection-sample a free LCD code of rank m by uniform generators."""
+    """Rejection-sample a free LCD code of rank m by uniform generators.
+
+    A draw g (m rows) is kept exactly when det(g.g^T) is a unit mod k.
+    Then x.g = 0 forces x.g.g^T = 0, so x = 0: the rows are independent,
+    the code is free of rank m with g as a free basis, and its Gram
+    determinant is a unit, which is free LCD (`is_free_lcd`).  Conversely
+    m rows spanning a free rank-m code differ from any free basis f by an
+    invertible matrix V, and det(g.g^T) = det(V)^2 . det(f.f^T).  So a
+    draw costs one m x m determinant, and only the kept one a Howell form.
+    """
     if not 1 <= m <= n:
         raise ValueError(f"rank must satisfy 1 <= m <= n, got m={m}, n={n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     for _ in range(max_draws):
         g = ModMatrix.from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
-        c = from_generator(g)
-        if c.free_rank == m and is_free_lcd(c):
-            return c
+        if is_unit_det(g.mul(g.transpose())):
+            return LinearCode(k=k, n=n, gen=howell_form(g), free_rank=m, free_gen=g)
     raise Timeout(f"no free LCD code of rank {m} found in {max_draws} draws")

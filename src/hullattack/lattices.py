@@ -48,7 +48,7 @@ from .linalg import (
     json_int,
     symmetric_product,
 )
-from .modring import ModMatrix, kernel_mod
+from .modring import ModMatrix, howell_form, kernel_mod
 
 PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
 
@@ -202,6 +202,31 @@ def construction_a(c: LinearCode) -> LatticeBasis:
     return LatticeBasis(c.n, RatMatrix(_hermite_lift(c.gen)))
 
 
+def gram_row_module(lattice: LatticeBasis, s: int) -> ModMatrix:
+    """The row module of the Gram matrix mod s.den, in Howell form, for
+    s.den >= 2 (G the Gram matrix cleared of its denominator den).
+
+    Its order is the s-hull's index in L, [L : hull] = |det C| for the
+    coefficient HNF C of `hull_coefficients`: the coefficient lattice is
+    the kernel K of c -> c.G over Z_{s*den} plus (s*den)Z^n, so
+    |det C| = (s*den)^n / |K|, which is the order of the image of that
+    map, the row module of G (`howell_order`).  The hull test of the
+    attack needs only this number, one Howell form of width n.
+    """
+    scaled, den = lattice.gram_record.cleared
+    return howell_form(ModMatrix.from_rows(s * den, scaled))
+
+
+def hull_coefficients_from(module: ModMatrix) -> IntMatrix:
+    """The coefficient HNF C of the hull whose `gram_row_module` is given:
+    the lifted Howell form of its kernel (see `_hermite_lift`).  The
+    kernel of a Howell form is the kernel of any matrix with the same row
+    module, and `kernel_mod` returns it in canonical form, so C is the
+    same as from the Gram matrix itself, and the elimination behind it
+    runs on r + n columns for the r <= n rows of the module, not 2n."""
+    return IntMatrix(_hermite_lift(kernel_mod(module)))
+
+
 def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
     """Coefficients of the s-hull, the intersection of L with s times its
     dual: the square HNF C whose rows C . B form a basis of the hull.
@@ -210,19 +235,17 @@ def hull_coefficients(lattice: LatticeBasis, s: int) -> IntMatrix:
     y in L reads c.G = 0 mod s*den (G the Gram matrix cleared of its
     denominator den), so the coefficient lattice is a kernel over
     Z_{s*den} plus (s*den)Z^n, whose HNF is the lifted Howell form of the
-    kernel (see `_hermite_lift`).  An explicit dual basis would square
-    the entry denominators of a rotated basis; this stays small.  C is
-    upper triangular, so |det hull| is the product of its pivots times
-    |det L|.
+    kernel, taken from the row module of G (`hull_coefficients_from`).
+    An explicit dual basis would square the entry denominators of a
+    rotated basis; this stays small.  C is upper triangular, so
+    |det hull| is the product of its pivots times |det L|.
     """
     if s < 1:
         raise ValueError(f"scale must be positive, got {s}")
-    scaled, den = lattice.gram_record.cleared
-    big = s * den
-    if big == 1:
+    if s * lattice.gram_record.cleared[1] == 1:
         # Every c satisfies c.G = 0 mod 1 (and Z_1 is no ModMatrix modulus).
         return IntMatrix.identity(lattice.n)
-    return IntMatrix(_hermite_lift(kernel_mod(ModMatrix.from_rows(big, scaled))))
+    return hull_coefficients_from(gram_row_module(lattice, s))
 
 
 def sublattice_gram(lattice: LatticeBasis, c: IntMatrix) -> tuple[list[list[int]], int]:

@@ -15,7 +15,7 @@ never leave [0, k) (Storjohann, *Algorithms for Matrix Canonical Forms*,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import NonSquare, NotAUnit, ParseError, Singular
@@ -161,6 +161,17 @@ def _howell_rows(rows, cols: int, k: int) -> list[list[int]]:
 def howell_form(m: ModMatrix) -> ModMatrix:
     """Canonical Howell normal form; zero rows dropped."""
     return ModMatrix(m.k, m.cols, tuple(tuple(r) for r in _howell_rows(m.entries, m.cols, m.k)))
+
+
+def howell_order(h: ModMatrix) -> int:
+    """The number of elements of the row module of a Howell form: the
+    product over its rows of k/pivot.
+
+    Each pivot divides k, and the Howell property makes every element of
+    the module one combination sum a_i . h_i with 0 <= a_i < k/pivot_i,
+    and a different one for each choice of the a_i.
+    """
+    return prod(h.k // next(filter(None, row)) for row in h.entries)
 
 
 def kernel_mod(m: ModMatrix) -> ModMatrix:

@@ -7,18 +7,21 @@ integer code that replaced them.  The rational inverse, determinant and
 dual basis, lattice equality by a unimodular change of basis, and
 membership and code reading through B^-1 are the side routes the library
 dropped for `attack.verify_isomorphism`; they stay here as independent
-checks of it.  `gram`, `o_hat`, `s_hull` and `lll_rows` are the
+checks of it.  The hull test that took the kernel of the Gram matrix for
+every candidate modulus checks the one that reads the Gram matrix's row
+module.  `gram`, `o_hat`, `s_hull` and `lll_rows` are the
 test-only conveniences that used to live in the library.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul
 
 from hullattack.codes import LinearCode, from_generator
 from hullattack.errors import NonSquare
 from hullattack.kernels import xgcd
-from hullattack.lattices import LatticeBasis, RationalOrthogonal, hull_coefficients
+from hullattack.lattices import LatticeBasis, RationalOrthogonal, _hermite_lift, hull_coefficients
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, inv_int_rows
 from hullattack.modring import ModMatrix, kernel_mod
 
@@ -206,6 +209,30 @@ def hull_coefficients_by_hnf(lattice: LatticeBasis, s: int) -> IntMatrix:
     if big > 1:
         rows = [list(r) for r in kernel_mod(ModMatrix.from_rows(big, g)).entries] + rows
     return hnf(IntMatrix.from_rows(rows))
+
+
+def hull_coefficients_by_kernel(lattice: LatticeBasis, s: int) -> IntMatrix:
+    """The lifted Howell form of the kernel of G mod s.den, taken from G
+    itself."""
+    if s < 1:
+        raise ValueError(f"scale must be positive, got {s}")
+    scaled, den = lattice.gram_record.cleared
+    big = s * den
+    if big == 1:
+        # Every c satisfies c.G = 0 mod 1 (and Z_1 is no ModMatrix modulus).
+        return IntMatrix.identity(lattice.n)
+    return IntMatrix(_hermite_lift(kernel_mod(ModMatrix.from_rows(big, scaled))))
+
+
+def hull_det_matches_by_kernel(lattice: LatticeBasis, k: int) -> IntMatrix | None:
+    """The attack's hull test as it took a kernel for every candidate:
+    C from the kernel of G mod k.den, accepted when the product of its
+    pivots times |det L| is k^n."""
+    n = lattice.n
+    coeff = hull_coefficients_by_kernel(lattice, k)
+    if prod(coeff.entries[i][i] for i in range(n)) * lattice.abs_det != k**n:
+        return None
+    return coeff
 
 
 def gram(lattice: LatticeBasis) -> RatMatrix:

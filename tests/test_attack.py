@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hullattack.attack import (
@@ -32,7 +32,7 @@ from hullattack import (
     zlip,
 )
 from hullattack.cli import main as cli_main
-from hullattack.codes import code_from_rows, random_free_lcd
+from hullattack.codes import code_from_rows, is_lcd, random_free_lcd
 from hullattack.equiv import EquivResult, SignedPerm, brute_force_spep
 from hullattack.errors import (
     BadModulus,
@@ -61,6 +61,7 @@ from hullattack.zlip import solve_scaled_zlip
 from oracles import (
     det,
     fractions,
+    hull_det_matches_by_kernel,
     lattice_equal,
     mod_reduce_to_code,
     o_hat,
@@ -497,6 +498,39 @@ class TestIntegerTransformEquivalence:
         assert _assemble(inst.l1, inst.l2, *frames, s, k).matrix == old
 
 
+@st.composite
+def hull_test_lattices(draw):
+    """(k, [L1, L2]) for a generated instance over k, or for a code of
+    random rows over Z_k that is not LCD, rotated twice."""
+    k = draw(st.sampled_from([2, 3, 5, 6, 9, 10, 15]))
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(1, n - 1))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        inst = generate_instance(k, n, m, seed=seed)
+        return k, [inst.l1, inst.l2]
+    rng = random.Random(seed)
+    for _ in range(200):
+        code = code_from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
+        if not is_lcd(code):
+            break
+    else:
+        assume(False)
+    base = construction_a(code)
+    return k, [rotate(base, random_rational_orthogonal(n, seed=rng.randrange(10**9))) for _ in "12"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_test_lattices())
+def test_hull_test_matches_the_kernel_route(case):
+    # Every modulus the attack could try, and k itself where the
+    # determinant does not propose it: the same verdict and the same C.
+    k, lats = case
+    for lattice in lats:
+        for q in {cand for cand, _m in recover_modulus(lattice)} | {k}:
+            assert _hull_det_matches(lattice, q) == hull_det_matches_by_kernel(lattice, q)
+
+
 def frame(lattice, k):
     """T = U.C: the frame T.B of k Z^n found by the attack's hull and ZLIP."""
     coeff = _hull_det_matches(lattice, k)
@@ -751,6 +785,42 @@ class TestInverseCount:
         assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
         assert len(lattice_inverses) == 1
         assert lattice_inverses == [l1.gram_record.cleared[0]]
+
+
+@pytest.fixture()
+def kernel_moduli(monkeypatch):
+    """The modulus of every `kernel_mod` call, in every module that binds it."""
+    seen = []
+    real = modring.kernel_mod
+
+    def counted(m):
+        seen.append(m.k)
+        return real(m)
+
+    for mod in (attack, codes, lattices, modring):
+        if getattr(mod, "kernel_mod", None) is real:
+            monkeypatch.setattr(mod, "kernel_mod", counted)
+    return seen
+
+
+class TestKernelCount:
+    def test_non_lcd_attack_takes_none(self, kernel_moduli):
+        # Every candidate loses on the order of the Gram row module.
+        code = code_from_rows(5, [[1, 2, 0, 0], [0, 0, 1, 2]])
+        lat = rotate(construction_a(code), random_rational_orthogonal(4, seed=3))
+        with pytest.raises(HullNotTrivial):
+            hull_attack(lat, lat)
+        assert kernel_moduli == []
+
+    def test_losing_modulus_takes_none(self, kernel_moduli):
+        # k = 9 proposes 3 first; only the accepted 9 takes a kernel, one
+        # per lattice, over Z_{9.den}.
+        l1, l2 = parsed_public(generate_instance(9, 12, 6, seed=1))
+        kernel_moduli.clear()
+        res = hull_attack(l1, l2)
+        assert res.transcript[0]["candidates"][0][0] == 3 and res.transcript[0]["k"] == 9
+        dens = [lat.gram_record.cleared[1] for lat in (l1, l2)]
+        assert kernel_moduli == [9 * d for d in dens]
 
 
 @pytest.fixture()

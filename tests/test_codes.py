@@ -30,7 +30,7 @@ from hullattack.codes import (
     signed_perm_maps,
 )
 from hullattack.linalg import IntMatrix
-from hullattack.modring import ModMatrix
+from hullattack.modring import ModMatrix, is_unit_det
 
 
 def words(c: LinearCode) -> frozenset:
@@ -417,6 +417,26 @@ def test_random_free_lcd_properties_and_determinism():
         assert c1.free_rank == m
         assert is_free_lcd(c1)
         assert c1.n == n and c1.k == k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 6, 7, 9, 10, 14, 15, 18, 21, 25, 27]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_random_free_lcd_keeps_a_draw_on_a_unit_gram_determinant(k, n, data):
+    # The one-determinant test keeps exactly the draws that build a free
+    # LCD code of full rank, and the kept draw is a free basis of its code.
+    m = data.draw(st.integers(1, n))
+    row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=m, max_size=m))
+    g = ModMatrix.from_rows(k, rows, n)
+    c = from_generator(g)
+    assert is_unit_det(g.mul(g.transpose())) == (c.free_rank == m and is_free_lcd(c))
+    seed = data.draw(st.integers(0, 10**6))
+    drawn = random_free_lcd(k, n, m, seed=seed)
+    assert drawn == from_generator(drawn.free_gen) and drawn.free_rank == drawn.free_gen.rows == m
 
 
 def test_random_free_lcd_draw_budget():

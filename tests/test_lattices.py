@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hullattack.lattices import (
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
+    gram_row_module,
     hull_coefficients,
     random_rational_orthogonal,
     rotate,
@@ -22,6 +24,7 @@ from hullattack.lattices import (
     sublattice_gram,
 )
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det
+from hullattack.modring import howell_order
 from oracles import (
     canonical_basis,
     construction_a_by_hnf,
@@ -33,6 +36,7 @@ from oracles import (
     fractions,
     gram,
     hull_coefficients_by_hnf,
+    hull_coefficients_by_kernel,
     lattice_equal,
     mod_reduce_to_code,
     rat_inverse,
@@ -145,6 +149,22 @@ def test_howell_lifts_match_the_hnf_oracle(case, s):
     assert construction_a(c).basis == construction_a_by_hnf(c.k, c.gen).to_rat()
     for scale in (s, c.k):
         assert hull_coefficients(lat, scale) == hull_coefficients_by_hnf(lat, scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_and_rotations(), st.sampled_from(HOWELL_MODULI), st.sampled_from([1, 2, 3, 10]))
+def test_gram_row_module_gives_the_hull_index_and_coefficients(case, s, shrink):
+    # Shrinking the lattice by 1/shrink divides its Gram matrix by
+    # shrink^2, so records over den > 1 are covered.  The order of the row module of G
+    # mod s.den is the index of the hull, the product of the pivots of C,
+    # and C from its Howell form is C from G itself.
+    c, lat = case
+    lat = LatticeBasis(lat.n, RatMatrix.over(lat.basis.num, lat.basis.den * shrink))
+    for scale in (s, c.k):
+        coeff = hull_coefficients_by_kernel(lat, scale)
+        assert hull_coefficients(lat, scale) == coeff
+        index = howell_order(gram_row_module(lat, scale))
+        assert index == prod(row[i] for i, row in enumerate(coeff.entries))
 
 
 def test_hull_coefficients_modulus_one_is_the_identity():

@@ -2,14 +2,18 @@
 
 import random
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullattack.errors import NotAUnit, ParseError
+from hullattack.lattices import _hermite_lift
 from hullattack.modring import (
     ModMatrix,
     howell_form,
+    howell_order,
     inverse_mod,
     is_unit_det,
     kernel_mod,
@@ -55,6 +59,7 @@ def test_howell_is_canonical_for_the_row_module():
     for m, span, h in corpus:
         assert span_set(h) == span
         assert howell_form(h) == h
+        assert howell_order(h) == len(span)
     # same module <-> same Howell form, both directions
     for a, span_a, ha in corpus:
         for b, span_b, hb in corpus:
@@ -111,6 +116,42 @@ def test_kernel_matches_brute_force():
         }
         assert span_set(ker) == truth
         assert howell_form(ker) == ker
+
+
+# Primes, prime powers and composites, the moduli k.den of the hull test.
+IDENTITY_MODULI = [2, 3, 5, 7, 4, 8, 9, 25, 27, 6, 10, 12, 15, 30, 36, 225]
+
+
+@st.composite
+def integer_matrices_mod(draw):
+    """An integer matrix, symmetric (as a Gram matrix is) or not, with
+    entries of either sign and larger than the modulus, read mod q."""
+    q = draw(st.sampled_from(IDENTITY_MODULI))
+    entry = st.integers(-(10**6), 10**6)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        upper = [[draw(entry) for _ in range(n - i)] for i in range(n)]
+        rows = [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+    else:
+        n = draw(st.integers(1, 6))
+        rows = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, 6)))]
+    return ModMatrix.from_rows(q, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices_mod())
+def test_row_module_order_is_the_lifted_kernel_index(m):
+    # |row module| = |column module| = q^n / |kernel|, and q^n / |kernel|
+    # is the index of kernel + qZ^n in Z^n, the product of its HNF pivots.
+    lifted = _hermite_lift(kernel_mod(m))
+    assert howell_order(howell_form(m)) == prod(row[i] for i, row in enumerate(lifted))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices_mod())
+def test_kernel_of_the_howell_form_is_the_kernel(m):
+    # Both matrices have one row module, and kernel_mod is canonical.
+    assert kernel_mod(howell_form(m)) == kernel_mod(m)
 
 
 # --- inverses ---

@@ -15,8 +15,13 @@ the suite.
 A row may also carry a budget for `generate_instance`, under the same
 five-times rule.  At n = 128 generation took 477 s while Construction A
 ran an integer HNF and takes 0.7 s reading it off the code's Howell form.
+
+Inputs the attack must refuse have budgets too, under the same rule: a
+code of random rows that is not LCD, rotated twice, must raise
+`HullNotTrivial` after every candidate modulus has failed the hull test.
 """
 
+import random
 import signal
 import time
 from contextlib import contextmanager, nullcontext
@@ -24,7 +29,10 @@ from contextlib import contextmanager, nullcontext
 import pytest
 
 from hullattack.attack import hull_attack, verify_isomorphism
+from hullattack.codes import code_from_rows, is_lcd
+from hullattack.errors import HullNotTrivial
 from hullattack.instances import generate_instance
+from hullattack.lattices import LatticeBasis, construction_a, random_rational_orthogonal, rotate
 
 # (k, n, m, seed, budget in seconds); attack plus verify measured:
 # 0.02-0.03, 0.05-0.06, 0.08, 0.14-0.15, 0.44-0.52, 1.14-1.17,
@@ -41,6 +49,12 @@ SCALE_CORPUS = [
 ]
 # (k, n, m, seed) -> generation budget in seconds; measured 0.69-0.74 s.
 GEN_BUDGETS = {(3, 128, 64, 1): 4.0}
+# (k, n, m, seed, budget in seconds) of a non-LCD pair; the attack until
+# HullNotTrivial measured 0.03 s and 0.19-0.29 s.
+REJECT_CORPUS = [
+    (5, 32, 16, 1, 0.5),
+    (3, 64, 32, 1, 2.0),
+]
 
 
 class BudgetExceeded(Exception):
@@ -83,3 +97,28 @@ def test_attack_within_budget(acceptance_report, k, n, m, seed, budget):
     acceptance_report(f"SCALE k={k} n={n} m={m} seed={seed}: {dt:.2f}s (budget {budget:g}s)")
     assert ok
     assert dt <= budget, f"attack and verify took {dt:.2f}s, budget {budget}s"
+
+
+def non_lcd_pair(k, n, m, seed):
+    """Two rotations of the Construction A lattice of the first code of m
+    random rows over Z_k that is not LCD, read back as from a file (which
+    takes each |det L|)."""
+    rng = random.Random(seed)
+    while True:
+        code = code_from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
+        if not is_lcd(code):
+            break
+    base = construction_a(code)
+    rotations = [random_rational_orthogonal(n, seed=rng.randrange(2**32)) for _ in "12"]
+    return [LatticeBasis.from_dict(rotate(base, o).to_dict()) for o in rotations]
+
+
+@pytest.mark.parametrize("k,n,m,seed,budget", REJECT_CORPUS)
+def test_non_lcd_rejected_within_budget(acceptance_report, k, n, m, seed, budget):
+    l1, l2 = non_lcd_pair(k, n, m, seed)
+    t0 = time.perf_counter()
+    with deadline(budget), pytest.raises(HullNotTrivial):
+        hull_attack(l1, l2)
+    dt = time.perf_counter() - t0
+    acceptance_report(f"REJECT non-LCD k={k} n={n} m={m} seed={seed}: {dt:.2f}s (budget {budget:g}s)")
+    assert dt <= budget, f"rejection took {dt:.2f}s, budget {budget}s"
