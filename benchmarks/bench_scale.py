@@ -7,17 +7,21 @@ DIR is the root of a checkout.  Each cell of the grid, seed 1, is run
 --reps times (default 5) per tree, each run in a fresh interpreter that
 imports the tree's own `src/`.  The parent runs first in even
 repetitions and the change in odd ones.  The cells are instances
-(k, n, m) = (15, 32, 16), (3, 64, 32) and (3, 96, 48), and one non-LCD
-pair at (3, 64, 32): two rotations of the Construction A lattice of the
-first code of m random rows over Z_k that is not LCD, which the attack
-must refuse.  A run builds its input (untimed), writes the public part
-to JSON and then times, in process time:
+(k, n, m) = (15, 32, 16), (3, 64, 32) and (3, 96, 48); one mixed
+instance at (3, 32, 16), whose public bases B_i are replaced by U_i.B_i
+for U_i a seeded product of 5n elementary row additions r_a += s.r_b
+with s = +-1, so the two Gram matrices differ and their entries grow;
+and one non-LCD pair at (3, 64, 32): two rotations of the Construction
+A lattice of the first code of m random rows over Z_k that is not LCD,
+which the attack must refuse.  A run builds its input (untimed), writes
+the public part to JSON and then times, in process time:
 
   parse   both public lattices read back from that JSON,
   attack  hull_attack on them (on the non-LCD pair, until it raises
           HullNotTrivial),
   verify  verify_isomorphism on lattices parsed again, with no
-          certificate, so it takes its own inverse of G1 (instances only).
+          certificate, so it takes its own inverse of G1 (instances and
+          the mixed instance only).
 
 On a shared host the same stage can take up to 1.8 times as long while a
 neighbour loads the sibling hyperthread.  So each stage sits between two
@@ -59,6 +63,7 @@ GRID = (
     ("instance", 15, 32, 16),
     ("instance", 3, 64, 32),
     ("instance", 3, 96, 48),
+    ("mixed", 3, 32, 16),
     ("non_lcd", 3, 64, 32),
 )
 SEED = 1
@@ -117,11 +122,23 @@ def public_lattices(kind: str, k: int, n: int, m: int, seed: int) -> dict:
     instance file."""
     from hullattack.codes import code_from_rows, is_lcd
     from hullattack.instances import generate_instance
-    from hullattack.lattices import construction_a, random_rational_orthogonal, rotate
+    from hullattack.lattices import LatticeBasis, construction_a, random_rational_orthogonal, rotate
+    from hullattack.linalg import RatMatrix
 
     if kind == "instance":
         return generate_instance(k, n, m, seed).to_dict(include_secret=False)["public"]
     rng = random.Random(seed)
+    if kind == "mixed":
+        inst = generate_instance(k, n, m, seed)
+        out = {}
+        for name, lattice in (("L1", inst.l1), ("L2", inst.l2)):
+            rows = [list(r) for r in lattice.basis.num]
+            for _ in range(5 * n):
+                a, b = rng.sample(range(n), 2)
+                sign = rng.choice((1, -1))
+                rows[a] = [x + sign * y for x, y in zip(rows[a], rows[b])]
+            out[name] = LatticeBasis(n, RatMatrix.over(rows, lattice.basis.den)).to_dict()
+        return out
     while True:
         code = code_from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
         if not is_lcd(code):

@@ -5,15 +5,28 @@ k*Z^n; only its integer Gram record B.B^T = G/den is read, never B.
 The answer is a unimodular integer transform U with U.G.U^T = k^2.den.I.
 That identity makes the frame U.B a family of pairwise orthogonal rows
 of norm k, so o_hat = U.B/k is orthonormal, and the image
-B.o_hat^T = k.U^-1 spans k*Z^n exactly when |det U| = 1.  Both are
-checked in exact integers, recomputed from G and U.
+B.o_hat^T = k.U^-1 spans k*Z^n exactly when |det U| = 1.
 
-LLL on G hands over U = H directly almost always.  The kernel returns H
-alone and never forms H.G.H^T (a row it reaches for the first time is
-still e_i in H, so its Gram entries are G[i].h_j); that product is formed
-here, once, from G.  When H does not reduce G to k^2.den.I, the vectors
-of squared norm k^2 are enumerated in the coordinates of the
-LLL rows, on their Gram matrix H.G.H^T, and n pairwise orthogonal ones
+The promise makes G exactly k^2.den times the Gram matrix M of a basis
+of Z^n: U.G.U^T = k^2.den.I gives G = k^2.den.U^-1.U^-T.  So the solver
+first checks that k^2.den divides every entry of G, and refuses the
+record before any reduction if it does not; then it works on the unit
+form M = G/(k^2.den) alone.  LLL makes the same size reductions and
+swaps on M as on G (every test compares quantities of equal degree in
+the scale), so it returns the same H, while its Gram-Schmidt integers
+carry half the bits.  The checks read U.M.U^T = I, exactly the
+identity above, and |det U| = 1, both in exact integers recomputed
+from M and U.  For an integral M, U.M.U^T = I already forces
+det(U)^2.det(M) = 1 with both factors integers, so |det U| = 1; the
+determinant is computed anyway, as the check that does not lean on
+that argument.
+
+LLL on M hands over U = H directly almost always.  The kernel returns H
+alone and never forms H.M.H^T (a row it reaches for the first time is
+still e_i in H, so its Gram entries are M[i].h_j); that product is formed
+here, once, from M.  When H does not reduce M to I, the vectors
+of squared norm 1 are enumerated in the coordinates of the
+LLL rows, on their Gram matrix H.M.H^T, and n pairwise orthogonal ones
 K are assembled by backtracking; U = K.H then passes the same two
 checks.  A broken promise surfaces as NotARotation, never as a wrong
 answer.
@@ -73,32 +86,39 @@ class ZlipSolution:
     method: str  # "lll" or "enumeration"
 
 
-def _is_scalar(m: list[list[int]], c: int) -> bool:
-    return all(x == (c if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
+def _is_identity(m: list[list[int]]) -> bool:
+    return all(x == (i == j) for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def solve_scaled_zlip(gram: tuple[list[list[int]], int], k: int) -> ZlipSolution:
     """Unimodular U with U.G.U^T = k^2.den.I for the Gram record
-    (G, den) of a lattice, so that U.B/k carries it onto k*Z^n."""
+    (G, den) of a lattice, so that U.B/k carries it onto k*Z^n.
+
+    Reduces and checks the unit form M = G/(k^2.den), so U.M.U^T = I;
+    raises NotARotation, without reducing, when k^2.den does not divide
+    G, since then no such U exists."""
     if k < 1:
         raise ValueError(f"scale must be positive, got {k}")
     g, den = gram
+    target = k * k * den
+    if any(x % target for row in g for x in row):
+        raise NotARotation("Gram matrix is not k^2.den times an integer form")
+    m = [[x // target for x in row] for row in g]
     try:
-        h = lll_gram(g, 99, 100)
+        h = lll_gram(m, 99, 100)
     except ValueError as exc:
         raise NotARotation(str(exc)) from None
-    target = k * k * den
     u, method = IntMatrix.from_rows(h), "lll"
-    # The kernel hands back H alone: every check is computed here from G.
-    reduced = congruence(u.entries, g)
-    if not _is_scalar(reduced, target):
-        coeffs = assemble_orthogonal_basis(reduced, target)
+    # The kernel hands back H alone: every check is computed here from M.
+    reduced = congruence(u.entries, m)
+    if not _is_identity(reduced):
+        coeffs = assemble_orthogonal_basis(reduced, 1)
         if coeffs is None:
             raise NotARotation("no orthogonal family of norm-k vectors")
         u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"
-        reduced = congruence(u.entries, g)
-    if not _is_scalar(reduced, target):
-        raise NotARotation("transform does not carry the Gram matrix to k^2.den.I")
+        reduced = congruence(u.entries, m)
+    if not _is_identity(reduced):
+        raise NotARotation("transform does not carry the unit form to I")
     if abs(bareiss_det(u.entries)) != 1:
         raise NotARotation("transform is not unimodular")
     return ZlipSolution(u=u, k=k, method=method)

@@ -9,7 +9,9 @@ membership and code reading through B^-1 are the side routes the library
 dropped for `attack.verify_isomorphism`; they stay here as independent
 checks of it.  The hull test that took the kernel of the Gram matrix for
 every candidate modulus checks the one that reads the Gram matrix's row
-module.  `gram`, `o_hat`, `s_hull` and `lll_rows` are the
+module.  The ZLIP solver that reduced the Gram matrix G itself, with
+its checks against k^2.den.I, checks the one that reduces the unit form
+G/(k^2.den).  `gram`, `o_hat`, `s_hull` and `lll_rows` are the
 test-only conveniences that used to live in the library.
 """
 
@@ -18,12 +20,14 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
+from hullattack import kernels
 from hullattack.codes import LinearCode, from_generator
-from hullattack.errors import NonSquare
+from hullattack.errors import NonSquare, NotARotation
 from hullattack.kernels import xgcd
 from hullattack.lattices import LatticeBasis, RationalOrthogonal, _hermite_lift, hull_coefficients
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, inv_int_rows
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence, inv_int_rows
 from hullattack.modring import ModMatrix, kernel_mod
+from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis
 
 
 def hnf_rows(rows, ncols):
@@ -190,6 +194,39 @@ def lll_rows(rows, delta_num, delta_den):
     h, _ = lll_gram(gram, delta_num, delta_den)
     cols = list(zip(*rows))
     return [[sum(map(mul, hr, col)) for col in cols] for hr in h]
+
+
+def _is_scalar(m: list[list[int]], c: int) -> bool:
+    return all(x == (c if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
+
+
+def solve_scaled_zlip_on_gram(gram: tuple[list[list[int]], int], k: int) -> ZlipSolution:
+    """Unimodular U with U.G.U^T = k^2.den.I for the Gram record
+    (G, den) of a lattice, so that U.B/k carries it onto k*Z^n.
+    LLL runs on G itself; the kernel is looked up in `kernels` at call
+    time, so a test can replace it there."""
+    if k < 1:
+        raise ValueError(f"scale must be positive, got {k}")
+    g, den = gram
+    try:
+        h = kernels.lll_gram(g, 99, 100)
+    except ValueError as exc:
+        raise NotARotation(str(exc)) from None
+    target = k * k * den
+    u, method = IntMatrix.from_rows(h), "lll"
+    # The kernel hands back H alone: every check is computed here from G.
+    reduced = congruence(u.entries, g)
+    if not _is_scalar(reduced, target):
+        coeffs = assemble_orthogonal_basis(reduced, target)
+        if coeffs is None:
+            raise NotARotation("no orthogonal family of norm-k vectors")
+        u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"
+        reduced = congruence(u.entries, g)
+    if not _is_scalar(reduced, target):
+        raise NotARotation("transform does not carry the Gram matrix to k^2.den.I")
+    if abs(bareiss_det(u.entries)) != 1:
+        raise NotARotation("transform is not unimodular")
+    return ZlipSolution(u=u, k=k, method=method)
 
 
 def construction_a_by_hnf(k: int, gen: ModMatrix) -> IntMatrix:

@@ -6,13 +6,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hullattack import zlip
+from hullattack import kernels, zlip
 from hullattack.errors import NotARotation
-from hullattack.lattices import LatticeBasis, random_rational_orthogonal, rotate
+from hullattack.instances import generate_instance
+from hullattack.lattices import (
+    LatticeBasis,
+    hull_coefficients,
+    random_rational_orthogonal,
+    rotate,
+    sublattice_gram,
+)
 from hullattack.linalg import RatMatrix
 from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
-from oracles import lattice_equal, o_hat
+from oracles import lattice_equal, o_hat, solve_scaled_zlip_on_gram
+from test_kernels import HULL_MODULI
 
 
 def scaled_zn(n, k):
@@ -89,11 +99,32 @@ def honest_transform(h):
 def test_transform_of_determinant_two_rejected(monkeypatch, k):
     # Rows (k/2)(1, 1) and (k/2)(1, -1): G = (k^2/2) I, and H = [[1, 1], [1, -1]]
     # gives H.G.H^T = k^2 I with det H = -2.  H.B = k I, so o_hat = I would
-    # pass every check on H.G.H^T, yet the lattice is not k Z^2.
+    # pass every check on H.G.H^T, yet the lattice is not k Z^2.  G is not
+    # k^2 times an integer form, so the solver refuses it before LLL.
     half = Fraction(k, 2)
     lat = LatticeBasis(2, RatMatrix.from_rows([[half, half], [half, -half]]))
     monkeypatch.setattr(zlip, "lll_gram", honest_transform([[1, 1], [1, -1]]))
-    with pytest.raises(NotARotation):
+    with pytest.raises(NotARotation, match="not k\\^2.den times an integer form"):
+        solve_scaled_zlip(lat.gram_record.cleared, k)
+
+
+def never_reduce(gram, delta_num, delta_den):
+    raise AssertionError("LLL ran on a record that is not k^2.den times an integer form")
+
+
+@pytest.mark.parametrize(
+    "rows, k",
+    [
+        ([[1, 0], [0, 4]], 2),  # G = diag(1, 16): 4 does not divide 1
+        ([[2, 0], [0, 2]], 3),  # 2 Z^2 is no rotation of 3 Z^2
+        ([[Fraction(3, 2), 0], [0, 3]], 3),  # G = diag(9, 36)/4: 36 does not divide 9
+        ([[5, 0, 0], [0, 5, 0], [0, 0, 10]], 10),  # G = diag(25, 25, 100)
+    ],
+)
+def test_indivisible_gram_refused_before_reduction(monkeypatch, rows, k):
+    lat = LatticeBasis(len(rows), RatMatrix.from_rows(rows))
+    monkeypatch.setattr(zlip, "lll_gram", never_reduce)
+    with pytest.raises(NotARotation, match="not k\\^2.den times an integer form"):
         solve_scaled_zlip(lat.gram_record.cleared, k)
 
 
@@ -115,3 +146,70 @@ def test_enumeration_fallback_through_solver(monkeypatch, handed):
     sol, image = solved_image(lat, k)
     assert sol.method == "enumeration"
     assert lattice_equal(image, scaled_zn(n, k))
+
+
+# --- the unit-scale solver against the one that reduced G itself ---
+
+
+def mixed(lattice, rounds, seed):
+    """The lattice on the basis U.B, for U a product of `rounds` seeded
+    elementary row additions r_i += s.r_j with s = +-1."""
+    rows = [list(r) for r in lattice.basis.num]
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        i, j = rng.sample(range(lattice.n), 2)
+        s = rng.choice((1, -1))
+        rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+    return LatticeBasis(lattice.n, RatMatrix.over(rows, lattice.basis.den))
+
+
+@st.composite
+def hull_records(draw, k, min_n, max_n, mix):
+    """The Gram record (G, den) of the k-hull of a public lattice, as the
+    attack hands it to ZLIP; with `mix`, of the lattice on the public
+    basis mixed by 5n row additions."""
+    n = draw(st.integers(min_n, max_n))
+    inst = generate_instance(k, n, draw(st.integers(1, n)), draw(st.integers(0, 10**6)))
+    lattice = inst.l1 if draw(st.booleans()) else inst.l2
+    if mix:
+        lattice = mixed(lattice, 5 * n, draw(st.integers(0, 10**6)))
+    return sublattice_gram(lattice, hull_coefficients(lattice, k))
+
+
+def zlip_outcome(solve, record, k):
+    try:
+        sol = solve(record, k)
+    except NotARotation:
+        return NotARotation
+    return sol.u, sol.method
+
+
+@pytest.mark.parametrize("mix", [False, True], ids=["public", "mixed"])
+@pytest.mark.parametrize("k", HULL_MODULI)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_unit_scale_matches_gram_scale(k, mix, data):
+    """Same U and method as LLL on G with the checks against k^2.den.I:
+    LLL makes the same swaps on G/(k^2.den)."""
+    record = data.draw(hull_records(k, 2, 16, mix))
+    sol = solve_scaled_zlip(record, k)
+    assert (sol.u, sol.method) == zlip_outcome(solve_scaled_zlip_on_gram, record, k)
+
+
+@pytest.mark.parametrize(
+    "handed", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 1, 1]]],
+    ids=["identity", "shear"],
+)
+@settings(max_examples=15, deadline=None)
+@given(k=st.sampled_from(HULL_MODULI), data=st.data())
+def test_enumeration_matches_gram_scale(handed, k, data):
+    """With LLL made to hand back the identity or a shear of a mixed
+    hull's basis, the enumeration on H.M.H^T for norm 1 finds the same U
+    as the one on H.G.H^T for norm k^2.den."""
+    record = data.draw(hull_records(k, 3, 3, True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlip, "lll_gram", honest_transform(handed))
+        mp.setattr(kernels, "lll_gram", honest_transform(handed))
+        assert zlip_outcome(solve_scaled_zlip, record, k) == zlip_outcome(
+            solve_scaled_zlip_on_gram, record, k
+        )
