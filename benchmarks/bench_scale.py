@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse, attack and certificate-free verify at n = 32 to 96 on two checkouts.
+"""Time parse, attack and certificate-free verify at n = 32 to 128 on two checkouts.
 
     python3 benchmarks/bench_scale.py --parent DIR --change DIR --tag NAME [--reps 5]
 
@@ -7,7 +7,8 @@ DIR is the root of a checkout.  Each cell of the grid, seed 1, is run
 --reps times (default 5) per tree, each run in a fresh interpreter that
 imports the tree's own `src/`.  The parent runs first in even
 repetitions and the change in odd ones.  The cells are instances
-(k, n, m) = (15, 32, 16), (3, 64, 32) and (3, 96, 48); one mixed
+(k, n, m) = (15, 32, 16), (3, 64, 32), (3, 96, 48) and (3, 128, 64)
+(the largest cell of the scale gate in tests/test_scale.py); one mixed
 instance at (3, 32, 16), whose public bases B_i are replaced by U_i.B_i
 for U_i a seeded product of 5n elementary row additions r_a += s.r_b
 with s = +-1, so the two Gram matrices differ and their entries grow;
@@ -63,6 +64,7 @@ GRID = (
     ("instance", 15, 32, 16),
     ("instance", 3, 64, 32),
     ("instance", 3, 96, 48),
+    ("instance", 3, 128, 64),
     ("mixed", 3, 32, 16),
     ("non_lcd", 3, 64, 32),
 )

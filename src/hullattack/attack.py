@@ -245,11 +245,11 @@ def verify_isomorphism(
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:
     """Recover an orthonormal o_star with o_star . L2 = L1.
 
-    When k is None the modulus is recovered from the determinant and
-    validated by the hull signature on both inputs, candidate by
-    candidate in increasing order; a candidate that fails on L1 is not
-    tried on L2, and each failure costs one Howell form of width n
-    (`_hull_det_matches`).  Raises NoCandidate,
+    A supplied k is the one candidate modulus; when k is None the
+    candidates are recovered from the determinant.  Each is validated by
+    the hull signature on both inputs, in increasing order; a candidate
+    that fails on L1 is not tried on L2, and each failure costs one
+    Howell form of width n (`_hull_det_matches`).  Raises NoCandidate,
     HullNotTrivial, BadModulus, ZlipFailed, SpepFailed or
     VerificationFailed; each failure carries the partial transcript on
     the exception's .transcript attribute.
@@ -259,52 +259,38 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     n = l1.n
     transcript: list[dict] = []
 
-    hulls: tuple[IntMatrix, IntMatrix] | None = None
     if k is not None:
         if k < 2 or k % 4 == 0:
             _fail(transcript, BadModulus(f"modulus must be >= 2 and not 0 mod 4, got {k}"))
         transcript.append({"step": "modulus", "k": k, "supplied": True})
-        h1 = _hull_det_matches(l1, k)
-        h2 = _hull_det_matches(l2, k) if h1 is not None else None
-        if h1 is None or h2 is None:
-            _fail(
-                transcript,
-                HullNotTrivial(f"k-hull determinant is not {k}^{n} for the supplied modulus"),
-            )
-        hulls = (h1, h2)
+        candidates = [k]
+        refusal = f"k-hull determinant is not {k}^{n} for the supplied modulus"
     else:
-        candidates = recover_modulus(l1)
+        found = recover_modulus(l1)
         transcript.append(
             {
                 "step": "modulus",
                 "determinant": str(l1.abs_det),
-                "candidates": [[c, m] for c, m in candidates],
+                "candidates": [[c, m] for c, m in found],
                 "supplied": False,
             }
         )
-        if not candidates:
+        if not found:
             _fail(
                 transcript,
                 NoCandidate(f"determinant {l1.abs_det} admits no modulus candidate"),
             )
-        for cand, _m in candidates:
-            h1 = _hull_det_matches(l1, cand)
-            if h1 is None:
-                continue
-            h2 = _hull_det_matches(l2, cand)
-            if h2 is None:
-                continue
-            k = cand
-            hulls = (h1, h2)
-            transcript[-1]["k"] = k
+        candidates = [c for c, _m in found]
+        refusal = "no candidate modulus carries the trivial-hull signature"
+    for k in candidates:
+        h1 = _hull_det_matches(l1, k)
+        h2 = None if h1 is None else _hull_det_matches(l2, k)
+        if h2 is not None:
             break
-        if hulls is None:
-            _fail(
-                transcript,
-                HullNotTrivial("no candidate modulus carries the trivial-hull signature"),
-            )
+    else:
+        _fail(transcript, HullNotTrivial(refusal))
+    transcript[-1]["k"] = k
 
-    h1, h2 = hulls
     # _hull_det_matches accepted both hulls, so each |det| is exactly k^n.
     transcript.append({"step": "hull", "k": k, "hull_dets": [str(k**n)] * 2})
 

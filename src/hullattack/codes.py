@@ -5,7 +5,9 @@ equality a tuple comparison.  Freeness bookkeeping rides along: a free
 rank-m code keeps a minimal generator with m independent rows, the shape
 every projection and closure argument below needs.  `from_generator`
 finds it with one module-structure pass over Z/kZ; the signed closures
-take none, because they inherit it from the code they close.
+take none, because they inherit it from the code they close.  A code's
+projector comes from the Howell form of [G.G^T | G], which is [I | H]
+with H = (G.G^T)^-1.G exactly when G.G^T is invertible mod k.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 
-from .errors import BadModulus, NotAUnit, NotFreeLcd, ParseError, Timeout
+from .errors import BadModulus, NotFreeLcd, ParseError, Timeout
 from .linalg import IntMatrix, json_int
 from .modring import (
     ModMatrix,
     howell_form,
-    inverse_mod,
     is_unit_det,
     kernel_mod,
     row_module_structure,
@@ -163,19 +164,24 @@ def projection_matrix(c: LinearCode) -> ModMatrix:
     """The canonical projector onto C: Pi = G^T (G G^T)^-1 G for a
     minimal free generator G.  Independent of the choice of G.
 
-    Pi is symmetric, so after H = (G G^T)^-1 G only the upper triangle
-    of G^T H is formed, and mirrored.
+    H = (G G^T)^-1 G is read off the Howell form of the m x (m + n)
+    matrix [G G^T | G]: when G G^T is invertible mod k its rows span the
+    same module as [I_m | H], which is already in Howell form, and any
+    other form means G G^T is singular.  Pi is symmetric, so only the
+    upper triangle of G^T H is formed, and mirrored.
     """
     if c.free_gen is None:
         raise NotFreeLcd("projection needs a free LCD code")
     g = c.free_gen
-    try:
-        h = inverse_mod(g.mul(g.transpose())).mul(g)
-    except NotAUnit as exc:
-        raise NotFreeLcd(f"Gram determinant is not a unit: {exc}") from None
-    k, n = c.k, c.n
+    k, n, m = c.k, c.n, g.rows
+    gram = g.mul(g.transpose())
+    form = howell_form(ModMatrix(k, m + n, tuple(a + b for a, b in zip(gram.entries, g.entries))))
+    if tuple(row[:m] for row in form.entries) != tuple(
+        tuple(int(i == j) for j in range(m)) for i in range(m)
+    ):
+        raise NotFreeLcd(f"Gram matrix G G^T is not invertible mod {k}")
     gcols = list(zip(*g.entries))
-    hcols = list(zip(*h.entries))
+    hcols = list(zip(*form.entries))[m:]
     pi = [[0] * n for _ in range(n)]
     for i, gi in enumerate(gcols):
         row = pi[i]

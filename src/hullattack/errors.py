@@ -25,10 +25,6 @@ class Singular(HullAttackError):
     """Matrix (or basis) does not have full rank."""
 
 
-class NotAUnit(HullAttackError):
-    """Element or determinant is not invertible modulo k."""
-
-
 class BadModulus(HullAttackError):
     """The modulus is outside the supported classes (k ≡ 0 mod 4, or the
     wrong parity for the requested closure)."""

@@ -150,7 +150,8 @@ class RatMatrix:
     @staticmethod
     def from_dict(d: dict) -> "RatMatrix":
         """Parse the entries, accepting and rejecting exactly the strings
-        (and JSON numbers) `Fraction` does.  The plain forms "p" and "p/q"
+        (and JSON numbers) `Fraction` does; JSON booleans, which `Fraction`
+        would read as 0 and 1, are refused.  The plain forms "p" and "p/q"
         are read as integers; anything else goes through `Fraction`."""
         rows, cols, flat = _check_matrix_dict(d)
         nums, dens = [], []
@@ -158,6 +159,8 @@ class RatMatrix:
             for s in flat:
                 m = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
                 if m is None:
+                    if type(s) is bool:
+                        raise ValueError(f"{s!r} is not a number")
                     x = Fraction(s)
                     p, q = x.numerator, x.denominator
                 else:

@@ -3,7 +3,11 @@
 Z/kZ has zero divisors for composite k, so row reduction uses the Howell
 normal form: the unique canonical form whose rows generate not just the
 row module but every "leading zeros" truncation of it.  That uniqueness
-is what lets code-level equality checks be plain tuple comparisons.
+is what lets code-level equality checks be plain tuple comparisons.  It
+is also the one elimination that solves systems: kernels are read off
+the form of an augmented matrix, and so is (G.G^T)^-1.G for a code's
+projector (`codes.projection_matrix`), so no inverse mod k is taken.
+Whether a square matrix is invertible mod k is a Bareiss determinant.
 
 The structure of a row module (its invariant factors and a minimal
 generating set) comes from a Smith form taken over Z/kZ itself, not over
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
-from .errors import NonSquare, NotAUnit, ParseError, Singular
+from .errors import NonSquare, ParseError
 from .kernels import xgcd
-from .linalg import bareiss_det, inv_int_rows, json_int
+from .linalg import bareiss_det, json_int
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class ModMatrix:
             raise ParseError("mod matrix JSON entry count does not match shape")
         vals = []
         for s in flat:
-            if not isinstance(s, int) or not 0 <= s < k:
+            if type(s) is not int or not 0 <= s < k:
                 raise ParseError(f"mod matrix entry {s!r} outside [0, {k})")
             vals.append(s)
         return ModMatrix(k, cols, tuple(tuple(vals[i * cols : (i + 1) * cols]) for i in range(rows)))
@@ -182,49 +186,6 @@ def kernel_mod(m: ModMatrix) -> ModMatrix:
     h = _howell_rows(aug, a.cols + n, m.k)
     gens = [row[a.cols :] for row in h if not any(row[: a.cols])]
     return ModMatrix(m.k, n, tuple(tuple(r) for r in gens))
-
-
-def _inverse_by_elimination(m: ModMatrix) -> ModMatrix | None:
-    """Gauss-Jordan restricted to unit pivots; None when it stalls."""
-    n, k = m.rows, m.k
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    for p in range(n):
-        piv = next((r for r in range(p, n) if gcd(a[r][p], k) == 1), None)
-        if piv is None:
-            return None
-        a[p], a[piv] = a[piv], a[p]
-        inv = pow(a[p][p], -1, k)
-        a[p] = [(inv * x) % k for x in a[p]]
-        for i in range(n):
-            if i != p and a[i][p]:
-                f = a[i][p]
-                ai, ap = a[i], a[p]
-                for t in range(2 * n):
-                    ai[t] = (ai[t] - f * ap[t]) % k
-    return ModMatrix(k, n, tuple(tuple(row[n:]) for row in a))
-
-
-def inverse_mod(m: ModMatrix) -> ModMatrix:
-    """Exact inverse over Z/kZ; raises NotAUnit when det is not a unit.
-
-    Gauss-Jordan on unit pivots succeeds only for a unit determinant.
-    When it stalls, the integer adjugate decides: its denominator is
-    +-det, and the inverse exists exactly when that is a unit mod k.
-    """
-    if m.rows != m.cols:
-        raise NonSquare("inverse needs a square matrix")
-    got = _inverse_by_elimination(m)
-    if got is not None:
-        return got
-    k = m.k
-    try:
-        num, den = inv_int_rows([list(r) for r in m.entries])
-    except Singular:
-        den = 0
-    if gcd(den, k) != 1:
-        raise NotAUnit(f"determinant {abs(den) % k} (up to sign) is not a unit mod {k}")
-    f = pow(den % k, -1, k)
-    return ModMatrix(k, m.cols, tuple(tuple((x * f) % k for x in row) for row in num))
 
 
 def is_unit_det(m: ModMatrix) -> bool:

@@ -11,18 +11,21 @@ checks of it.  The hull test that took the kernel of the Gram matrix for
 every candidate modulus checks the one that reads the Gram matrix's row
 module.  The ZLIP solver that reduced the Gram matrix G itself, with
 its checks against k^2.den.I, checks the one that reduces the unit form
-G/(k^2.den).  `gram`, `o_hat`, `s_hull` and `lll_rows` are the
-test-only conveniences that used to live in the library.
+G/(k^2.den).  The projector through the inverse of G.G^T mod k, by
+Gauss-Jordan on unit pivots with an integer adjugate when those stall,
+checks the one read off a single Howell form.  `gram`, `o_hat`,
+`s_hull` and `lll_rows` are the test-only conveniences that used to
+live in the library.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from hullattack import kernels
 from hullattack.codes import LinearCode, from_generator
-from hullattack.errors import NonSquare, NotARotation
+from hullattack.errors import HullAttackError, NonSquare, NotARotation, NotFreeLcd, Singular
 from hullattack.kernels import xgcd
 from hullattack.lattices import LatticeBasis, RationalOrthogonal, _hermite_lift, hull_coefficients
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence, inv_int_rows
@@ -270,6 +273,78 @@ def hull_det_matches_by_kernel(lattice: LatticeBasis, k: int) -> IntMatrix | Non
     if prod(coeff.entries[i][i] for i in range(n)) * lattice.abs_det != k**n:
         return None
     return coeff
+
+
+class NotAUnit(HullAttackError):
+    """Element or determinant is not invertible modulo k."""
+
+
+def _inverse_by_elimination(m: ModMatrix) -> ModMatrix | None:
+    """Gauss-Jordan restricted to unit pivots; None when it stalls."""
+    n, k = m.rows, m.k
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    for p in range(n):
+        piv = next((r for r in range(p, n) if gcd(a[r][p], k) == 1), None)
+        if piv is None:
+            return None
+        a[p], a[piv] = a[piv], a[p]
+        inv = pow(a[p][p], -1, k)
+        a[p] = [(inv * x) % k for x in a[p]]
+        for i in range(n):
+            if i != p and a[i][p]:
+                f = a[i][p]
+                ai, ap = a[i], a[p]
+                for t in range(2 * n):
+                    ai[t] = (ai[t] - f * ap[t]) % k
+    return ModMatrix(k, n, tuple(tuple(row[n:]) for row in a))
+
+
+def inverse_mod(m: ModMatrix) -> ModMatrix:
+    """Exact inverse over Z/kZ; raises NotAUnit when det is not a unit.
+
+    Gauss-Jordan on unit pivots succeeds only for a unit determinant.
+    When it stalls, the integer adjugate decides: its denominator is
+    +-det, and the inverse exists exactly when that is a unit mod k.
+    """
+    if m.rows != m.cols:
+        raise NonSquare("inverse needs a square matrix")
+    got = _inverse_by_elimination(m)
+    if got is not None:
+        return got
+    k = m.k
+    try:
+        num, den = inv_int_rows([list(r) for r in m.entries])
+    except Singular:
+        den = 0
+    if gcd(den, k) != 1:
+        raise NotAUnit(f"determinant {abs(den) % k} (up to sign) is not a unit mod {k}")
+    f = pow(den % k, -1, k)
+    return ModMatrix(k, m.cols, tuple(tuple((x * f) % k for x in row) for row in num))
+
+
+def projection_matrix_by_inverse(c: LinearCode) -> ModMatrix:
+    """The canonical projector onto C: Pi = G^T (G G^T)^-1 G for a
+    minimal free generator G.  Independent of the choice of G.
+
+    Pi is symmetric, so after H = (G G^T)^-1 G only the upper triangle
+    of G^T H is formed, and mirrored.
+    """
+    if c.free_gen is None:
+        raise NotFreeLcd("projection needs a free LCD code")
+    g = c.free_gen
+    try:
+        h = inverse_mod(g.mul(g.transpose())).mul(g)
+    except NotAUnit as exc:
+        raise NotFreeLcd(f"Gram determinant is not a unit: {exc}") from None
+    k, n = c.k, c.n
+    gcols = list(zip(*g.entries))
+    hcols = list(zip(*h.entries))
+    pi = [[0] * n for _ in range(n)]
+    for i, gi in enumerate(gcols):
+        row = pi[i]
+        for j in range(i, n):
+            row[j] = pi[j][i] = sum(map(mul, gi, hcols[j])) % k
+    return ModMatrix(k, n, tuple(map(tuple, pi)))
 
 
 def gram(lattice: LatticeBasis) -> RatMatrix:

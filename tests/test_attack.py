@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -337,11 +338,13 @@ class TestVerifyIsomorphism:
         # replaced it is refused inside verify.  The other routes to
         # lattice membership and equality left too (the oracles keep them
         # as well), so `verify_isomorphism` is the one left, and so did
-        # the API that no command called.
+        # the API that no command called.  The projector reads (G.G^T)^-1.G
+        # off one Howell form, so the inverse mod k left with its two paths.
         gone = {
             "hnf_rows", "hnf", "canonical_basis", "same_lattice", "rat_inverse", "dual_basis",
             "det", "mod_reduce_to_code", "integral_rotation", "s_hull", "lattice_equal",
             "DoesNotContainKZn", "NotSymmetric", "WeightedGraph", "graph_from_projection",
+            "inverse_mod", "_inverse_by_elimination", "NotAUnit",
         }
         modules = (attack, codes, equiv, errors, kernels, lattices, linalg, modring, selftest, zlip)
         for mod in modules:
@@ -710,16 +713,16 @@ class TestDeterminantCount:
 
 @pytest.fixture()
 def lattice_inverses(monkeypatch):
-    """Matrices handed to the Bareiss inverse on lattice data, recorded in
-    every module that binds `inv_int_rows` except modring, whose inverses
-    are of m x m code matrices mod k."""
+    """Matrices handed to the Bareiss inverse, recorded in every loaded
+    hullattack module that binds `inv_int_rows`."""
     seen = []
 
     def counted(rows):
         seen.append([list(r) for r in rows])
         return inv_int_rows(rows)
 
-    for mod in (attack, lattices, linalg, zlip):
+    loaded = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "hullattack"]
+    for mod in loaded:
         if getattr(mod, "inv_int_rows", None) is inv_int_rows:
             monkeypatch.setattr(mod, "inv_int_rows", counted)
     return seen

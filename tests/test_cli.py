@@ -184,6 +184,21 @@ class TestAttack:
         assert run_cli("attack", "--in", str(path)) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    def test_boolean_entries_are_input_error(self, instance_file, tmp_path):
+        d = read(instance_file)
+        identity = [i % 6 == 0 for i in range(25)]  # read as the identity lattice once
+        d["public"]["L1"] = {"n": 5, "rows": 5, "cols": 5, "entries": identity}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(d))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hullattack.cli", "attack", "--in", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "True" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerify:
     def test_tampered_witness_fails(self, instance_file, tmp_path):

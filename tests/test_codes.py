@@ -5,10 +5,11 @@ on actual codeword sets, not just on generators.
 """
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullattack.errors import BadModulus, NotFreeLcd, ParseError, Timeout
@@ -31,6 +32,7 @@ from hullattack.codes import (
 )
 from hullattack.linalg import IntMatrix
 from hullattack.modring import ModMatrix, is_unit_det
+from oracles import NotAUnit, _inverse_by_elimination, inverse_mod, projection_matrix_by_inverse
 
 
 def words(c: LinearCode) -> frozenset:
@@ -278,6 +280,58 @@ def test_projection_laws():
         for w in words(c):
             img = tuple(sum(w[i] * pi.entries[i][j] for i in range(n)) % k for j in range(n))
             assert img == w
+
+
+@st.composite
+def generators(draw):
+    """(k, n, rows): up to n rows of length n over the SPEP moduli."""
+    k = draw(st.sampled_from([2, 3, 5, 6, 7, 9, 10, 14, 15]))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), max_size=n))
+    return k, n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators())
+@example((6, 2, [[2, 1], [3, 1]]))
+def test_projection_matches_the_inverse_route(case):
+    """The Howell route gives the projector the inverse of G.G^T gave, and
+    refuses exactly the codes whose G.G^T had no inverse mod k.  Drawn
+    rows that are themselves a free basis are also tried as the free
+    generator, so G.G^T ranges over more than the minimal generator's."""
+    k, n, rows = case
+    c = code_from_rows(k, rows, n)
+    if c.free_gen is None:
+        for route in (projection_matrix, projection_matrix_by_inverse):
+            with pytest.raises(NotFreeLcd):
+                route(c)
+        return
+    candidates = [c]
+    if len(rows) == c.free_rank:
+        candidates.append(replace(c, free_gen=ModMatrix.from_rows(k, rows, n)))
+    for code in candidates:
+        g = code.free_gen
+        try:
+            inverse_mod(g.mul(g.transpose()))
+        except NotAUnit:
+            with pytest.raises(NotFreeLcd):
+                projection_matrix(code)
+        else:
+            assert projection_matrix(code) == projection_matrix_by_inverse(code)
+
+
+def test_projection_where_the_inverse_route_found_no_unit_pivot():
+    # G.G^T = [[2, 3], [3, 2]] mod 6: no unit in its first column, so the
+    # inverse route's Gauss-Jordan stalled and its adjugate decided.
+    g = ModMatrix.from_rows(6, [[1, 1, 0], [1, 2, 3]])
+    c = replace(from_generator(g), free_gen=g)
+    gram = g.mul(g.transpose())
+    assert gram.entries == ((2, 3), (3, 2))
+    assert _inverse_by_elimination(gram) is None
+    pi = projection_matrix(c)
+    assert pi == projection_matrix_by_inverse(c)
+    assert pi == projection_matrix(from_generator(g))
+    assert pi.mul(pi) == pi and from_generator(pi) == c
 
 
 def test_projection_rejects_non_free_lcd():

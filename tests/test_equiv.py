@@ -461,11 +461,13 @@ class TestSpep:
                 checked_not += 1
 
     @pytest.mark.parametrize("k", [15, 6])
-    def test_builds_no_howell_form_wider_than_n(self, monkeypatch, k):
+    def test_builds_no_howell_form_as_wide_as_a_closure(self, monkeypatch, k):
         # The closure projectors are expanded from the n x n projectors,
-        # and the fold check takes one Howell form of width n.
-        n = 8
-        c1 = random_free_lcd(k, n, 4, seed=3)
+        # each read off one Howell form of [G.G^T | G], of width m + n, and
+        # the fold check takes one Howell form of width n.  A closure
+        # would take 2n or 3n.
+        n, m = 8, 4
+        c1 = random_free_lcd(k, n, m, seed=3)
         c2 = apply_signed_perm(c1, [3, 1, 7, 0, 2, 6, 5, 4], [1, -1, -1, 1, 1, -1, 1, 1])
         widths = []
         real = modring._howell_rows
@@ -477,7 +479,7 @@ class TestSpep:
         monkeypatch.setattr(modring, "_howell_rows", counted)
         res = spep(c1, c2)
         assert res.outcome == "found"
-        assert widths and max(widths) == n
+        assert set(widths) == {n, m + n}
 
     def test_self_equivalence_is_identity_friendly(self):
         c = random_free_lcd(5, 4, 2, seed=8)

@@ -183,8 +183,11 @@ ODD_ENTRIES = [
 
 @pytest.mark.parametrize("entry", ODD_ENTRIES, ids=repr)
 def test_from_dict_accepts_what_fraction_accepts(entry):
+    # Booleans are the one exception: Fraction reads them as 0 and 1.
     d = {"rows": 1, "cols": 1, "entries": [entry]}
     try:
+        if type(entry) is bool:
+            raise ValueError("a JSON boolean is not a matrix entry")
         expected = Fraction(entry)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ParseError):
@@ -193,6 +196,12 @@ def test_from_dict_accepts_what_fraction_accepts(entry):
     got = RatMatrix.from_dict(d)
     assert fractions(got) == ((expected,),)
     assert is_canonical(got)
+
+
+def test_from_dict_refuses_json_booleans():
+    d = {"n": 2, "rows": 2, "cols": 2, "entries": [True, False, False, True]}
+    with pytest.raises(ParseError, match="True"):
+        RatMatrix.from_dict(d)
 
 
 @settings(max_examples=500, deadline=None)
