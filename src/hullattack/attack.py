@@ -27,7 +27,6 @@ inverse, determinant, HNF or LLL after ZLIP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .codes import from_generator
@@ -55,7 +54,7 @@ from .lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from .linalg import IntMatrix, RatMatrix
+from .linalg import IntMatrix, RatMatrix, Value
 from .modring import ModMatrix, howell_order
 from .zlip import solve_scaled_zlip
 
@@ -95,13 +94,20 @@ def recover_modulus(lattice: LatticeBasis) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass
-class AttackResult:
-    o_star: RationalOrthogonal
-    transcript: list[dict] = field(default_factory=list)
-    # T* with T*.B1 = B2.o_star^T, which the attack verified; not
-    # serialized, so None on a result read back from JSON.
-    certificate: IntMatrix | None = field(default=None, compare=False)
+class AttackResult(Value, frozen=False, uncompared=("certificate",)):
+    __slots__ = ("o_star", "transcript", "certificate")
+
+    def __init__(
+        self,
+        o_star: RationalOrthogonal,
+        transcript: list[dict] | None = None,
+        certificate: IntMatrix | None = None,
+    ):
+        self.o_star = o_star
+        self.transcript = [] if transcript is None else transcript
+        # T* with T*.B1 = B2.o_star^T, which the attack verified; not
+        # serialized, so None on a result read back from JSON.
+        self.certificate = certificate
 
     def to_dict(self) -> dict:
         return {

@@ -13,12 +13,11 @@ with H = (G.G^T)^-1.G exactly when G.G^T is invertible mod k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 
 from .errors import BadModulus, NotFreeLcd, ParseError, Timeout
-from .linalg import IntMatrix, json_int
+from .linalg import IntMatrix, Value, _set, json_int
 from .modring import (
     ModMatrix,
     howell_form,
@@ -28,15 +27,19 @@ from .modring import (
 )
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Value, uncompared=("free_rank", "free_gen"), hidden=("free_gen",)):
     """A linear code C <= Z_k^n, identified by its canonical generator."""
 
-    k: int
-    n: int
-    gen: ModMatrix
-    free_rank: int | None = field(compare=False)
-    free_gen: ModMatrix | None = field(compare=False, repr=False)
+    __slots__ = ("k", "n", "gen", "free_rank", "free_gen")
+
+    def __init__(
+        self, k: int, n: int, gen: ModMatrix, free_rank: int | None, free_gen: ModMatrix | None
+    ):
+        _set(self, "k", k)
+        _set(self, "n", n)
+        _set(self, "gen", gen)
+        _set(self, "free_rank", free_rank)
+        _set(self, "free_gen", free_gen)
 
     def to_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "gen": self.gen.to_dict()}
@@ -95,8 +98,7 @@ def is_free_lcd(c: LinearCode) -> bool:
     return is_unit_det(g.mul(g.transpose()))
 
 
-@dataclass(frozen=True)
-class ClosureMatrices:
+class ClosureMatrices(Value):
     """Integer matrices behind the signed closures.
 
     interleave maps x to (x_1, -x_1, ..., x_n, -x_n); reading back every
@@ -105,9 +107,12 @@ class ClosureMatrices:
     (x_1, -x_1, ..., x_n, -x_n, m*x_1, ..., m*x_n).
     """
 
-    n: int
-    interleave: IntMatrix
-    extended: IntMatrix | None
+    __slots__ = ("n", "interleave", "extended")
+
+    def __init__(self, n: int, interleave: IntMatrix, extended: IntMatrix | None):
+        _set(self, "n", n)
+        _set(self, "interleave", interleave)
+        _set(self, "extended", extended)
 
 
 def closure_matrices(n: int, k: int | None = None) -> ClosureMatrices:

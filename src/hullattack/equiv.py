@@ -12,7 +12,6 @@ own n x n projector, so no closure code is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, permutations, product
 from operator import add
 from typing import Iterator
@@ -32,6 +31,7 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
+from .linalg import Value, _set
 from .modring import ModMatrix
 
 RETRY_CAP = 10_000
@@ -41,12 +41,15 @@ RETRY_CAP = 10_000
 GI_NODE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Value):
     """Coordinate map y[sigma[i]] = signs[i] * x[i] (sigma 0-based)."""
 
-    sigma: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("sigma", "signs")
+
+    def __init__(self, sigma: tuple[int, ...], signs: tuple[int, ...]):
+        _set(self, "sigma", sigma)
+        _set(self, "signs", signs)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.sigma)
@@ -183,11 +186,18 @@ def solve_weighted_gi(
     yield from search(c1, c2)
 
 
-@dataclass(frozen=True)
-class EquivResult:
-    outcome: str  # "found", "not_equivalent", "inconclusive"
-    perm: SignedPerm | None = None
-    reason: str | None = None
+class EquivResult(Value):
+    __slots__ = ("outcome", "perm", "reason")
+
+    def __init__(
+        self,
+        outcome: str,  # "found", "not_equivalent", "inconclusive"
+        perm: SignedPerm | None = None,
+        reason: str | None = None,
+    ):
+        _set(self, "outcome", outcome)
+        _set(self, "perm", perm)
+        _set(self, "reason", reason)
 
 
 def _require_comparable(c1: LinearCode, c2: LinearCode) -> None:

@@ -11,7 +11,6 @@ generated challenges can be audited.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .codes import LinearCode, random_free_lcd
 from .errors import BadModulus, ParseError
@@ -22,20 +21,26 @@ from .lattices import (
     random_rational_orthogonal,
     rotate,
 )
-from .linalg import json_int
+from .linalg import Value, json_int
 
 
-@dataclass
-class Instance:
-    k: int
-    n: int
-    m: int
-    code: LinearCode
-    l1: LatticeBasis
-    l2: LatticeBasis
-    o1: RationalOrthogonal | None = None
-    o2: RationalOrthogonal | None = None
-    seed: int | None = None
+class Instance(Value, frozen=False):
+    __slots__ = ("k", "n", "m", "code", "l1", "l2", "o1", "o2", "seed")
+
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        m: int,
+        code: LinearCode,
+        l1: LatticeBasis,
+        l2: LatticeBasis,
+        o1: RationalOrthogonal | None = None,
+        o2: RationalOrthogonal | None = None,
+        seed: int | None = None,
+    ):
+        self.k, self.n, self.m, self.code = k, n, m, code
+        self.l1, self.l2, self.o1, self.o2, self.seed = l1, l2, o1, o2, seed
 
     def to_dict(self, include_secret: bool = True) -> dict:
         d = {

@@ -31,7 +31,6 @@ or equality test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -42,8 +41,10 @@ from .errors import DimensionMismatch, NotARotation, NotIntegral, ParseError
 from .linalg import (
     IntMatrix,
     RatMatrix,
-    bareiss_det,
+    Value,
+    _set,
     congruence,
+    gram_det,
     inv_int_rows,
     json_int,
     symmetric_product,
@@ -84,7 +85,7 @@ class GramRecord:
         """|det B| = sqrt(det G / den^n), both square roots exact; 0 when
         the rows are dependent."""
         g, den = self.cleared
-        sq = Fraction(bareiss_det(g), den ** len(g))
+        sq = Fraction(gram_det(g), den ** len(g))
         num, d = isqrt(sq.numerator), isqrt(sq.denominator)
         if num * num != sq.numerator or d * d != sq.denominator:
             raise AssertionError("det of a Gram matrix is not the square of a rational")
@@ -96,16 +97,19 @@ class GramRecord:
         return inv_int_rows(self.cleared[0])
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Value, uncompared=("gram_record",), hidden=("gram_record",)):
     """Basis of a lattice in Q^n, kept exactly as given, with its Gram
     record.  Full rank is checked by `from_dict`, not here (see the
     module docstring).  Pass `gram_record` only for a basis whose Gram
     matrix equals the record's."""
 
-    n: int
-    basis: RatMatrix
-    gram_record: GramRecord | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("n", "basis", "gram_record")
+
+    def __init__(self, n: int, basis: RatMatrix, gram_record: GramRecord | None = None):
+        _set(self, "n", n)
+        _set(self, "basis", basis)
+        _set(self, "gram_record", gram_record)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.basis.rows != self.n or self.basis.cols != self.n:
@@ -113,7 +117,7 @@ class LatticeBasis:
                 f"basis must be {self.n}x{self.n}, got {self.basis.rows}x{self.basis.cols}"
             )
         if self.gram_record is None:
-            object.__setattr__(self, "gram_record", GramRecord(self.basis))
+            _set(self, "gram_record", GramRecord(self.basis))
 
     @property
     def abs_det(self) -> Fraction:
@@ -139,12 +143,15 @@ class LatticeBasis:
         return lattice
 
 
-@dataclass(frozen=True)
-class RationalOrthogonal:
+class RationalOrthogonal(Value):
     """Exactly orthonormal rational matrix: M . M^T = I, checked once, at
     construction, as N . N^T = D^2 . I on the integers of M = N/D."""
 
-    matrix: RatMatrix
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: RatMatrix):
+        _set(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self):
         m = self.matrix

@@ -10,12 +10,15 @@ denominators, brought back to lowest terms by one gcd; no Fraction is
 built per entry.  Fractions appear only where rational input is read
 (`RatMatrix.from_rows`, and `from_dict` on entries other than "p" and
 "p/q") and in the Gram-Schmidt data of short-vector enumeration.
+
+`Value` is the slotted base of the package's value classes, these
+matrices among them: plain classes, so importing the package runs no
+generated code.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
@@ -23,12 +26,64 @@ from operator import mul
 
 from .errors import NonSquare, ParseError, Singular
 
+# How a frozen value class's __init__ stores its fields.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class IntMatrix:
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+class Value:
+    """Base of the package's value classes.
+
+    A subclass lists its fields in `__slots__`, in constructor order, and
+    its own `__init__` stores them (with `object.__setattr__` when the
+    class is frozen), then runs the class's `__post_init__` checks, if it
+    has any.  Equality (same class, equal fields), hash and repr are read
+    off the field list.  Class keywords leave fields out of equality and
+    hash (`uncompared`) or out of repr (`hidden`); a frozen class, the
+    default, refuses assignment, and `frozen=False` allows it and makes
+    instances unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=True, uncompared=(), hidden=()):
+        cls._compared = tuple(f for f in cls.__slots__ if f not in uncompared)
+        cls._shown = tuple(f for f in cls.__slots__ if f not in hidden)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+        else:
+            cls.__hash__ = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so copies and pickles of frozen values work.
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+
+
+class IntMatrix(Value):
     """Immutable integer matrix (tuple of row tuples)."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        _set(self, "entries", entries)
 
     @property
     def rows(self) -> int:
@@ -64,8 +119,7 @@ class IntMatrix:
         return RatMatrix(self.entries)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Value):
     """Immutable rational matrix num/den: one integer matrix (tuple of row
     tuples) over one denominator den > 0.
 
@@ -75,8 +129,11 @@ class RatMatrix:
     constructor trusts its caller to pass the canonical form.
     """
 
-    num: tuple[tuple[int, ...], ...]
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1):
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @property
     def rows(self) -> int:
@@ -151,8 +208,9 @@ class RatMatrix:
     def from_dict(d: dict) -> "RatMatrix":
         """Parse the entries, accepting and rejecting exactly the strings
         (and JSON numbers) `Fraction` does; JSON booleans, which `Fraction`
-        would read as 0 and 1, are refused.  The plain forms "p" and "p/q"
-        are read as integers; anything else goes through `Fraction`."""
+        would read as 0 and 1, are refused, and so are null, lists, objects
+        and infinities.  The plain forms "p" and "p/q" are read as integers;
+        anything else goes through `Fraction`."""
         rows, cols, flat = _check_matrix_dict(d)
         nums, dens = [], []
         try:
@@ -160,7 +218,7 @@ class RatMatrix:
                 m = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
                 if m is None:
                     if type(s) is bool:
-                        raise ValueError(f"{s!r} is not a number")
+                        raise TypeError
                     x = Fraction(s)
                     p, q = x.numerator, x.denominator
                 else:
@@ -173,7 +231,10 @@ class RatMatrix:
                         p, q = p // g, q // g
                 nums.append(p)
                 dens.append(q)
-        except (ValueError, ZeroDivisionError) as exc:
+        except TypeError:
+            raise ParseError(f"bad rational entry: {s!r} is not a number") from None
+        # OverflowError: JSON's Infinity, which Fraction cannot read.
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad rational entry: {exc}") from None
         den = lcm(*set(dens))
         if den != 1:
@@ -249,6 +310,32 @@ def bareiss_det(rows: list[list[int]]) -> int:
             ri[p] = 0
         prev = piv
     return sign * m[n - 1][n - 1]
+
+
+def gram_det(gram) -> int:
+    """det G for an integer Gram matrix G = A.A^T (symmetric positive
+    semidefinite), by fraction-free elimination on the upper triangle.
+
+    Each Schur complement of a symmetric matrix is symmetric, so the
+    entry below a pivot is read from the pivot's row.  Pivot p is the
+    leading principal minor of order p + 1, the Gram determinant of the
+    first p + 1 rows of A; when it is 0 those rows are dependent, so all
+    rows are and det G = 0, with no row swap.
+    """
+    m = [list(r) for r in gram]
+    n = len(m)
+    prev = 1
+    for p in range(n - 1):
+        rp = m[p]
+        piv = rp[p]
+        if piv == 0:
+            return 0
+        for i in range(p + 1, n):
+            ri, f = m[i], rp[i]
+            for j in range(i, n):
+                ri[j] = (piv * ri[j] - f * rp[j]) // prev
+        prev = piv
+    return m[-1][-1] if m else 1
 
 
 def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:

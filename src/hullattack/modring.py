@@ -18,22 +18,23 @@ never leave [0, k) (Storjohann, *Algorithms for Matrix Canonical Forms*,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
 from .errors import NonSquare, ParseError
 from .kernels import xgcd
-from .linalg import bareiss_det, json_int
+from .linalg import Value, _set, bareiss_det, json_int
 
 
-@dataclass(frozen=True)
-class ModMatrix:
+class ModMatrix(Value):
     """Immutable matrix over Z/kZ; entries normalized into [0, k)."""
 
-    k: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("k", "cols", "entries")
+
+    def __init__(self, k: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        _set(self, "k", k)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @property
     def rows(self) -> int:

@@ -34,12 +34,11 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import NotARotation
 from .kernels import lll_gram
-from .linalg import IntMatrix, bareiss_det, congruence, enumerate_short_vectors
+from .linalg import IntMatrix, Value, _set, bareiss_det, congruence, enumerate_short_vectors
 
 NODE_BUDGET = 10**6
 
@@ -79,11 +78,13 @@ def assemble_orthogonal_basis(gram, target: int) -> list[tuple[int, ...]] | None
     return [x for x, _ in chosen]
 
 
-@dataclass(frozen=True)
-class ZlipSolution:
-    u: IntMatrix  # unimodular, U.G.U^T = k^2.den.I
-    k: int
-    method: str  # "lll" or "enumeration"
+class ZlipSolution(Value):
+    __slots__ = ("u", "k", "method")
+
+    def __init__(self, u: IntMatrix, k: int, method: str):
+        _set(self, "u", u)  # unimodular, U.G.U^T = k^2.den.I
+        _set(self, "k", k)
+        _set(self, "method", method)  # "lll" or "enumeration"
 
 
 def _is_identity(m: list[list[int]]) -> bool:

@@ -57,7 +57,7 @@ from hullattack.lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, inv_int_rows
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_det, inv_int_rows
 from hullattack.zlip import solve_scaled_zlip
 from oracles import (
     det,
@@ -679,18 +679,23 @@ class TestVerificationFailure:
 
 @pytest.fixture()
 def lattice_dets(monkeypatch):
-    """Sizes of the Bareiss determinants taken on lattice data, counted in
-    every module that binds `bareiss_det` except modring, whose
-    determinants are of m x m code Gram matrices mod k."""
+    """Sizes of the determinants taken on lattice data, by Bareiss or on a
+    Gram matrix's upper triangle, counted in every module that binds
+    `bareiss_det` or `gram_det` except modring, whose determinants are of
+    m x m code Gram matrices mod k."""
     sizes = []
 
-    def counted(rows):
-        sizes.append(len(rows))
-        return bareiss_det(rows)
+    def counting(det):
+        def counted(rows):
+            sizes.append(len(rows))
+            return det(rows)
+
+        return counted
 
     for mod in (attack, lattices, linalg, zlip):
-        if getattr(mod, "bareiss_det", None) is bareiss_det:
-            monkeypatch.setattr(mod, "bareiss_det", counted)
+        for det in (bareiss_det, gram_det):
+            if getattr(mod, det.__name__, None) is det:
+                monkeypatch.setattr(mod, det.__name__, counting(det))
     return sizes
 
 
@@ -748,7 +753,7 @@ class TestInverseCount:
         inverse, determinant, Howell form or LLL kernel, in any module
         (the HNF kernel is gone: `test_calls_no_hnf`)."""
         l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
-        kernel_names = ("inv_int_rows", "bareiss_det", "_howell_rows", "lll_gram")
+        kernel_names = ("inv_int_rows", "bareiss_det", "gram_det", "_howell_rows", "lll_gram")
         in_verify, reached, certificates = [False], [], []
 
         def watched(name, fn):

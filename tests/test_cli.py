@@ -199,6 +199,25 @@ class TestAttack:
         assert "True" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(None, "None"), ([1], "[1]"), ({"p": 1}, "{'p': 1}"), (float("inf"), "Infinity")],
+        ids=["null", "list", "object", "infinity"],
+    )
+    def test_non_number_entry_is_input_error(self, instance_file, tmp_path, entry, message):
+        d = read(instance_file)
+        d["public"]["L1"]["entries"][0] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(d))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hullattack.cli", "attack", "--in", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "bad rational entry: " in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerify:
     def test_tampered_witness_fails(self, instance_file, tmp_path):

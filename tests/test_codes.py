@@ -5,7 +5,6 @@ on actual codeword sets, not just on generators.
 """
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -273,13 +272,17 @@ def test_projection_laws():
         pi = projection_matrix(c)
         assert pi.mul(pi) == pi
         assert pi.transpose() == pi
-        for w in words(c):
-            assert tuple(sum(a * col for a, col in zip(w, pi.entries[j])) for j in range(0)) == ()
+
+        def image(w):
+            return tuple(sum(w[i] * pi.entries[i][j] for i in range(n)) % k for j in range(n))
+
         # image is exactly C and every word is fixed
         assert from_generator(pi) == from_generator(c.gen)
         for w in words(c):
-            img = tuple(sum(w[i] * pi.entries[i][j] for i in range(n)) % k for j in range(n))
-            assert img == w
+            assert image(w) == w
+        # Pi projects along the dual: every word of C^perp maps to 0
+        for w in words(dual(c)):
+            assert image(w) == (0,) * n
 
 
 @st.composite
@@ -308,7 +311,8 @@ def test_projection_matches_the_inverse_route(case):
         return
     candidates = [c]
     if len(rows) == c.free_rank:
-        candidates.append(replace(c, free_gen=ModMatrix.from_rows(k, rows, n)))
+        g = ModMatrix.from_rows(k, rows, n)
+        candidates.append(LinearCode(c.k, c.n, c.gen, free_rank=c.free_rank, free_gen=g))
     for code in candidates:
         g = code.free_gen
         try:
@@ -324,7 +328,8 @@ def test_projection_where_the_inverse_route_found_no_unit_pivot():
     # G.G^T = [[2, 3], [3, 2]] mod 6: no unit in its first column, so the
     # inverse route's Gauss-Jordan stalled and its adjugate decided.
     g = ModMatrix.from_rows(6, [[1, 1, 0], [1, 2, 3]])
-    c = replace(from_generator(g), free_gen=g)
+    base = from_generator(g)
+    c = LinearCode(base.k, base.n, base.gen, free_rank=base.free_rank, free_gen=g)
     gram = g.mul(g.transpose())
     assert gram.entries == ((2, 3), (3, 2))
     assert _inverse_by_elimination(gram) is None

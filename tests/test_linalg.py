@@ -12,7 +12,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hullattack.errors import NonSquare, ParseError, Singular
@@ -21,11 +21,12 @@ from hullattack.linalg import (
     RatMatrix,
     bareiss_det,
     enumerate_short_vectors,
+    gram_det,
     gram_schmidt,
     inv_int_rows,
 )
 from hullattack.modring import ModMatrix, howell_form, is_unit_det, smith_mod
-from hullattack.lattices import random_rational_orthogonal
+from hullattack.lattices import GramRecord, random_rational_orthogonal
 from oracles import (
     canonical_basis,
     det,
@@ -204,6 +205,18 @@ def test_from_dict_refuses_json_booleans():
         RatMatrix.from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [(None, "None"), ([1], "[1]"), ({"p": 1}, "{'p': 1}"), (float("inf"), "Infinity")],
+    ids=["null", "list", "object", "infinity"],
+)
+def test_from_dict_refuses_non_numbers(entry, message):
+    d = {"rows": 1, "cols": 2, "entries": ["1/2", entry]}
+    with pytest.raises(ParseError, match="bad rational entry") as info:
+        RatMatrix.from_dict(d)
+    assert message in str(info.value)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.text(alphabet="0123456789-+/ ._eE", max_size=7), min_size=1, max_size=4))
 def test_from_dict_agrees_with_fraction_on_short_strings(entries):
@@ -294,6 +307,39 @@ def test_det_matches_laplace():
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-8, 9) for _ in range(n)] for _ in range(n)]
         assert bareiss_det(rows) == laplace_det(rows)
+
+
+@st.composite
+def gram_matrices(draw):
+    """The integer Gram matrix (B.B^T cleared to lowest terms, as a
+    `GramRecord` holds it) of r <= 6 rows of length c in [r - 2, 7],
+    integer or rational.  A row may be a combination of two rows before
+    it, and r > c forces dependence, so det 0 is common."""
+    r = draw(st.integers(0, 6))
+    c = draw(st.integers(max(r - 2, 0), 7))
+    entry = draw(st.sampled_from([st.integers(-9, 9), st.fractions(-3, 3, max_denominator=6)]))
+    rows = []
+    for _ in range(r):
+        if rows and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=c, max_size=c)))
+    return GramRecord(RatMatrix.from_rows(rows)).cleared[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(gram_matrices())
+@example([])
+@example([[0]])
+@example([[7]])
+@example([[0, 0], [0, 5]])
+@example([[1, 2], [2, 4]])
+def test_gram_det_matches_bareiss(gram):
+    before = [list(r) for r in gram]
+    assert gram_det(gram) == bareiss_det(gram)
+    assert gram == before
 
 
 def test_det_rational_rotation_is_one():
