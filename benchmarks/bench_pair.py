@@ -2,11 +2,13 @@
 """Run perfbench on two checkouts, in pairs, and record every run in one file.
 
     python3 benchmarks/bench_pair.py --parent DIR --change DIR --tag NAME \
-        [--pairs 10] [--seed 7] [--seconds 40] [--workload W ...]
+        [--pairs 10] [--seed 7] [--seconds 40] [--workload W[:PAIRS] ...]
 
 DIR is the root of a checkout (for the parent, for example, a
-`git archive` of the parent commit unpacked somewhere).  For each
-workload, pair i runs both trees with seed --seed + i, each as
+`git archive` of the parent commit unpacked somewhere).  Each workload
+runs --pairs pairs, or PAIRS where `--workload W:PAIRS` gives them (say
+more pairs on the workload a gain is claimed on).  Pair i runs both
+trees with seed --seed + i, each as
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
 from its own root, so each builds what it runs from its own source.
 The parent runs first in even pairs and the change in odd ones.
@@ -33,6 +35,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ("small-mixed", "large-verify", "reject")
 TREES = ("parent", "change")
+
+
+def workload_arg(text: str) -> tuple[str, int | None]:
+    """W or W:PAIRS, as (W, PAIRS or None)."""
+    name, _, pairs = text.partition(":")
+    if name not in WORKLOADS or (pairs and not (pairs.isdigit() and int(pairs) >= 1)):
+        raise argparse.ArgumentTypeError(f"want one of {', '.join(WORKLOADS)}, then :PAIRS >= 1")
+    return name, int(pairs) if pairs else None
 
 
 def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -90,7 +100,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--seconds", type=int, default=40)
-    p.add_argument("--workload", action="append", choices=WORKLOADS)
+    p.add_argument("--workload", action="append", type=workload_arg)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -99,23 +109,28 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = {
         "command": f"perfbench/run.py --seed S --seconds {args.seconds} --trace 0",
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "seed": args.seed,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
+    for workload, count in args.workload or [(w, None) for w in WORKLOADS]:
+        count = count or args.pairs
         pairs = []
-        for i in range(args.pairs):
+        for i in range(count):
             seed = args.seed + i
             order = TREES if i % 2 == 0 else TREES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for tree in order:
                 pair[tree] = run(roots[tree], workload, seed, args.seconds)
             pairs.append(pair)
-            print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        out["workloads"][workload] = {"summary": summarize(pairs, better), "runs": pairs}
+            print(f"{workload} pair {i + 1}/{count} done", file=sys.stderr)
+        out["workloads"][workload] = {
+            "pairs": count,
+            "summary": summarize(pairs, better),
+            "runs": pairs,
+        }
     path = HERE / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

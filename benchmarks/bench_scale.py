@@ -12,9 +12,10 @@ repetitions and the change in odd ones.  The cells are instances
 instance at (3, 32, 16), whose public bases B_i are replaced by U_i.B_i
 for U_i a seeded product of 5n elementary row additions r_a += s.r_b
 with s = +-1, so the two Gram matrices differ and their entries grow;
-and one non-LCD pair at (3, 64, 32): two rotations of the Construction
-A lattice of the first code of m random rows over Z_k that is not LCD,
-which the attack must refuse.  A run builds its input (untimed), writes
+and non-LCD pairs at (5, 32, 16) and (3, 64, 32) (the first two of the
+scale gate's refusals): two rotations of the Construction A lattice of
+the first code of m random rows over Z_k that is not LCD, which the
+attack must refuse.  A run builds its input (untimed), writes
 the public part to JSON and then times, in process time:
 
   parse   both public lattices read back from that JSON,
@@ -66,6 +67,7 @@ GRID = (
     ("instance", 3, 96, 48),
     ("instance", 3, 128, 64),
     ("mixed", 3, 32, 16),
+    ("non_lcd", 5, 32, 16),
     ("non_lcd", 3, 64, 32),
 )
 SEED = 1

@@ -6,8 +6,8 @@ code is LCD), solve scaled ZLIP on each hull, pull the codes back through
 the recovered rotations, solve signed permutation equivalence, and
 compose the three maps into a single orthonormal witness.
 A candidate modulus is tested on the order of the Gram matrix's row
-module mod k.den, one Howell form of width n, so a losing candidate or a
-non-LCD input is refused without taking any kernel.
+module mod k.den, one Howell form of width n; a hull index too large for
+it ends the search, and only an accepted candidate takes a kernel.
 
 Every map before the witness is an integer transform of a lattice's
 basis B, read through its Gram record B.B^T = G/den: the hull is C.B
@@ -132,22 +132,23 @@ def _fail(transcript: list[dict], exc: HullAttackError):
     raise exc
 
 
-def _hull_det_matches(lattice: LatticeBasis, k: int) -> IntMatrix | None:
-    """The coefficient HNF C of the k-hull (whose basis is C . B), when
-    the hull's determinant carries the trivial-hull signature.
+def _hull_det_matches(
+    lattice: LatticeBasis, k: int, transcript: list[dict], refusal: str
+) -> IntMatrix | None:
+    """The coefficient HNF C of the k-hull (basis C . B) when |det hull|
+    = k^n, which holds exactly for LCD codes; None when it is larger, and
+    HullNotTrivial(refusal) with the transcript when it is smaller.
 
-    det(hull) = k^n / |C intersect C_dual|, so equality with k^n holds
-    exactly for LCD codes.  |det hull| = [L : hull] . |det L|, and the
-    index is the order of the Gram matrix's row module mod k.den, read
-    off its Howell form (`gram_row_module`); the lattice's cached
-    `abs_det` does the rest.  So a losing modulus costs one Howell form
-    of width n, and only an accepted one takes the kernel of that form
-    for C.  The hull basis itself is never formed.
+    |det hull| = [L : hull] . |det L|, the index being the order of G's
+    row module mod k.den (`gram_row_module`): (k.den)^n / prod gcd(s_i,
+    k.den) over G's Smith invariants s_i.  Each candidate divides the
+    next, so that product never falls and |det hull| < k^n stays below.
     """
     module = gram_row_module(lattice, k)
-    if howell_order(module) * lattice.abs_det != k**lattice.n:
-        return None
-    return hull_coefficients_from(module)
+    hull_det, target = howell_order(module) * lattice.abs_det, k**lattice.n
+    if hull_det < target:
+        _fail(transcript, HullNotTrivial(refusal))
+    return None if hull_det > target else hull_coefficients_from(module)
 
 
 def _assemble(
@@ -253,10 +254,9 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
 
     A supplied k is the one candidate modulus; when k is None the
     candidates are recovered from the determinant.  Each is validated by
-    the hull signature on both inputs, in increasing order; a candidate
-    that fails on L1 is not tried on L2, and each failure costs one
-    Howell form of width n (`_hull_det_matches`).  Raises NoCandidate,
-    HullNotTrivial, BadModulus, ZlipFailed, SpepFailed or
+    the hull signature on both inputs, in increasing order, until one
+    passes on both or `_hull_det_matches` ends the search.  Raises
+    NoCandidate, HullNotTrivial, BadModulus, ZlipFailed, SpepFailed or
     VerificationFailed; each failure carries the partial transcript on
     the exception's .transcript attribute.
     """
@@ -289,8 +289,8 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
         candidates = [c for c, _m in found]
         refusal = "no candidate modulus carries the trivial-hull signature"
     for k in candidates:
-        h1 = _hull_det_matches(l1, k)
-        h2 = None if h1 is None else _hull_det_matches(l2, k)
+        h1 = _hull_det_matches(l1, k, transcript, refusal)
+        h2 = None if h1 is None else _hull_det_matches(l2, k, transcript, refusal)
         if h2 is not None:
             break
     else:

@@ -9,8 +9,10 @@ membership and code reading through B^-1 are the side routes the library
 dropped for `attack.verify_isomorphism`; they stay here as independent
 checks of it.  The hull test that took the kernel of the Gram matrix for
 every candidate modulus checks the one that reads the Gram matrix's row
-module.  The ZLIP solver that reduced the Gram matrix G itself, with
-its checks against k^2.den.I, checks the one that reduces the unit form
+module, and the attack that tried every candidate modulus checks the one
+that stops at the first hull index too large for its candidate.  The
+ZLIP solver that reduced the Gram matrix G itself, with its checks
+against k^2.den.I, checks the one that reduces the unit form
 G/(k^2.den).  The projector through the inverse of G.G^T mod k, by
 Gauss-Jordan on unit pivots with an integer adjugate when those stall,
 checks the one read off a single Howell form.  `gram`, `o_hat`,
@@ -24,13 +26,44 @@ from math import gcd, prod
 from operator import mul
 
 from hullattack import kernels
+from hullattack.attack import (
+    AttackResult,
+    _assemble,
+    _certificate,
+    _fail,
+    recover_modulus,
+    verify_isomorphism,
+)
 from hullattack.codes import LinearCode, from_generator
-from hullattack.errors import HullAttackError, NonSquare, NotARotation, NotFreeLcd, Singular
+from hullattack.equiv import spep
+from hullattack.errors import (
+    BadModulus,
+    DimensionMismatch,
+    ExtractionExhausted,
+    HullAttackError,
+    HullNotTrivial,
+    NoCandidate,
+    NonSquare,
+    NotARotation,
+    NotFreeLcd,
+    NotIntegral,
+    Singular,
+    SpepFailed,
+    VerificationFailed,
+    ZlipFailed,
+)
 from hullattack.kernels import xgcd
-from hullattack.lattices import LatticeBasis, RationalOrthogonal, _hermite_lift, hull_coefficients
+from hullattack.lattices import (
+    LatticeBasis,
+    RationalOrthogonal,
+    _hermite_lift,
+    hull_coefficients,
+    rotated_rows,
+    sublattice_gram,
+)
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence, inv_int_rows
 from hullattack.modring import ModMatrix, kernel_mod
-from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis
+from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
 
 
 def hnf_rows(rows, ncols):
@@ -273,6 +306,114 @@ def hull_det_matches_by_kernel(lattice: LatticeBasis, k: int) -> IntMatrix | Non
     if prod(coeff.entries[i][i] for i in range(n)) * lattice.abs_det != k**n:
         return None
     return coeff
+
+
+def hull_attack_trying_every_modulus(
+    l1: LatticeBasis, l2: LatticeBasis, k: int | None = None
+) -> AttackResult:
+    """`attack.hull_attack` as it tried every candidate modulus in turn,
+    with the two-sided hull test of `hull_det_matches_by_kernel` (None on
+    a miss from either side): a candidate whose hull index overshoots
+    does not end the search."""
+    if l1.n != l2.n:
+        raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
+    n = l1.n
+    transcript: list[dict] = []
+
+    if k is not None:
+        if k < 2 or k % 4 == 0:
+            _fail(transcript, BadModulus(f"modulus must be >= 2 and not 0 mod 4, got {k}"))
+        transcript.append({"step": "modulus", "k": k, "supplied": True})
+        candidates = [k]
+        refusal = f"k-hull determinant is not {k}^{n} for the supplied modulus"
+    else:
+        found = recover_modulus(l1)
+        transcript.append(
+            {
+                "step": "modulus",
+                "determinant": str(l1.abs_det),
+                "candidates": [[c, m] for c, m in found],
+                "supplied": False,
+            }
+        )
+        if not found:
+            _fail(
+                transcript,
+                NoCandidate(f"determinant {l1.abs_det} admits no modulus candidate"),
+            )
+        candidates = [c for c, _m in found]
+        refusal = "no candidate modulus carries the trivial-hull signature"
+    for k in candidates:
+        h1 = hull_det_matches_by_kernel(l1, k)
+        h2 = None if h1 is None else hull_det_matches_by_kernel(l2, k)
+        if h2 is not None:
+            break
+    else:
+        _fail(transcript, HullNotTrivial(refusal))
+    transcript[-1]["k"] = k
+
+    # hull_det_matches_by_kernel accepted both hulls, so each |det| is exactly k^n.
+    transcript.append({"step": "hull", "k": k, "hull_dets": [str(k**n)] * 2})
+
+    # T_i = U_i . C_i: the frame T_i . B_i of k Z^n in L_i's basis coordinates.
+    frames = []
+    for idx, lattice, coeff in ((1, l1, h1), (2, l2, h2)):
+        try:
+            sol = solve_scaled_zlip(sublattice_gram(lattice, coeff), k)
+        except NotARotation as exc:
+            _fail(transcript, ZlipFailed(f"hull of lattice {idx} is not a rotation of kZ^n: {exc}"))
+        transcript.append({"step": "zlip", "lattice": idx, "method": sol.method})
+        frames.append(sol.u.mul(coeff))
+    t1, t2 = frames
+
+    # R_i = B_i . o_hat_i^T contains k Z^n, as R_i^-1 = T_i / k: its rows
+    # mod k generate the code.
+    rotated, codes = [], []
+    for idx, lattice, t in ((1, l1, t1), (2, l2, t2)):
+        try:
+            r = rotated_rows(lattice, t, k)
+        except NotIntegral as exc:
+            _fail(transcript, SpepFailed(f"lattice {idx} does not reduce to a code mod k: {exc}"))
+        rotated.append(r)
+        codes.append(from_generator(ModMatrix.from_rows(k, r.entries, n)))
+    c1, c2 = codes
+    transcript.append(
+        {
+            "step": "codes",
+            "c1": [list(r) for r in c1.gen.entries],
+            "c2": [list(r) for r in c2.gen.entries],
+        }
+    )
+
+    stats: dict = {}
+    try:
+        res = spep(c1, c2, stats)
+    except (ExtractionExhausted, NotFreeLcd, BadModulus) as exc:
+        _fail(transcript, SpepFailed(f"signed equivalence failed: {exc}"))
+    transcript.append(
+        {
+            "step": "spep",
+            "outcome": res.outcome,
+            "closure": stats.get("mode"),
+            "gi_nodes": stats.get("nodes"),
+        }
+    )
+    if res.outcome != "found":
+        _fail(transcript, SpepFailed("extracted codes are not signed-permutation equivalent"))
+    s = res.perm
+    transcript[-1]["sigma"] = list(s.sigma)
+    transcript[-1]["signs"] = list(s.signs)
+
+    o_star = _assemble(l1, l2, t1, t2, s, k)
+    try:
+        certificate = _certificate(rotated[1], t1, s, k)
+    except NotIntegral:
+        certificate = None
+    ok = certificate is not None and verify_isomorphism(l1, l2, o_star, certificate)
+    transcript.append({"step": "verify", "ok": ok})
+    if not ok:
+        _fail(transcript, VerificationFailed("composed map does not send L2 to L1"))
+    return AttackResult(o_star=o_star, transcript=transcript, certificate=certificate)
 
 
 class NotAUnit(HullAttackError):

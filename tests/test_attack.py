@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +39,7 @@ from hullattack.equiv import EquivResult, SignedPerm, brute_force_spep
 from hullattack.errors import (
     BadModulus,
     DimensionMismatch,
+    HullAttackError,
     HullNotTrivial,
     NoCandidate,
     NotARotation,
@@ -51,6 +53,7 @@ from hullattack.lattices import (
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
+    gram_row_module,
     hull_coefficients,
     random_rational_orthogonal,
     rotate,
@@ -58,10 +61,13 @@ from hullattack.lattices import (
     sublattice_gram,
 )
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_det, inv_int_rows
+from hullattack.modring import howell_order
 from hullattack.zlip import solve_scaled_zlip
 from oracles import (
     det,
     fractions,
+    hull_attack_trying_every_modulus,
+    hull_coefficients_by_kernel,
     hull_det_matches_by_kernel,
     lattice_equal,
     mod_reduce_to_code,
@@ -490,7 +496,7 @@ class TestIntegerTransformEquivalence:
             for cand, _m in recover_modulus(lattice):
                 coeff = hull_coefficients(lattice, cand)
                 assert sublattice_gram(lattice, coeff) == s_hull(lattice, cand).gram_record.cleared
-            coeff = _hull_det_matches(lattice, k)
+            coeff = _hull_det_matches(lattice, k, [], "")
             sol = solve_scaled_zlip(sublattice_gram(lattice, coeff), k)
             o = o_hat(sol, s_hull(lattice, k).basis)  # passes RationalOrthogonal
             frame = sol.u.mul(coeff)
@@ -502,14 +508,14 @@ class TestIntegerTransformEquivalence:
 
 
 @st.composite
-def hull_test_lattices(draw):
+def hull_test_lattices(draw, moduli=(2, 3, 5, 6, 9, 10, 15), generated=True):
     """(k, [L1, L2]) for a generated instance over k, or for a code of
     random rows over Z_k that is not LCD, rotated twice."""
-    k = draw(st.sampled_from([2, 3, 5, 6, 9, 10, 15]))
+    k = draw(st.sampled_from(moduli))
     n = draw(st.integers(3, 7))
     m = draw(st.integers(1, n - 1))
     seed = draw(st.integers(0, 10**6))
-    if draw(st.booleans()):
+    if generated and draw(st.booleans()):
         inst = generate_instance(k, n, m, seed=seed)
         return k, [inst.l1, inst.l2]
     rng = random.Random(seed)
@@ -527,16 +533,96 @@ def hull_test_lattices(draw):
 @given(hull_test_lattices())
 def test_hull_test_matches_the_kernel_route(case):
     # Every modulus the attack could try, and k itself where the
-    # determinant does not propose it: the same verdict and the same C.
+    # determinant does not propose it: the same verdict and the same C,
+    # and a refusal exactly where the hull determinant falls below q^n.
     k, lats = case
     for lattice in lats:
         for q in {cand for cand, _m in recover_modulus(lattice)} | {k}:
-            assert _hull_det_matches(lattice, q) == hull_det_matches_by_kernel(lattice, q)
+            coeff = hull_coefficients_by_kernel(lattice, q)
+            hull_det = prod(row[i] for i, row in enumerate(coeff.entries)) * lattice.abs_det
+            if hull_det < q**lattice.n:
+                with pytest.raises(HullNotTrivial, match="^refused$") as info:
+                    _hull_det_matches(lattice, q, [{"step": "modulus"}], "refused")
+                assert info.value.transcript == [{"step": "modulus"}]
+            else:
+                got = _hull_det_matches(lattice, q, [], "")
+                assert got == hull_det_matches_by_kernel(lattice, q)
+
+
+@st.composite
+def attack_inputs(draw):
+    """(L1, L2, k) for `hull_attack`: a pair of `hull_test_lattices`, or
+    of a code over k = 9, 25 or 27 that is not LCD, so that a candidate
+    below k is proposed; each lattice shrunk by 1 or by the least prime
+    p of k, which divides its Gram matrix by p^2 (a record over den > 1)
+    and keeps |det L| an integer when p^n divides it; k supplied or not."""
+    k, lats = draw(
+        st.one_of(
+            hull_test_lattices(),
+            hull_test_lattices(moduli=(9, 25, 27), generated=False),
+        )
+    )
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    shrinks = draw(st.lists(st.sampled_from([1, p]), min_size=2, max_size=2))
+    l1, l2 = (
+        LatticeBasis(lat.n, RatMatrix.over(lat.basis.num, lat.basis.den * c))
+        for lat, c in zip(lats, shrinks)
+    )
+    return l1, l2, draw(st.one_of(st.none(), st.just(k), st.integers(2, 30)))
+
+
+def attack_outcome(attack_fn, l1, l2, k):
+    """The result and certificate of an attack, or its error's type,
+    message and transcript."""
+    try:
+        res = attack_fn(l1, l2, k)
+    except HullAttackError as exc:
+        return type(exc), str(exc), exc.transcript
+    return res.to_dict(), res.certificate
+
+
+@settings(max_examples=200, deadline=None)
+@given(attack_inputs())
+def test_attack_matches_the_attack_trying_every_modulus(case):
+    # Ending the search at the first hull index too large for its
+    # candidate never changes what the attack returns or raises.
+    l1, l2, k = case
+    assert attack_outcome(hull_attack, l1, l2, k) == attack_outcome(
+        hull_attack_trying_every_modulus, l1, l2, k
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 12), st.integers(1, 8))
+def test_candidate_moduli_divide_each_other(base, power, n):
+    # q^e = q'^e' = |det L| makes q and q' powers of one integer, so
+    # each candidate divides the next.
+    qs = [q for q, _m in recover_modulus(diag_lattice([base**power] + [1] * (n - 1)))]
+    assert qs and all(b % a == 0 for a, b in zip(qs, qs[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(attack_inputs())
+def test_gcd_product_never_falls_along_the_candidates(case):
+    # (q.den)^n / [L : hull] = prod gcd(s_i, q.den) over the Smith
+    # invariants s_i of G, on either lattice at the candidates of L1; the
+    # hull test asks it to equal den^n.|det L| at every q, so once it is
+    # larger no later candidate can pass.
+    l1, l2, _k = case
+    qs = [q for q, _m in recover_modulus(l1)]
+    for lattice in (l1, l2):
+        den = lattice.gram_record.cleared[1]
+        products = []
+        for q in qs:
+            big, index = (q * den) ** lattice.n, howell_order(gram_row_module(lattice, q))
+            assert big % index == 0
+            products.append(big // index)
+        assert products == sorted(products)
 
 
 def frame(lattice, k):
     """T = U.C: the frame T.B of k Z^n found by the attack's hull and ZLIP."""
-    coeff = _hull_det_matches(lattice, k)
+    coeff = _hull_det_matches(lattice, k, [], "")
     return solve_scaled_zlip(sublattice_gram(lattice, coeff), k).u.mul(coeff)
 
 
@@ -811,9 +897,27 @@ def kernel_moduli(monkeypatch):
     return seen
 
 
+@pytest.fixture()
+def row_modules(monkeypatch):
+    """(lattice, scale) of every `gram_row_module` call, in every module
+    that binds it."""
+    seen = []
+    real = lattices.gram_row_module
+
+    def counted(lattice, s):
+        seen.append((lattice, s))
+        return real(lattice, s)
+
+    for mod in (attack, lattices):
+        if getattr(mod, "gram_row_module", None) is real:
+            monkeypatch.setattr(mod, "gram_row_module", counted)
+    return seen
+
+
 class TestKernelCount:
     def test_non_lcd_attack_takes_none(self, kernel_moduli):
-        # Every candidate loses on the order of the Gram row module.
+        # The first candidate's hull index is too large, which ends the
+        # search before any kernel is taken.
         code = code_from_rows(5, [[1, 2, 0, 0], [0, 0, 1, 2]])
         lat = rotate(construction_a(code), random_rational_orthogonal(4, seed=3))
         with pytest.raises(HullNotTrivial):
@@ -829,6 +933,28 @@ class TestKernelCount:
         assert res.transcript[0]["candidates"][0][0] == 3 and res.transcript[0]["k"] == 9
         dens = [lat.gram_record.cleared[1] for lat in (l1, l2)]
         assert kernel_moduli == [9 * d for d in dens]
+
+
+class TestRowModuleCount:
+    def test_overshooting_first_candidate_ends_the_search(self, row_modules):
+        # Over Z_5 the code is self-orthogonal, so at q = 5 the hull index
+        # is too large on L1 and q = 25 is never tried; L2 is never tested.
+        code = code_from_rows(5, [[1, 2, 0, 0], [0, 0, 1, 2]])
+        base = construction_a(code)
+        l1, l2 = (rotate(base, random_rational_orthogonal(4, seed=s)) for s in (3, 4))
+        assert [q for q, _m in recover_modulus(l1)] == [5, 25]
+        with pytest.raises(HullNotTrivial) as info:
+            hull_attack(l1, l2)
+        assert info.value.transcript[0]["candidates"] == [[5, 2], [25, 3]]
+        assert [(lat is l1, s) for lat, s in row_modules] == [(True, 5)]
+
+    def test_losing_modulus_goes_on(self, row_modules):
+        # k = 9: L1's hull index is too small at q = 3, so the search goes
+        # on to 9, where L1 and then L2 match.
+        l1, l2 = parsed_public(generate_instance(9, 12, 6, seed=1))
+        hull_attack(l1, l2)
+        calls = [(1 if lat is l1 else 2 if lat is l2 else 0, s) for lat, s in row_modules]
+        assert calls == [(1, 3), (1, 9), (2, 9)]
 
 
 @pytest.fixture()

@@ -18,7 +18,10 @@ ran an integer HNF and takes 0.7 s reading it off the code's Howell form.
 
 Inputs the attack must refuse have budgets too, under the same rule: a
 code of random rows that is not LCD, rotated twice, must raise
-`HullNotTrivial` after every candidate modulus has failed the hull test.
+`HullNotTrivial` once the hull test has failed every candidate modulus
+or found a hull index too large for one, which no later candidate can
+pass.  For a prime k that happens at the first candidate, k itself; the
+pair over Z_9 here goes on from 3 to 9.
 """
 
 import random
@@ -50,10 +53,13 @@ SCALE_CORPUS = [
 # (k, n, m, seed) -> generation budget in seconds; measured 0.69-0.74 s.
 GEN_BUDGETS = {(3, 128, 64, 1): 4.0}
 # (k, n, m, seed, budget in seconds) of a non-LCD pair; the attack until
-# HullNotTrivial measured 0.03 s and 0.19-0.29 s.
+# HullNotTrivial measured 0.0015-0.0020 s, 0.009 s and 0.017-0.020 s
+# (one, one and two Howell forms; 0.02-0.05 s, 0.23-0.25 s and 0.35-0.44 s
+# while every candidate was tested).
 REJECT_CORPUS = [
     (5, 32, 16, 1, 0.5),
     (3, 64, 32, 1, 2.0),
+    (9, 64, 32, 1, 0.2),
 ]
 
 
