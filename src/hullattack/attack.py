@@ -30,7 +30,7 @@ from __future__ import annotations
 from operator import mul
 
 from .codes import from_generator
-from .equiv import SignedPerm, spep
+from .equiv import SignedPerm, closure_mode, spep
 from .errors import (
     BadModulus,
     DimensionMismatch,
@@ -299,6 +299,12 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
 
     # _hull_det_matches accepted both hulls, so each |det| is exactly k^n.
     transcript.append({"step": "hull", "k": k, "hull_dets": [str(k**n)] * 2})
+    # SPEP has no closure for k = 0 mod 4: refuse with its error before
+    # ZLIP and code extraction run.
+    try:
+        closure_mode(k)
+    except BadModulus as exc:
+        _fail(transcript, SpepFailed(f"signed equivalence failed: {exc}"))
 
     # T_i = U_i . C_i: the frame T_i . B_i of k Z^n in L_i's basis coordinates.
     frames = []
@@ -333,7 +339,7 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     stats: dict = {}
     try:
         res = spep(c1, c2, stats)
-    except (ExtractionExhausted, NotFreeLcd, BadModulus) as exc:
+    except (ExtractionExhausted, NotFreeLcd) as exc:
         _fail(transcript, SpepFailed(f"signed equivalence failed: {exc}"))
     transcript.append(
         {

@@ -257,25 +257,28 @@ def extract_signed_perm(p, n: int, mode: str) -> SignedPerm | None:
     return SignedPerm(tuple(sigma), tuple(signs))
 
 
-def spep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
-    """Signed permutation equivalence via the closure that fits k.
+def closure_mode(k: int) -> str:
+    """The closure SPEP runs on for modulus k: "signed", of length 2n, for
+    odd k, "extended", of length 3n, for k = 2 mod 4 (k = 2 included);
+    BadModulus for k = 0 mod 4, which neither closure supports."""
+    if k % 2 == 1:
+        return "signed"
+    if k % 4 == 2:
+        return "extended"
+    raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
 
-    Odd k uses the length-2n signed closure, k = 2 mod 4 the length-3n
-    extended closure (k = 2 included), k = 0 mod 4 is unsupported.  The
-    graphs are the closures' projectors, expanded from the codes' own
-    (the closures themselves are not built).  Every graph-isomorphism
-    solution is folded and the folded map verified on the original codes
-    by one Howell form of width n; structurally useless solutions are
-    skipped up to a retry cap.
+
+def spep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
+    """Signed permutation equivalence via the closure that fits k
+    (`closure_mode`).  The graphs are the closures' projectors, expanded
+    from the codes' own (the closures themselves are not built).  Every
+    graph-isomorphism solution is folded and the folded map verified on
+    the original codes by one Howell form of width n; structurally
+    useless solutions are skipped up to a retry cap.
     """
     _require_comparable(c1, c2)
-    k, n = c1.k, c1.n
-    if k % 2 == 1:
-        mode = "signed"
-    elif k % 4 == 2:
-        mode = "extended"
-    else:
-        raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
+    n = c1.n
+    mode = closure_mode(c1.k)
     if stats is not None:
         stats["mode"] = mode
     p1, p2 = closure_projection(c1, mode), closure_projection(c2, mode)

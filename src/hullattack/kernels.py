@@ -24,17 +24,20 @@ def xgcd(a, b):
 
 
 def lll_gram(gram, delta_num, delta_den):
-    """All-integer LLL reduction of a quadratic form: its transform alone.
+    """All-integer LLL reduction of a quadratic form: its transform and
+    the integer Gram-Schmidt data of the reduced form.
 
     gram is the integer Gram matrix G of some basis b (symmetric and
-    positive definite).  Returns the unimodular H that LLL-reduces b, so
-    H.b is the reduced basis and H.G.H^T its Gram matrix (Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 2.6.7).  Size
-    reductions and swaps touch only the rows of H and the Gram-Schmidt
-    data; the basis itself is never formed, and neither is H.G.H^T.
+    positive definite).  Returns (H, d, lam): the unimodular H that
+    LLL-reduces b, so H.b is the reduced basis and H.G.H^T its Gram
+    matrix (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7), and the Gram-Schmidt data of H.b.  Size reductions and
+    swaps touch only the rows of H and the Gram-Schmidt data; the basis
+    itself is never formed, and neither is H.G.H^T.
 
     Gram-Schmidt data is kept as the integers d[i] (leading principal
-    Gram determinants) and lam[i][j] = mu[i][j] * d[j+1], so every
+    Gram determinants, d[0] = 1, so |b*_i|^2 = d[i+1]/d[i]) and, below
+    the diagonal of the n x n lam, lam[i][j] = mu[i][j] * d[j+1], so every
     division below is exact.  Every decision reads d and lam alone.  The
     only inner products needed are those of a row i on its first visit,
     and rows past the highest one visited are untouched, so h_i = e_i
@@ -50,7 +53,7 @@ def lll_gram(gram, delta_num, delta_den):
     n = len(gram)
     h = [[int(i == j) for j in range(n)] for i in range(n)]
     if n == 0:
-        return h
+        return h, [1], []
 
     d = [0] * (n + 1)
     d[0] = 1
@@ -115,4 +118,4 @@ def lll_gram(gram, delta_num, delta_den):
                 if 2 * abs(lk[j]) > d[j + 1]:
                     reduce_row(k, j)
             k += 1
-    return h
+    return h, d, lam

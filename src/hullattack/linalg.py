@@ -9,7 +9,7 @@ A rational product is one integer product over the product of the two
 denominators, brought back to lowest terms by one gcd; no Fraction is
 built per entry.  Fractions appear only where rational input is read
 (`RatMatrix.from_rows`, and `from_dict` on entries other than "p" and
-"p/q") and in the Gram-Schmidt data of short-vector enumeration.
+"p/q").
 
 `Value` is the slotted base of the package's value classes, these
 matrices among them: plain classes, so importing the package runs no
@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import NonSquare, ParseError, Singular
@@ -393,81 +393,3 @@ def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:
         if m[i][i] != den:
             raise AssertionError("fraction-free elimination lost its diagonal invariant")
     return [m[i][n:] for i in range(n)], den
-
-
-def gram_schmidt(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Gram-Schmidt data of a basis, read off its Gram matrix
-    G = B.B^T (square rows of rationals): (mu, squared norms of the b*
-    vectors).  <b_i, b*_j> = G[i][j] - sum_t mu[j][t].mu[i][t].|b*_t|^2,
-    so the basis itself is never needed.  Raises Singular on dependent
-    rows."""
-    n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: list[Fraction] = []
-    for i in range(n):
-        mi = mu[i]
-        for j in range(i):
-            mj = mu[j]
-            r = gram[i][j] - sum((mj[t] * mi[t] * norms[t] for t in range(j)), Fraction(0))
-            mi[j] = r / norms[j]
-        norm = gram[i][i] - sum((mi[t] * mi[t] * norms[t] for t in range(i)), Fraction(0))
-        if norm == 0:
-            raise Singular("dependent rows")
-        norms.append(Fraction(norm))
-    return mu, norms
-
-
-def enumerate_short_vectors(gram, bound: Fraction) -> list[tuple[int, ...]]:
-    """All coefficient vectors x != 0 with x . G . x^T <= bound, for the
-    Gram matrix G = B.B^T of a basis (so ||x . B||^2 <= bound), one per
-    +-pair (representative: first nonzero coefficient positive).
-
-    Depth-first search over the exact Gram-Schmidt triangle; interval
-    endpoints come from integer square roots, so the output is exact.
-    Vectors appear in discovery order, which is deterministic.
-    """
-    bound = Fraction(bound)
-    n = len(gram)
-    if any(len(row) != n for row in gram):
-        raise NonSquare("enumeration needs a square Gram matrix")
-    if bound < 0:
-        return []
-    mu, norms = gram_schmidt(gram)
-    out: list[tuple[int, ...]] = []
-    x = [0] * n
-
-    def descend(i: int, remaining: Fraction) -> None:
-        # (x_i + t)^2 * norms[i] <= remaining, t = sum_{j>i} x_j mu[j][i]
-        t = sum((x[j] * mu[j][i] for j in range(i + 1, n)), Fraction(0))
-        q = remaining / norms[i]
-        # |x_i + t| <= sqrt(q): with t = a/bb, u = x_i*bb + a must satisfy
-        # u^2 * q.den <= q.num * bb^2
-        a, bb = t.numerator, t.denominator
-        cap = q.numerator * bb * bb
-        if cap < 0:
-            return
-        s = isqrt(cap // q.denominator)
-        while (s + 1) * (s + 1) * q.denominator <= cap:
-            s += 1
-        while s * s * q.denominator > cap:
-            s -= 1
-        lo = -(-(-s - a) // bb)  # ceil((-s - a) / bb)
-        hi = (s - a) // bb
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            used = (xi + t) * (xi + t) * norms[i]
-            if i == 0:
-                if any(x):
-                    out.append(tuple(x))
-            else:
-                descend(i - 1, remaining - used)
-        x[i] = 0
-
-    if n:
-        descend(n - 1, bound)
-    result = []
-    for v in out:
-        lead = next((c for c in v if c), 0)
-        if lead > 0:
-            result.append(v)
-    return result

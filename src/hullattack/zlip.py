@@ -22,35 +22,85 @@ determinant is computed anyway, as the check that does not lean on
 that argument.
 
 LLL on M hands over U = H directly almost always.  The kernel returns H
-alone and never forms H.M.H^T (a row it reaches for the first time is
-still e_i in H, so its Gram entries are M[i].h_j); that product is formed
-here, once, from M.  When H does not reduce M to I, the vectors
-of squared norm 1 are enumerated in the coordinates of the
-LLL rows, on their Gram matrix H.M.H^T, and n pairwise orthogonal ones
-K are assembled by backtracking; U = K.H then passes the same two
-checks.  A broken promise surfaces as NotARotation, never as a wrong
-answer.
+with the integer Gram-Schmidt data d, lam of H.M.H^T that it keeps, and
+never forms H.M.H^T (a row it reaches for the first time is still e_i
+in H, so its Gram entries are M[i].h_j); that product is formed here,
+once, from M.  When H does not reduce M to I, the vectors of squared
+norm 1 are enumerated in the coordinates of the LLL rows, on d and lam
+alone in integers, and n pairwise orthogonal ones K are assembled by
+backtracking on H.M.H^T; U = K.H then passes the same two checks.
+Enumeration and backtracking each stop after NODE_BUDGET nodes.  A
+broken promise or an exhausted budget surfaces as NotARotation, never as
+a wrong answer.
 """
 
 from __future__ import annotations
 
+from math import isqrt, prod
 from operator import mul
 
 from .errors import NotARotation
 from .kernels import lll_gram
-from .linalg import IntMatrix, Value, _set, bareiss_det, congruence, enumerate_short_vectors
+from .linalg import IntMatrix, Value, _set, bareiss_det, congruence
 
 NODE_BUDGET = 10**6
 
 
-def assemble_orthogonal_basis(gram, target: int) -> list[tuple[int, ...]] | None:
+def short_vectors(d, lam, bound: int) -> list[tuple[int, ...]]:
+    """All coefficient vectors x != 0 with x.G.x^T <= bound, one per
+    +-pair (first nonzero coefficient positive), for the n x n Gram
+    matrix G, n >= 1, whose integer Gram-Schmidt data `kernels.lll_gram`
+    returns: d[i] the leading principal minors, lam[i][j] =
+    mu[i][j].d[j+1] below the diagonal; bound >= 0.
+
+    Depth-first over the Gram-Schmidt triangle, from the last coordinate
+    down, each x_i upward (Fincke & Pohst, Math. Comp. 1985).  Level i
+    adds c_i^2/(d_i.d_{i+1}) to the norm, with c_i = x_i.d_{i+1} + a and
+    a = sum_{j>i} x_j.lam[j][i], an integer.  Scaled by D = prod_i
+    d_i.d_{i+1}, with w_i = D/(d_i.d_{i+1}), the norm still left, R, is an
+    integer, R = bound.D at the top, and |c_i| <= isqrt(R // w_i) is the
+    exact range of x_i.  Vectors appear in discovery order, which is
+    deterministic.  Raises NotARotation after NODE_BUDGET nodes.
+    """
+    n = len(d) - 1
+    w = [d[i] * d[i + 1] for i in range(n)]
+    scale = prod(w)
+    w = [scale // wi for wi in w]
+    out: list[tuple[int, ...]] = []
+    cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    x = [0] * n
+    nodes = 0
+
+    def descend(i: int, rest: int) -> None:
+        nonlocal nodes
+        a = sum(map(mul, x[i + 1 :], cols[i]))
+        di, wi = d[i + 1], w[i]
+        s = isqrt(rest // wi)
+        for xi in range(-((s + a) // di), (s - a) // di + 1):
+            nodes += 1
+            if nodes > NODE_BUDGET:
+                raise NotARotation(f"short-vector enumeration exceeded {NODE_BUDGET} nodes")
+            x[i] = xi
+            if i:
+                c = xi * di + a
+                descend(i - 1, rest - c * c * wi)
+            elif next((v for v in x if v), 0) > 0:
+                out.append(tuple(x))
+        x[i] = 0
+
+    descend(n - 1, bound * scale)
+    return out
+
+
+def assemble_orthogonal_basis(gram, d, lam, target: int) -> list[tuple[int, ...]] | None:
     """Coefficient rows K of n pairwise orthogonal vectors of squared norm
-    `target` in the lattice with integer Gram matrix `gram`, so that
-    K.G.K^T = target.I.  None when no such family exists; NotARotation
-    when the backtracking budget runs out."""
+    `target` in the lattice with integer Gram matrix `gram`, whose integer
+    Gram-Schmidt data are d and lam, so that K.G.K^T = target.I.  None when
+    no such family exists; NotARotation when the enumeration or the
+    backtracking budget runs out."""
     n = len(gram)
     vecs = []  # (x, G.x) for every x with x.G.x = target
-    for x in enumerate_short_vectors(gram, target):
+    for x in short_vectors(d, lam, target):
         gx = [sum(map(mul, row, x)) for row in gram]
         if sum(map(mul, gx, x)) == target:
             vecs.append((x, gx))
@@ -106,14 +156,15 @@ def solve_scaled_zlip(gram: tuple[list[list[int]], int], k: int) -> ZlipSolution
         raise NotARotation("Gram matrix is not k^2.den times an integer form")
     m = [[x // target for x in row] for row in g]
     try:
-        h = lll_gram(m, 99, 100)
+        h, d, lam = lll_gram(m, 99, 100)
     except ValueError as exc:
         raise NotARotation(str(exc)) from None
     u, method = IntMatrix.from_rows(h), "lll"
-    # The kernel hands back H alone: every check is computed here from M.
+    # The kernel's d and lam steer the enumeration only: every check is
+    # computed here from M.
     reduced = congruence(u.entries, m)
     if not _is_identity(reduced):
-        coeffs = assemble_orthogonal_basis(reduced, 1)
+        coeffs = assemble_orthogonal_basis(reduced, d, lam, 1)
         if coeffs is None:
             raise NotARotation("no orthogonal family of norm-k vectors")
         u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"

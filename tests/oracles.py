@@ -15,14 +15,17 @@ ZLIP solver that reduced the Gram matrix G itself, with its checks
 against k^2.den.I, checks the one that reduces the unit form
 G/(k^2.den).  The projector through the inverse of G.G^T mod k, by
 Gauss-Jordan on unit pivots with an integer adjugate when those stall,
-checks the one read off a single Howell form.  `gram`, `o_hat`,
-`s_hull` and `lll_rows` are the test-only conveniences that used to
-live in the library.
+checks the one read off a single Howell form.  The Gram-Schmidt data
+and the short-vector enumeration with one Fraction per mu[i][j] and per
+norm check the enumeration on LLL's own integers d and lam;
+`integer_gram_schmidt` reads those integers off the Fractions.  `gram`,
+`o_hat`, `s_hull` and `lll_rows` are the test-only conveniences that
+used to live in the library.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul
 
 from hullattack import kernels
@@ -232,6 +235,99 @@ def lll_rows(rows, delta_num, delta_den):
     return [[sum(map(mul, hr, col)) for col in cols] for hr in h]
 
 
+def gram_schmidt(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact Gram-Schmidt data of a basis, read off its Gram matrix
+    G = B.B^T (square rows of rationals): (mu, squared norms of the b*
+    vectors).  <b_i, b*_j> = G[i][j] - sum_t mu[j][t].mu[i][t].|b*_t|^2,
+    so the basis itself is never needed.  Raises Singular on dependent
+    rows."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms: list[Fraction] = []
+    for i in range(n):
+        mi = mu[i]
+        for j in range(i):
+            mj = mu[j]
+            r = gram[i][j] - sum((mj[t] * mi[t] * norms[t] for t in range(j)), Fraction(0))
+            mi[j] = r / norms[j]
+        norm = gram[i][i] - sum((mi[t] * mi[t] * norms[t] for t in range(i)), Fraction(0))
+        if norm == 0:
+            raise Singular("dependent rows")
+        norms.append(Fraction(norm))
+    return mu, norms
+
+
+def enumerate_short_vectors(gram, bound: Fraction) -> list[tuple[int, ...]]:
+    """All coefficient vectors x != 0 with x . G . x^T <= bound, for the
+    Gram matrix G = B.B^T of a basis (so ||x . B||^2 <= bound), one per
+    +-pair (representative: first nonzero coefficient positive).
+
+    Depth-first search over the exact Gram-Schmidt triangle; interval
+    endpoints come from integer square roots, so the output is exact.
+    Vectors appear in discovery order, which is deterministic.
+    """
+    bound = Fraction(bound)
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise NonSquare("enumeration needs a square Gram matrix")
+    if bound < 0:
+        return []
+    mu, norms = gram_schmidt(gram)
+    out: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def descend(i: int, remaining: Fraction) -> None:
+        # (x_i + t)^2 * norms[i] <= remaining, t = sum_{j>i} x_j mu[j][i]
+        t = sum((x[j] * mu[j][i] for j in range(i + 1, n)), Fraction(0))
+        q = remaining / norms[i]
+        # |x_i + t| <= sqrt(q): with t = a/bb, u = x_i*bb + a must satisfy
+        # u^2 * q.den <= q.num * bb^2
+        a, bb = t.numerator, t.denominator
+        cap = q.numerator * bb * bb
+        if cap < 0:
+            return
+        s = isqrt(cap // q.denominator)
+        while (s + 1) * (s + 1) * q.denominator <= cap:
+            s += 1
+        while s * s * q.denominator > cap:
+            s -= 1
+        lo = -(-(-s - a) // bb)  # ceil((-s - a) / bb)
+        hi = (s - a) // bb
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            used = (xi + t) * (xi + t) * norms[i]
+            if i == 0:
+                if any(x):
+                    out.append(tuple(x))
+            else:
+                descend(i - 1, remaining - used)
+        x[i] = 0
+
+    if n:
+        descend(n - 1, bound)
+    result = []
+    for v in out:
+        lead = next((c for c in v if c), 0)
+        if lead > 0:
+            result.append(v)
+    return result
+
+
+def integer_gram_schmidt(gram) -> tuple[list[int], list[list[int]]]:
+    """The integers (d, lam) that `kernels.lll_gram` keeps, read off the
+    Fraction data of `gram_schmidt` for an integer Gram matrix:
+    d[i+1] = |b*_0|^2 ... |b*_i|^2 with d[0] = 1, and lam[i][j] =
+    mu[i][j].d[j+1] below the diagonal, 0 elsewhere."""
+    mu, norms = gram_schmidt(gram)
+    d = [Fraction(1)]
+    for norm in norms:
+        d.append(d[-1] * norm)
+    n = len(gram)
+    lam = [[mu[i][j] * d[j + 1] if j < i else 0 for j in range(n)] for i in range(n)]
+    assert all(x.denominator == 1 for x in d + [y for row in lam for y in row if y])
+    return [int(x) for x in d], [[int(x) for x in row] for row in lam]
+
+
 def _is_scalar(m: list[list[int]], c: int) -> bool:
     return all(x == (c if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
 
@@ -245,15 +341,16 @@ def solve_scaled_zlip_on_gram(gram: tuple[list[list[int]], int], k: int) -> Zlip
         raise ValueError(f"scale must be positive, got {k}")
     g, den = gram
     try:
-        h = kernels.lll_gram(g, 99, 100)
+        h, d, lam = kernels.lll_gram(g, 99, 100)
     except ValueError as exc:
         raise NotARotation(str(exc)) from None
     target = k * k * den
     u, method = IntMatrix.from_rows(h), "lll"
-    # The kernel hands back H alone: every check is computed here from G.
+    # The kernel's d and lam steer the enumeration only: every check is
+    # computed here from G.
     reduced = congruence(u.entries, g)
     if not _is_scalar(reduced, target):
-        coeffs = assemble_orthogonal_basis(reduced, target)
+        coeffs = assemble_orthogonal_basis(reduced, d, lam, target)
         if coeffs is None:
             raise NotARotation("no orthogonal family of norm-k vectors")
         u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"

@@ -69,6 +69,7 @@ from oracles import (
     hull_attack_trying_every_modulus,
     hull_coefficients_by_kernel,
     hull_det_matches_by_kernel,
+    integer_gram_schmidt,
     lattice_equal,
     mod_reduce_to_code,
     o_hat,
@@ -193,7 +194,7 @@ class TestHullAttack:
 
         def identity_transform(gram, delta_num, delta_den):
             n = len(gram)
-            return [[int(i == j) for j in range(n)] for i in range(n)]
+            return [[int(i == j) for j in range(n)] for i in range(n)], *integer_gram_schmidt(gram)
 
         monkeypatch.setattr(zlip, "lll_gram", identity_transform)
         res = hull_attack(l1, l2)
@@ -346,11 +347,14 @@ class TestVerifyIsomorphism:
         # as well), so `verify_isomorphism` is the one left, and so did
         # the API that no command called.  The projector reads (G.G^T)^-1.G
         # off one Howell form, so the inverse mod k left with its two paths.
+        # ZLIP enumerates on LLL's integer Gram-Schmidt data, so the
+        # Fraction Gram-Schmidt and enumeration left.
         gone = {
             "hnf_rows", "hnf", "canonical_basis", "same_lattice", "rat_inverse", "dual_basis",
             "det", "mod_reduce_to_code", "integral_rotation", "s_hull", "lattice_equal",
             "DoesNotContainKZn", "NotSymmetric", "WeightedGraph", "graph_from_projection",
             "inverse_mod", "_inverse_by_elimination", "NotAUnit",
+            "gram_schmidt", "enumerate_short_vectors",
         }
         modules = (attack, codes, equiv, errors, kernels, lattices, linalg, modring, selftest, zlip)
         for mod in modules:
@@ -581,15 +585,56 @@ def attack_outcome(attack_fn, l1, l2, k):
     return res.to_dict(), res.certificate
 
 
+def cut_at_hull_of_multiple_of_four(outcome):
+    """An error outcome whose transcript accepted a hull at k = 0 mod 4,
+    with the transcript cut after that hull step, where the attack now
+    refuses; any other outcome as it is."""
+    if isinstance(outcome[0], type):
+        steps = outcome[2]
+        at = next((i for i, e in enumerate(steps) if e["step"] == "hull"), None)
+        if at is not None and steps[at]["k"] % 4 == 0:
+            return outcome[:2] + (steps[: at + 1],)
+    return outcome
+
+
 @settings(max_examples=200, deadline=None)
 @given(attack_inputs())
 def test_attack_matches_the_attack_trying_every_modulus(case):
     # Ending the search at the first hull index too large for its
     # candidate never changes what the attack returns or raises.
     l1, l2, k = case
-    assert attack_outcome(hull_attack, l1, l2, k) == attack_outcome(
-        hull_attack_trying_every_modulus, l1, l2, k
+    assert attack_outcome(hull_attack, l1, l2, k) == cut_at_hull_of_multiple_of_four(
+        attack_outcome(hull_attack_trying_every_modulus, l1, l2, k)
     )
+
+
+@st.composite
+def lcd_pairs_over_multiples_of_four(draw):
+    """Two rotated Construction A lattices of free LCD codes of one rank
+    over Z_k, k = 4, 8 or 12: the same code or two independent draws."""
+    k = draw(st.sampled_from([4, 8, 12]))
+    n = draw(st.integers(4, 8))
+    m = draw(st.integers(1, n - 1))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    c1 = random_free_lcd(k, n, m, seed=rng.randrange(10**9))
+    c2 = c1 if draw(st.booleans()) else random_free_lcd(k, n, m, seed=rng.randrange(10**9))
+    return tuple(
+        rotate(construction_a(c), random_rational_orthogonal(n, seed=rng.randrange(10**9)))
+        for c in (c1, c2)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(lcd_pairs_over_multiples_of_four())
+def test_multiple_of_four_refused_before_zlip(pair):
+    # An accepted candidate k = 0 mod 4 ends in the error SPEP raised when
+    # ZLIP and code extraction ran before it, with a transcript that
+    # stops at the hull.
+    l1, l2 = pair
+    got = attack_outcome(hull_attack, l1, l2, None)
+    expected = attack_outcome(hull_attack_trying_every_modulus, l1, l2, None)
+    assert got == cut_at_hull_of_multiple_of_four(expected)
+    assert got[0] is SpepFailed and [e["step"] for e in got[2]] == ["modulus", "hull"]
 
 
 @settings(max_examples=200, deadline=None)

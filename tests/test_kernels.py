@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 from hullattack import kernels
 from hullattack.instances import generate_instance
 from hullattack.lattices import hull_coefficients, sublattice_gram
-from hullattack.linalg import RatMatrix, bareiss_det, congruence, gram_schmidt
-from oracles import fractions, hnf_rows, lll_gram as lll_gram_oracle, lll_rows
+from hullattack.linalg import RatMatrix, bareiss_det, congruence
+from oracles import (
+    fractions,
+    gram_schmidt,
+    hnf_rows,
+    integer_gram_schmidt,
+    lll_gram as lll_gram_oracle,
+    lll_rows,
+)
 
 
 class TestXgcd:
@@ -107,7 +114,7 @@ def bases(draw, entries):
 
 class TestLllGram:
     def test_empty(self):
-        assert kernels.lll_gram([], 3, 4) == []
+        assert kernels.lll_gram([], 3, 4) == ([], [1], [])
 
     @pytest.mark.parametrize("gram", [[[1, 2], [2, 4]], [[0, 0], [0, 2]], gram_of([[1, 0], [0, 1], [1, 1]])])
     def test_dependent_rows_raise(self, gram):
@@ -119,27 +126,27 @@ class TestLllGram:
     def test_transform_matches_basis_lll(self, rows, c):
         delta = Fraction(99, 100)
         gram = gram_of(rows)
-        h = kernels.lll_gram(gram, delta.numerator, delta.denominator)
+        h, _, _ = kernels.lll_gram(gram, delta.numerator, delta.denominator)
         red = apply(h, rows)
         assert red == lll_rows(rows, delta.numerator, delta.denominator)
         assert RatMatrix.from_rows(red) == reference_lll(RatMatrix.from_rows(rows), delta)
         assert congruence(h, gram) == gram_of(red)  # H.G.H^T, formed outside the kernel
         assert abs(bareiss_det(h)) == 1
         scaled = [[c * c * x for x in row] for row in gram]
-        assert kernels.lll_gram(scaled, delta.numerator, delta.denominator) == h
+        assert kernels.lll_gram(scaled, delta.numerator, delta.denominator)[0] == h
 
     @settings(max_examples=60, deadline=None)
     @given(bases(st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3))))
     def test_rational_basis_through_cleared_gram(self, rows):
         b = RatMatrix.from_rows(rows)
         gram = b.mul(b.transpose()).num
-        h = kernels.lll_gram(gram, 99, 100)
+        h, _, _ = kernels.lll_gram(gram, 99, 100)
         assert RatMatrix.from_rows(apply(h, rows)) == reference_lll(b, Fraction(99, 100))
         assert abs(bareiss_det(h)) == 1
 
     def test_reads_the_gram_matrix_without_writing_it(self):
         gram = tuple(map(tuple, gram_of([[3, 1, 4], [1, 5, 9], [2, 6, 5]])))
-        h = kernels.lll_gram(gram, 99, 100)
+        h, _, _ = kernels.lll_gram(gram, 99, 100)
         assert gram == tuple(map(tuple, gram_of([[3, 1, 4], [1, 5, 9], [2, 6, 5]])))
         assert h == lll_gram_oracle(gram, 99, 100)[0]
 
@@ -205,7 +212,20 @@ def test_gram_free_kernel_matches_the_oracle(gram, delta):
     """Same H as the kernel that keeps all of H.G.H^T current, and a
     ValueError on exactly the same inputs: every swap and every size
     reduction is the same."""
-    expected = lll_outcome(lll_gram_oracle, gram, delta)
+    expected, got = (lll_outcome(lll, gram, delta) for lll in (lll_gram_oracle, kernels.lll_gram))
     if expected is not ValueError:
-        expected = expected[0]
-    assert lll_outcome(kernels.lll_gram, gram, delta) == expected
+        expected, got = expected[0], got[0]
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(bases(st.integers(-(10**3), 10**3)).map(gram_of), hull_grams(), mixed_grams()),
+    st.sampled_from([(26, 100), (3, 4), (99, 100)]),
+)
+def test_kernel_returns_the_gram_schmidt_data_of_the_reduced_form(gram, delta):
+    """d and lam are the integer Gram-Schmidt data of H.G.H^T, read off
+    the Fraction Gram-Schmidt oracle, at every delta: also where LLL at
+    delta = 0.26 stops short of I on a hull."""
+    h, d, lam = kernels.lll_gram(gram, *delta)
+    assert (d, lam) == integer_gram_schmidt(congruence(h, gram))

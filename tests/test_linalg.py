@@ -20,9 +20,7 @@ from hullattack.linalg import (
     IntMatrix,
     RatMatrix,
     bareiss_det,
-    enumerate_short_vectors,
     gram_det,
-    gram_schmidt,
     inv_int_rows,
 )
 from hullattack.modring import ModMatrix, howell_form, is_unit_det, smith_mod
@@ -31,10 +29,12 @@ from oracles import (
     canonical_basis,
     det,
     dual_basis,
+    enumerate_short_vectors,
     fraction_product,
     fraction_rows_orthonormal,
     fraction_str,
     fractions,
+    gram_schmidt,
     hnf,
     lll_rows,
     rat_inverse,
@@ -590,7 +590,7 @@ def test_lll_rejects_dependent_rows():
         lll([[1, 2], [2, 4]])
 
 
-# --- enumeration ---
+# --- enumeration (the Fraction oracle against brute force) ---
 
 
 def enumeration_oracle(b, bound):

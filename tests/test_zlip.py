@@ -3,10 +3,11 @@ never a specific transform, since solutions are unique only up to signed
 permutations."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hullattack import kernels, zlip
@@ -19,10 +20,21 @@ from hullattack.lattices import (
     rotate,
     sublattice_gram,
 )
-from hullattack.linalg import RatMatrix
-from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
-from oracles import lattice_equal, o_hat, solve_scaled_zlip_on_gram
-from test_kernels import HULL_MODULI
+from hullattack.linalg import RatMatrix, bareiss_det, congruence
+from hullattack.zlip import (
+    ZlipSolution,
+    assemble_orthogonal_basis,
+    short_vectors,
+    solve_scaled_zlip,
+)
+from oracles import (
+    enumerate_short_vectors,
+    integer_gram_schmidt,
+    lattice_equal,
+    o_hat,
+    solve_scaled_zlip_on_gram,
+)
+from test_kernels import HULL_MODULI, gram_of
 
 
 def scaled_zn(n, k):
@@ -74,7 +86,8 @@ def test_wrong_scale_rejected():
 def test_assembly_from_unreduced_basis():
     # Rows (5, 0) and (5, 5): Gram [[25, 25], [25, 50]].
     b = RatMatrix.from_rows([[5, 0], [5, 5]])
-    coeffs = assemble_orthogonal_basis([[25, 25], [25, 50]], 25)
+    gram = [[25, 25], [25, 50]]
+    coeffs = assemble_orthogonal_basis(gram, *integer_gram_schmidt(gram), 25)
     assert coeffs is not None
     frame = RatMatrix.from_rows(coeffs).mul(b)
     assert frame.mul(frame.transpose()) == RatMatrix.from_rows([[25, 0], [0, 25]])
@@ -83,14 +96,16 @@ def test_assembly_from_unreduced_basis():
 def test_assembly_returns_none_without_orthogonal_family():
     # Rows (1, 0) and (0, 4): the only vectors of squared norm 4 are
     # +-(2, 0), so no orthogonal pair exists.
-    assert assemble_orthogonal_basis([[1, 0], [0, 16]], 4) is None
+    gram = [[1, 0], [0, 16]]
+    assert assemble_orthogonal_basis(gram, *integer_gram_schmidt(gram), 4) is None
 
 
 def honest_transform(h):
-    """A stand-in for lll_gram that returns the transform h."""
+    """A stand-in for lll_gram that returns the transform h, with the
+    integer Gram-Schmidt data of h.G.h^T."""
 
     def fake(gram, delta_num, delta_den):
-        return h
+        return h, *integer_gram_schmidt(congruence(h, gram))
 
     return fake
 
@@ -213,3 +228,51 @@ def test_enumeration_matches_gram_scale(handed, k, data):
         assert zlip_outcome(solve_scaled_zlip, record, k) == zlip_outcome(
             solve_scaled_zlip_on_gram, record, k
         )
+
+
+# --- the integer enumeration against the Fraction one ---
+
+
+@st.composite
+def enumeration_cases(draw):
+    """(G, d, lam, bound): the Gram matrix of up to 5 small independent
+    rows with the integer Gram-Schmidt data read off the Fraction
+    oracle; or a hull's unit form after LLL at delta = 0.26, 3/4 or 0.99,
+    with the kernel's own d and lam, where LLL at 0.26 may stop short."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        rows = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        assume(bareiss_det(rows) != 0)
+        gram = gram_of(rows)
+        return gram, *integer_gram_schmidt(gram), draw(st.integers(0, 39))
+    k = draw(st.sampled_from(HULL_MODULI))
+    g, den = draw(hull_records(k, 2, 7, draw(st.booleans())))
+    unit = [[x // (k * k * den) for x in row] for row in g]
+    h, d, lam = kernels.lll_gram(unit, *draw(st.sampled_from([(26, 100), (3, 4), (99, 100)])))
+    return congruence(h, unit), d, lam, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(enumeration_cases())
+def test_integer_enumeration_matches_the_fraction_one(case):
+    """The same vectors in the same discovery order: the enumeration
+    fallback's frame reaches the attack's output."""
+    gram, d, lam, bound = case
+    assert short_vectors(d, lam, bound) == enumerate_short_vectors(gram, Fraction(bound))
+
+
+def test_exhausted_enumeration_budget_refuses(monkeypatch):
+    """With LLL made to hand back the identity on a mixed hull at n = 12,
+    the enumeration runs on the unreduced form and stops at the node
+    budget with NotARotation."""
+    k, n = 3, 12
+    inst = generate_instance(k, n, 6, seed=1)
+    lattice = mixed(inst.l1, 5 * n, seed=1)
+    record = sublattice_gram(lattice, hull_coefficients(lattice, k))
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    monkeypatch.setattr(zlip, "NODE_BUDGET", 1000)
+    monkeypatch.setattr(zlip, "lll_gram", honest_transform(identity))
+    start = time.perf_counter()
+    with pytest.raises(NotARotation, match="enumeration exceeded 1000 nodes"):
+        solve_scaled_zlip(record, k)
+    assert time.perf_counter() - start < 1
