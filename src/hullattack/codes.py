@@ -8,6 +8,14 @@ finds it with one module-structure pass over Z/kZ; the signed closures
 take none, because they inherit it from the code they close.  A code's
 projector comes from the Howell form of [G.G^T | G], which is [I | H]
 with H = (G.G^T)^-1.G exactly when G.G^T is invertible mod k.
+
+The LCD test needs neither the dual nor the hull.  For the Howell
+generator g of C, x -> x.g^T maps C onto the row module of g.g^T, and
+its kernel is C intersect C^perp.  So |C| = |hull| . |row module of
+g.g^T|, and C is LCD exactly when that row module is as large as C:
+one r x r product and one Howell form for r rows, for every k and every
+code, free or not (over a field, det(G.G^T) != 0; Massey, "Linear codes
+with complementary duals", 1992).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .linalg import IntMatrix, Value, _set, json_int
 from .modring import (
     ModMatrix,
     howell_form,
+    howell_order,
     is_unit_det,
     kernel_mod,
     row_module_structure,
@@ -86,8 +95,14 @@ def hull(c: LinearCode) -> LinearCode:
 
 
 def is_lcd(c: LinearCode) -> bool:
-    """Linear complementary dual: the hull is the zero code."""
-    return hull(c).gen.rows == 0
+    """Linear complementary dual: the hull is the zero code.
+
+    x -> x.g^T, for the Howell generator g, maps C onto the row module
+    of g.g^T with kernel the hull, so the hull is zero exactly when that
+    module has |C| elements.
+    """
+    g = c.gen
+    return howell_order(howell_form(g.mul(g.transpose()))) == howell_order(g)
 
 
 def is_free_lcd(c: LinearCode) -> bool:

@@ -2,17 +2,18 @@
 
 Free LCD codes have a canonical projector whose conjugation class is a
 complete permutation-equivalence invariant, so PEP reduces to weighted
-graph isomorphism on projection matrices.  Signed equivalence (SPEP)
-goes through the signed closures: a permutation solution on closure
-coordinates that respects the (+x, -x) pairing folds back to a signed
-permutation on the original coordinates.  A closure enters only through
-its projector, which `codes.closure_projection` expands from the code's
-own n x n projector, so no closure code is ever built.
+graph isomorphism on projection matrices (`selftest.pep` solves it that
+way).  Signed equivalence (SPEP) goes through the signed closures: a
+permutation solution on closure coordinates that respects the (+x, -x)
+pairing folds back to a signed permutation on the original coordinates.
+A closure enters only through its projector, which
+`codes.closure_projection` expands from the code's own n x n projector,
+so no closure code is ever built.
 """
 
 from __future__ import annotations
 
-from itertools import compress, permutations, product
+from itertools import compress
 from operator import add
 from typing import Iterator
 
@@ -20,7 +21,6 @@ from .codes import (
     LinearCode,
     apply_signed_perm,
     closure_projection,
-    projection_matrix,
     signed_perm_maps,
 )
 from .errors import (
@@ -28,8 +28,6 @@ from .errors import (
     DimensionMismatch,
     ExtractionExhausted,
     ParseError,
-    TooLarge,
-    VerificationFailed,
 )
 from .linalg import Value, _set
 from .modring import ModMatrix
@@ -207,25 +205,6 @@ def _require_comparable(c1: LinearCode, c2: LinearCode) -> None:
         )
 
 
-def pep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
-    """Permutation equivalence of free LCD codes.
-
-    Any single graph isomorphism of the projectors is already a code
-    equivalence, so the first solution is returned after an exact
-    code-level verification.
-    """
-    _require_comparable(c1, c2)
-    for p in solve_weighted_gi(projection_matrix(c1), projection_matrix(c2), stats):
-        inv = [0] * len(p)
-        for i, v in enumerate(p):
-            inv[v] = i
-        s = SignedPerm(tuple(inv), (1,) * len(p))
-        if not signed_perm_maps(c2, s.sigma, s.signs, c1):
-            raise VerificationFailed("projector isomorphism is not a code equivalence")
-        return EquivResult(outcome="found", perm=s)
-    return EquivResult(outcome="not_equivalent")
-
-
 def extract_signed_perm(p, n: int, mode: str) -> SignedPerm | None:
     """Fold a closure-coordinate permutation back to a signed one.
 
@@ -299,31 +278,3 @@ def spep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResu
     raise ExtractionExhausted(
         f"graph isomorphisms exhausted after {tried} solutions without a signed fold"
     )
-
-
-def brute_force_spep(c1: LinearCode, c2: LinearCode) -> EquivResult:
-    """Exhaustive signed-permutation search, first match in lexicographic
-    order (permutations first, then signs with +1 before -1)."""
-    _require_comparable(c1, c2)
-    n = c1.n
-    if n > 6:
-        raise TooLarge(f"exhaustive search is capped at n = 6, got n = {n}")
-    for sigma in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            s = SignedPerm(sigma, signs)
-            if s.apply_to(c2) == c1:
-                return EquivResult(outcome="found", perm=s)
-    return EquivResult(outcome="not_equivalent")
-
-
-def brute_force_pep(c1: LinearCode, c2: LinearCode) -> EquivResult:
-    """Exhaustive plain-permutation search in lexicographic order."""
-    _require_comparable(c1, c2)
-    n = c1.n
-    if n > 6:
-        raise TooLarge(f"exhaustive search is capped at n = 6, got n = {n}")
-    for sigma in permutations(range(n)):
-        s = SignedPerm(sigma, (1,) * n)
-        if s.apply_to(c2) == c1:
-            return EquivResult(outcome="found", perm=s)
-    return EquivResult(outcome="not_equivalent")

@@ -4,13 +4,18 @@ Each check draws a seeded corpus, asserts an identity the library is
 built on, and returns the number of cases it covered.  The CLI selftest
 runs curated bundles of these; the acceptance tests run them at full
 size.  Checks raise AssertionError with a description on violation.
+
+The plain-permutation solver `pep` and the exhaustive searches
+`brute_force_pep` and `brute_force_spep` live here, not in `equiv`,
+because only these checks and the tests call them; the attack needs
+SPEP alone.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 from math import gcd, prod
 
 from .attack import hull_attack, recover_modulus, verify_isomorphism
@@ -27,14 +32,17 @@ from .codes import (
     projection_matrix,
     random_free_lcd,
     signed_closure,
+    signed_perm_maps,
 )
-from .equiv import brute_force_pep, brute_force_spep, pep, spep
+from .equiv import EquivResult, SignedPerm, _require_comparable, solve_weighted_gi, spep
 from .errors import (
     BadModulus,
     HullAttackError,
     HullNotTrivial,
     NoCandidate,
     SpepFailed,
+    TooLarge,
+    VerificationFailed,
 )
 from .instances import generate_instance
 from .lattices import (
@@ -237,6 +245,53 @@ def _equivalence_corpus(rng: random.Random, ks, nmax: int, signed: bool):
             except Exception:
                 continue
         yield c1, c2
+
+
+def pep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
+    """Permutation equivalence of free LCD codes.
+
+    Any single graph isomorphism of the projectors is already a code
+    equivalence, so the first solution is returned after an exact
+    code-level verification.
+    """
+    _require_comparable(c1, c2)
+    for p in solve_weighted_gi(projection_matrix(c1), projection_matrix(c2), stats):
+        inv = [0] * len(p)
+        for i, v in enumerate(p):
+            inv[v] = i
+        s = SignedPerm(tuple(inv), (1,) * len(p))
+        if not signed_perm_maps(c2, s.sigma, s.signs, c1):
+            raise VerificationFailed("projector isomorphism is not a code equivalence")
+        return EquivResult(outcome="found", perm=s)
+    return EquivResult(outcome="not_equivalent")
+
+
+def brute_force_spep(c1: LinearCode, c2: LinearCode) -> EquivResult:
+    """Exhaustive signed-permutation search, first match in lexicographic
+    order (permutations first, then signs with +1 before -1)."""
+    _require_comparable(c1, c2)
+    n = c1.n
+    if n > 6:
+        raise TooLarge(f"exhaustive search is capped at n = 6, got n = {n}")
+    for sigma in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            s = SignedPerm(sigma, signs)
+            if s.apply_to(c2) == c1:
+                return EquivResult(outcome="found", perm=s)
+    return EquivResult(outcome="not_equivalent")
+
+
+def brute_force_pep(c1: LinearCode, c2: LinearCode) -> EquivResult:
+    """Exhaustive plain-permutation search in lexicographic order."""
+    _require_comparable(c1, c2)
+    n = c1.n
+    if n > 6:
+        raise TooLarge(f"exhaustive search is capped at n = 6, got n = {n}")
+    for sigma in permutations(range(n)):
+        s = SignedPerm(sigma, (1,) * n)
+        if s.apply_to(c2) == c1:
+            return EquivResult(outcome="found", perm=s)
+    return EquivResult(outcome="not_equivalent")
 
 
 def check_pep_vs_brute(samples: int = 200, seed: int = 107, ks=(2, 3, 5, 6), nmax: int = 5) -> int:

@@ -28,7 +28,9 @@ in H, so its Gram entries are M[i].h_j); that product is formed here,
 once, from M.  When H does not reduce M to I, the vectors of squared
 norm 1 are enumerated in the coordinates of the LLL rows, on d and lam
 alone in integers, and n pairwise orthogonal ones K are assembled by
-backtracking on H.M.H^T; U = K.H then passes the same two checks.
+backtracking on H.M.H^T, which pulls the vectors one at a time and
+stops the enumeration once K is complete; U = K.H then passes the same
+two checks.
 Enumeration and backtracking each stop after NODE_BUDGET nodes.  A
 broken promise or an exhausted budget surfaces as NotARotation, never as
 a wrong answer.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from math import isqrt, prod
 from operator import mul
+from typing import Iterator
 
 from .errors import NotARotation
 from .kernels import lll_gram
@@ -46,7 +49,7 @@ from .linalg import IntMatrix, Value, _set, bareiss_det, congruence
 NODE_BUDGET = 10**6
 
 
-def short_vectors(d, lam, bound: int) -> list[tuple[int, ...]]:
+def short_vectors(d, lam, bound: int) -> Iterator[tuple[int, ...]]:
     """All coefficient vectors x != 0 with x.G.x^T <= bound, one per
     +-pair (first nonzero coefficient positive), for the n x n Gram
     matrix G, n >= 1, whose integer Gram-Schmidt data `kernels.lll_gram`
@@ -59,19 +62,18 @@ def short_vectors(d, lam, bound: int) -> list[tuple[int, ...]]:
     a = sum_{j>i} x_j.lam[j][i], an integer.  Scaled by D = prod_i
     d_i.d_{i+1}, with w_i = D/(d_i.d_{i+1}), the norm still left, R, is an
     integer, R = bound.D at the top, and |c_i| <= isqrt(R // w_i) is the
-    exact range of x_i.  Vectors appear in discovery order, which is
-    deterministic.  Raises NotARotation after NODE_BUDGET nodes.
+    exact range of x_i.  Vectors are yielded lazily, in discovery order,
+    which is deterministic.  Raises NotARotation after NODE_BUDGET nodes.
     """
     n = len(d) - 1
     w = [d[i] * d[i + 1] for i in range(n)]
     scale = prod(w)
     w = [scale // wi for wi in w]
-    out: list[tuple[int, ...]] = []
     cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     x = [0] * n
     nodes = 0
 
-    def descend(i: int, rest: int) -> None:
+    def descend(i: int, rest: int) -> Iterator[tuple[int, ...]]:
         nonlocal nodes
         a = sum(map(mul, x[i + 1 :], cols[i]))
         di, wi = d[i + 1], w[i]
@@ -83,13 +85,12 @@ def short_vectors(d, lam, bound: int) -> list[tuple[int, ...]]:
             x[i] = xi
             if i:
                 c = xi * di + a
-                descend(i - 1, rest - c * c * wi)
+                yield from descend(i - 1, rest - c * c * wi)
             elif next((v for v in x if v), 0) > 0:
-                out.append(tuple(x))
+                yield tuple(x)
         x[i] = 0
 
-    descend(n - 1, bound * scale)
-    return out
+    yield from descend(n - 1, bound * scale)
 
 
 def assemble_orthogonal_basis(gram, d, lam, target: int) -> list[tuple[int, ...]] | None:
@@ -97,21 +98,36 @@ def assemble_orthogonal_basis(gram, d, lam, target: int) -> list[tuple[int, ...]
     `target` in the lattice with integer Gram matrix `gram`, whose integer
     Gram-Schmidt data are d and lam, so that K.G.K^T = target.I.  None when
     no such family exists; NotARotation when the enumeration or the
-    backtracking budget runs out."""
+    backtracking budget runs out.
+
+    The backtracking reads the vectors of norm `target` by index, in the
+    enumeration's discovery order, and pulls each from `short_vectors`
+    only when it first reaches it, so the enumeration stops as soon as n
+    pairwise orthogonal ones are chosen.  The family is the one that
+    listing every vector first would give."""
     n = len(gram)
-    vecs = []  # (x, G.x) for every x with x.G.x = target
-    for x in short_vectors(d, lam, target):
-        gx = [sum(map(mul, row, x)) for row in gram]
-        if sum(map(mul, gx, x)) == target:
-            vecs.append((x, gx))
+    found = short_vectors(d, lam, target)
+    vecs = []  # (x, G.x) for the x with x.G.x = target pulled so far
     chosen: list[tuple] = []
     nodes = 0
+
+    def pulled(idx: int) -> bool:
+        """Whether vecs[idx] exists, enumerating until it does."""
+        while len(vecs) <= idx:
+            x = next(found, None)
+            if x is None:
+                return False
+            gx = [sum(map(mul, row, x)) for row in gram]
+            if sum(map(mul, gx, x)) == target:
+                vecs.append((x, gx))
+        return True
 
     def extend(start: int) -> bool:
         nonlocal nodes
         if len(chosen) == n:
             return True
-        for idx in range(start, len(vecs)):
+        idx = start
+        while pulled(idx):
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise NotARotation(f"orthogonal assembly exceeded {NODE_BUDGET} nodes")
@@ -121,6 +137,7 @@ def assemble_orthogonal_basis(gram, d, lam, target: int) -> list[tuple[int, ...]
                 if extend(idx + 1):
                     return True
                 chosen.pop()
+            idx += 1
         return False
 
     if not extend(0):

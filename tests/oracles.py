@@ -18,7 +18,9 @@ Gauss-Jordan on unit pivots with an integer adjugate when those stall,
 checks the one read off a single Howell form.  The Gram-Schmidt data
 and the short-vector enumeration with one Fraction per mu[i][j] and per
 norm check the enumeration on LLL's own integers d and lam;
-`integer_gram_schmidt` reads those integers off the Fractions.  `gram`,
+`integer_gram_schmidt` reads those integers off the Fractions.  The
+orthogonal assembly that listed every short vector before it backtracked
+checks the one that pulls them as the backtracking reaches them.  `gram`,
 `o_hat`, `s_hull` and `lll_rows` are the test-only conveniences that
 used to live in the library.
 """
@@ -28,7 +30,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
-from hullattack import kernels
+from hullattack import kernels, zlip
 from hullattack.attack import (
     AttackResult,
     _assemble,
@@ -326,6 +328,44 @@ def integer_gram_schmidt(gram) -> tuple[list[int], list[list[int]]]:
     lam = [[mu[i][j] * d[j + 1] if j < i else 0 for j in range(n)] for i in range(n)]
     assert all(x.denominator == 1 for x in d + [y for row in lam for y in row if y])
     return [int(x) for x in d], [[int(x) for x in row] for row in lam]
+
+
+def assemble_orthogonal_basis_listing_first(
+    gram, d, lam, target: int
+) -> list[tuple[int, ...]] | None:
+    """`zlip.assemble_orthogonal_basis` as it was before the backtracking
+    pulled vectors lazily: every vector of norm `target` is listed, under
+    the enumeration's budget, before the first backtracking step.  The
+    budget is read from `zlip` at call time, so a test can lower it
+    there."""
+    n = len(gram)
+    vecs = []  # (x, G.x) for every x with x.G.x = target
+    for x in zlip.short_vectors(d, lam, target):
+        gx = [sum(map(mul, row, x)) for row in gram]
+        if sum(map(mul, gx, x)) == target:
+            vecs.append((x, gx))
+    chosen: list[tuple] = []
+    nodes = 0
+
+    def extend(start: int) -> bool:
+        nonlocal nodes
+        if len(chosen) == n:
+            return True
+        for idx in range(start, len(vecs)):
+            nodes += 1
+            if nodes > zlip.NODE_BUDGET:
+                raise NotARotation(f"orthogonal assembly exceeded {zlip.NODE_BUDGET} nodes")
+            x, gx = vecs[idx]
+            if all(sum(map(mul, gx, y)) == 0 for y, _ in chosen):
+                chosen.append(vecs[idx])
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    return [x for x, _ in chosen]
 
 
 def _is_scalar(m: list[list[int]], c: int) -> bool:

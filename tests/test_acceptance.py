@@ -13,10 +13,10 @@ import pytest
 from hullattack.attack import recover_modulus
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, is_lcd, random_free_lcd
-from hullattack.equiv import brute_force_spep
 from hullattack.instances import generate_instance
 from hullattack.lattices import construction_a, random_rational_orthogonal, rotate
 from hullattack.selftest import (
+    brute_force_spep,
     check_closure_inner_products,
     check_closure_preservation,
     check_dual_identity,

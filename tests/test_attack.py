@@ -35,7 +35,7 @@ from hullattack import (
 )
 from hullattack.cli import main as cli_main
 from hullattack.codes import code_from_rows, is_lcd, random_free_lcd
-from hullattack.equiv import EquivResult, SignedPerm, brute_force_spep
+from hullattack.equiv import EquivResult, SignedPerm
 from hullattack.errors import (
     BadModulus,
     DimensionMismatch,
@@ -62,6 +62,7 @@ from hullattack.lattices import (
 )
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_det, inv_int_rows
 from hullattack.modring import howell_order
+from hullattack.selftest import brute_force_spep
 from hullattack.zlip import solve_scaled_zlip
 from oracles import (
     det,

@@ -30,7 +30,7 @@ from hullattack.codes import (
     signed_perm_maps,
 )
 from hullattack.linalg import IntMatrix
-from hullattack.modring import ModMatrix, is_unit_det
+from hullattack.modring import ModMatrix, howell_form, howell_order, is_unit_det
 from oracles import NotAUnit, _inverse_by_elimination, inverse_mod, projection_matrix_by_inverse
 
 
@@ -95,6 +95,29 @@ def test_hull_is_intersection_with_dual():
 def test_is_lcd_matches_trivial_hull():
     for c in small_corpus(71, 120):
         assert is_lcd(c) == (len(words(c) & words(dual(c))) == 1)
+
+
+@st.composite
+def any_codes(draw):
+    """A code over Z_k of length n <= 8 spanned by 0 to n + 1 uniform
+    rows: the zero code, non-free codes and k = 0 mod 4 included."""
+    k = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 25, 27]))
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(0, n + 1))
+    rows = [[draw(st.integers(0, k - 1)) for _ in range(n)] for _ in range(r)]
+    return code_from_rows(k, rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_codes())
+def test_is_lcd_is_the_order_of_the_gram_row_module(c):
+    """x -> x.g^T maps C onto the row module of g.g^T with kernel the
+    hull, so |hull| . |row module of g.g^T| = |C|, and C is LCD exactly
+    when the hull is the zero code."""
+    g, h = c.gen, hull(c).gen
+    image = howell_form(g.mul(g.transpose()))
+    assert howell_order(h) * howell_order(image) == howell_order(g)
+    assert is_lcd(c) == (h.rows == 0)
 
 
 def test_is_free_lcd_agrees_with_freeness_plus_lcd():

@@ -18,10 +18,7 @@ from hullattack.codes import (
 )
 from hullattack.equiv import (
     SignedPerm,
-    brute_force_pep,
-    brute_force_spep,
     extract_signed_perm,
-    pep,
     solve_weighted_gi,
     spep,
 )
@@ -33,6 +30,7 @@ from hullattack.errors import (
     TooLarge,
 )
 from hullattack.modring import ModMatrix
+from hullattack.selftest import brute_force_pep, brute_force_spep, pep
 
 
 def brute_gi(g1: ModMatrix, g2: ModMatrix) -> set:

@@ -28,6 +28,7 @@ from hullattack.zlip import (
     solve_scaled_zlip,
 )
 from oracles import (
+    assemble_orthogonal_basis_listing_first,
     enumerate_short_vectors,
     integer_gram_schmidt,
     lattice_equal,
@@ -258,7 +259,23 @@ def test_integer_enumeration_matches_the_fraction_one(case):
     """The same vectors in the same discovery order: the enumeration
     fallback's frame reaches the attack's output."""
     gram, d, lam, bound = case
-    assert short_vectors(d, lam, bound) == enumerate_short_vectors(gram, Fraction(bound))
+    assert list(short_vectors(d, lam, bound)) == enumerate_short_vectors(gram, Fraction(bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(enumeration_cases())
+def test_lazy_assembly_matches_listing_first(case):
+    """Wherever listing every vector of the target norm first ends within
+    the budget, pulling them as the backtracking reaches them gives the
+    same family K, or the same None."""
+    gram, d, lam, target = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlip, "NODE_BUDGET", 20_000)
+        try:
+            expected = assemble_orthogonal_basis_listing_first(gram, d, lam, target)
+        except NotARotation:
+            return
+        assert assemble_orthogonal_basis(gram, d, lam, target) == expected
 
 
 def test_exhausted_enumeration_budget_refuses(monkeypatch):
