@@ -39,7 +39,6 @@ from .errors import (
     HullNotTrivial,
     NoCandidate,
     NotARotation,
-    NotFreeLcd,
     NotIntegral,
     ParseError,
     SpepFailed,
@@ -339,7 +338,7 @@ def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> Att
     stats: dict = {}
     try:
         res = spep(c1, c2, stats)
-    except (ExtractionExhausted, NotFreeLcd) as exc:
+    except ExtractionExhausted as exc:
         _fail(transcript, SpepFailed(f"signed equivalence failed: {exc}"))
     transcript.append(
         {

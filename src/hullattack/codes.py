@@ -1,13 +1,10 @@
 """Linear codes over Z/kZ: duals, hulls, LCD tests, signed closures.
 
-A code is stored by the Howell form of its generator, which makes code
-equality a tuple comparison.  Freeness bookkeeping rides along: a free
-rank-m code keeps a minimal generator with m independent rows, the shape
-every projection and closure argument below needs.  `from_generator`
-finds it with one module-structure pass over Z/kZ; the signed closures
-take none, because they inherit it from the code they close.  A code's
-projector comes from the Howell form of [G.G^T | G], which is [I | H]
-with H = (G.G^T)^-1.G exactly when G.G^T is invertible mod k.
+A code is stored by the Howell form g of its generator, which makes code
+equality a tuple comparison, and g serves every computation below, free
+or not.  A code's projector is read off the Howell form of [g.g^T | g];
+the signed closures are never built for SPEP, because their projectors
+expand from the code's own.
 
 The LCD test needs neither the dual nor the hull.  For the Howell
 generator g of C, x -> x.g^T maps C onto the row module of g.g^T, and
@@ -21,34 +18,22 @@ with complementary duals", 1992).
 from __future__ import annotations
 
 import random
-from math import gcd
 from operator import mul
 
-from .errors import BadModulus, NotFreeLcd, ParseError, Timeout
+from .errors import BadModulus, NotLcd, ParseError, Timeout
 from .linalg import IntMatrix, Value, _set, json_int
-from .modring import (
-    ModMatrix,
-    howell_form,
-    howell_order,
-    is_unit_det,
-    kernel_mod,
-    row_module_structure,
-)
+from .modring import ModMatrix, howell_form, howell_order, is_unit_det, kernel_mod
 
 
-class LinearCode(Value, uncompared=("free_rank", "free_gen"), hidden=("free_gen",)):
+class LinearCode(Value):
     """A linear code C <= Z_k^n, identified by its canonical generator."""
 
-    __slots__ = ("k", "n", "gen", "free_rank", "free_gen")
+    __slots__ = ("k", "n", "gen")
 
-    def __init__(
-        self, k: int, n: int, gen: ModMatrix, free_rank: int | None, free_gen: ModMatrix | None
-    ):
+    def __init__(self, k: int, n: int, gen: ModMatrix):
         _set(self, "k", k)
         _set(self, "n", n)
         _set(self, "gen", gen)
-        _set(self, "free_rank", free_rank)
-        _set(self, "free_gen", free_gen)
 
     def to_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "gen": self.gen.to_dict()}
@@ -66,17 +51,7 @@ class LinearCode(Value, uncompared=("free_rank", "free_gen"), hidden=("free_gen"
 
 def from_generator(gen: ModMatrix) -> LinearCode:
     """Build a code from any generator matrix (rows need not be free)."""
-    canon = howell_form(gen)
-    diag, minimal = row_module_structure(canon)
-    free = all(d in (1, gen.k) for d in diag)
-    rank = sum(1 for d in diag if d == 1)
-    return LinearCode(
-        k=gen.k,
-        n=gen.cols,
-        gen=canon,
-        free_rank=rank if free else None,
-        free_gen=minimal if free else None,
-    )
+    return LinearCode(gen.k, gen.cols, howell_form(gen))
 
 
 def code_from_rows(k: int, rows, n: int | None = None) -> LinearCode:
@@ -106,11 +81,20 @@ def is_lcd(c: LinearCode) -> bool:
 
 
 def is_free_lcd(c: LinearCode) -> bool:
-    """Free with a unit Gram determinant; agrees with free + LCD."""
-    if c.free_gen is None:
+    """LCD, and free: |C| is a power of k.
+
+    An LCD code is a direct summand of Z_k^n (Z_k^n = C + C^perp), so it
+    is projective, hence free of some rank r_p over each prime-power
+    factor p^e of k, and |C| is the product of the p^(e.r_p).  It is
+    free over Z_k exactly when those local ranks agree, which is exactly
+    when |C| = k^r for some r.
+    """
+    if not is_lcd(c):
         return False
-    g = c.free_gen
-    return is_unit_det(g.mul(g.transpose()))
+    order = howell_order(c.gen)
+    while order % c.k == 0:
+        order //= c.k
+    return order == 1
 
 
 class ClosureMatrices(Value):
@@ -145,22 +129,24 @@ def closure_matrices(n: int, k: int | None = None) -> ClosureMatrices:
     return ClosureMatrices(n=n, interleave=IntMatrix.from_rows(inter), extended=ext)
 
 
+def closure_mode(k: int) -> str:
+    """The closure SPEP runs on for modulus k: "signed", of length 2n, for
+    odd k, "extended", of length 3n, for k = 2 mod 4 (k = 2 included);
+    BadModulus for k = 0 mod 4, which neither closure supports."""
+    if k % 2 == 1:
+        return "signed"
+    if k % 4 == 2:
+        return "extended"
+    raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
+
+
 def _inherit_closure(c: LinearCode, t: IntMatrix) -> LinearCode:
     """The code generated by the rows of C's generator times T.
 
     T has a right inverse over Z, so x -> x . T is injective on Z_k^n and
-    the closure is isomorphic to C as a module: the same freeness and
-    rank, with free_gen . T a free basis.  Only its Howell form is new.
+    the closure is isomorphic to C as a module.
     """
-    tk = ModMatrix.from_rows(c.k, t.entries)
-    free_gen = None if c.free_gen is None else c.free_gen.mul(tk)
-    return LinearCode(
-        k=c.k,
-        n=t.cols,
-        gen=howell_form(c.gen.mul(tk)),
-        free_rank=c.free_rank,
-        free_gen=free_gen,
-    )
+    return from_generator(c.gen.mul(ModMatrix.from_rows(c.k, t.entries)))
 
 
 def signed_closure(c: LinearCode) -> LinearCode:
@@ -181,65 +167,71 @@ def extended_signed_closure(c: LinearCode) -> LinearCode:
 
 
 def projection_matrix(c: LinearCode) -> ModMatrix:
-    """The canonical projector onto C: Pi = G^T (G G^T)^-1 G for a
-    minimal free generator G.  Independent of the choice of G.
+    """The projector Pi onto C along C^perp; NotLcd unless C is LCD.
 
-    H = (G G^T)^-1 G is read off the Howell form of the m x (m + n)
-    matrix [G G^T | G]: when G G^T is invertible mod k its rows span the
-    same module as [I_m | H], which is already in Howell form, and any
-    other form means G G^T is singular.  Pi is symmetric, so only the
-    upper triangle of G^T H is formed, and mirrored.
+    For the Howell generator g (r rows, free or not), the rows of
+    [g.g^T | g] span the graph {(x.g^T, x) : x in C} of a map whose
+    kernel is the hull, so its Howell form has a row with a zero first
+    block exactly when C is not LCD.  Otherwise row i of Pi is the one x
+    in C with e_i - x in C^perp, that is with x.g^T = e_i.g^T, column i
+    of g: reducing that column against the first block gives the
+    coefficients q_i of x on the form's rows (a residue would mean there
+    is no such x, which LCD rules out).  Pi is symmetric, so only the upper triangle of
+    q.B, for the second block B, is formed, and mirrored.
     """
-    if c.free_gen is None:
-        raise NotFreeLcd("projection needs a free LCD code")
-    g = c.free_gen
-    k, n, m = c.k, c.n, g.rows
-    gram = g.mul(g.transpose())
-    form = howell_form(ModMatrix(k, m + n, tuple(a + b for a, b in zip(gram.entries, g.entries))))
-    if tuple(row[:m] for row in form.entries) != tuple(
-        tuple(int(i == j) for j in range(m)) for i in range(m)
-    ):
-        raise NotFreeLcd(f"Gram matrix G G^T is not invertible mod {k}")
-    gcols = list(zip(*g.entries))
-    hcols = list(zip(*form.entries))[m:]
+    g = c.gen
+    k, n, r = c.k, c.n, g.rows
+    gt = g.transpose()
+    gram = g.mul(gt)
+    form = howell_form(ModMatrix(k, r + n, tuple(a + b for a, b in zip(gram.entries, g.entries))))
+    pivots = []
+    for row in form.entries:
+        p = next((j for j in range(r) if row[j]), None)
+        if p is None:
+            raise NotLcd(f"the code meets its dual mod {k}")
+        pivots.append((p, row[p], row[:r]))
+    coeffs = []
+    for t in gt.entries:
+        q = []
+        for p, d, a in pivots:
+            x = t[p] // d
+            if x:
+                t = [(ti - x * ai) % k for ti, ai in zip(t, a)]
+            q.append(x)
+        if any(t):
+            raise NotLcd(f"the code and its dual do not span Z_{k}^{n}")
+        coeffs.append(q)
+    bcols = ModMatrix(k, n, tuple(row[r:] for row in form.entries)).transpose().entries
     pi = [[0] * n for _ in range(n)]
-    for i, gi in enumerate(gcols):
+    for i, qi in enumerate(coeffs):
         row = pi[i]
         for j in range(i, n):
-            row[j] = pi[j][i] = sum(map(mul, gi, hcols[j])) % k
+            row[j] = pi[j][i] = sum(map(mul, qi, bcols[j])) % k
     return ModMatrix(k, n, tuple(map(tuple, pi)))
 
 
-def closure_projection(c: LinearCode, mode: str) -> ModMatrix:
-    """The projector of `signed_closure(c)` (mode "signed") or of
-    `extended_signed_closure(c)` (mode "extended"), read off C's own
-    projector without building the closure.
+def closure_projection(c: LinearCode) -> ModMatrix:
+    """The projector of the closure SPEP runs on for C's modulus
+    (`closure_mode`): `signed_closure(c)` for odd k,
+    `extended_signed_closure(c)` for k = 2 mod 4.  It is read off C's
+    own projector without building the closure, and NotLcd is raised
+    exactly when the closure's projector would raise it.
 
     The closure is generated by G.T, where column a of T holds a single
     coefficient c_a in {1, -1, h} on row i_a (h = k/2 for the extended
-    tail), and T.T^T = t.I with t = 2, or t = h^2 + 2 when extended.  So
-    its projector is t^-1 . T^T . Pi . T, whose entry (a, b) is
-    t^-1 . c_a . c_b . Pi[i_a][i_b].  The closure's Gram determinant is
-    t^m . det(G G^T) for rank m, so when t is not a unit mod k a nonzero
-    code's closure is not free LCD, and NotFreeLcd is raised as
-    `projection_matrix` of the closure would raise it.
+    tail), and T.T^T = t.I with t = 2 for odd k, or t = h^2 + 2, odd and
+    prime to h, for k = 2h.  t is a unit, so the closure is LCD exactly
+    when C is, and its projector is t^-1 . T^T . Pi . T, whose entry
+    (a, b) is t^-1 . c_a . c_b . Pi[i_a][i_b].
     """
     k, n = c.k, c.n
     coords = [(i, s) for i in range(n) for s in (1, -1)]
     t = 2
-    if mode == "extended":
-        if k % 2 or k % 4 == 0:
-            raise BadModulus(f"extended closure needs k = 2m with m odd, got k={k}")
+    if closure_mode(k) == "extended":
         h = k // 2
         coords += [(i, h) for i in range(n)]
         t += h * h
-    elif mode != "signed":
-        raise ValueError(f"unknown closure mode {mode!r}")
     pi = projection_matrix(c).entries
-    if not c.free_rank:
-        return ModMatrix(k, len(coords), tuple((0,) * len(coords) for _ in coords))
-    if gcd(t, k) != 1:
-        raise NotFreeLcd(f"the closure scales inner products by {t}, not a unit mod {k}")
     u = pow(t, -1, k)
     wide = [[u * cb * row[j] for j, cb in coords] for row in pi]
     rows = tuple(tuple([(ca * x) % k for x in wide[i]]) for i, ca in coords)
@@ -300,5 +292,5 @@ def random_free_lcd(
     for _ in range(max_draws):
         g = ModMatrix.from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
         if is_unit_det(g.mul(g.transpose())):
-            return LinearCode(k=k, n=n, gen=howell_form(g), free_rank=m, free_gen=g)
+            return from_generator(g)
     raise Timeout(f"no free LCD code of rank {m} found in {max_draws} draws")

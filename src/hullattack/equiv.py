@@ -1,12 +1,13 @@
 """Permutation and signed-permutation code equivalence.
 
-Free LCD codes have a canonical projector whose conjugation class is a
-complete permutation-equivalence invariant, so PEP reduces to weighted
-graph isomorphism on projection matrices (`selftest.pep` solves it that
-way).  Signed equivalence (SPEP) goes through the signed closures: a
-permutation solution on closure coordinates that respects the (+x, -x)
-pairing folds back to a signed permutation on the original coordinates.
-A closure enters only through its projector, which
+An LCD code, free or not, has a canonical projector onto it along its
+dual, and the projector's row space is the code, so its conjugation
+class is a complete permutation-equivalence invariant and PEP reduces
+to weighted graph isomorphism on projection matrices (`selftest.pep`
+solves it that way).  Signed equivalence (SPEP) goes through the signed
+closures: a permutation solution on closure coordinates that respects
+the (+x, -x) pairing folds back to a signed permutation on the original
+coordinates.  A closure enters only through its projector, which
 `codes.closure_projection` expands from the code's own n x n projector,
 so no closure code is ever built.
 """
@@ -20,13 +21,14 @@ from typing import Iterator
 from .codes import (
     LinearCode,
     apply_signed_perm,
+    closure_mode,
     closure_projection,
     signed_perm_maps,
 )
 from .errors import (
-    BadModulus,
     DimensionMismatch,
     ExtractionExhausted,
+    NotLcd,
     ParseError,
 )
 from .linalg import Value, _set
@@ -236,31 +238,24 @@ def extract_signed_perm(p, n: int, mode: str) -> SignedPerm | None:
     return SignedPerm(tuple(sigma), tuple(signs))
 
 
-def closure_mode(k: int) -> str:
-    """The closure SPEP runs on for modulus k: "signed", of length 2n, for
-    odd k, "extended", of length 3n, for k = 2 mod 4 (k = 2 included);
-    BadModulus for k = 0 mod 4, which neither closure supports."""
-    if k % 2 == 1:
-        return "signed"
-    if k % 4 == 2:
-        return "extended"
-    raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
-
-
 def spep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
     """Signed permutation equivalence via the closure that fits k
     (`closure_mode`).  The graphs are the closures' projectors, expanded
     from the codes' own (the closures themselves are not built).  Every
     graph-isomorphism solution is folded and the folded map verified on
     the original codes by one Howell form of width n; structurally
-    useless solutions are skipped up to a retry cap.
+    useless solutions are skipped up to a retry cap.  A code that is not
+    LCD has no projector, and the outcome is "inconclusive".
     """
     _require_comparable(c1, c2)
     n = c1.n
     mode = closure_mode(c1.k)
     if stats is not None:
         stats["mode"] = mode
-    p1, p2 = closure_projection(c1, mode), closure_projection(c2, mode)
+    try:
+        p1, p2 = closure_projection(c1), closure_projection(c2)
+    except NotLcd as exc:
+        return EquivResult(outcome="inconclusive", reason=str(exc))
     tried = 0
     for p in solve_weighted_gi(p1, p2, stats):
         tried += 1

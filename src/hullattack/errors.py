@@ -30,8 +30,8 @@ class BadModulus(HullAttackError):
     wrong parity for the requested closure)."""
 
 
-class NotFreeLcd(HullAttackError):
-    """Operation requires a free LCD code."""
+class NotLcd(HullAttackError):
+    """Operation requires an LCD code: one that meets its dual only in 0."""
 
 
 class NotIntegral(HullAttackError):

@@ -68,13 +68,18 @@ class Instance(Value, frozen=False):
             l2 = LatticeBasis.from_dict(pub["L2"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad instance JSON: {exc}") from None
+        if (k, n) != (code.k, code.n) or n != l1.n or n != l2.n:
+            raise ParseError(
+                f"declared (k, n) = ({k}, {n}) does not match the code ({code.k}, {code.n})"
+                f" and the lattices of dimension {l1.n} and {l2.n}"
+            )
         o1 = o2 = seed = None
         secret = d.get("secret")
         if secret is not None:
             try:
                 o1 = RationalOrthogonal.from_dict(secret["O1"])
                 o2 = RationalOrthogonal.from_dict(secret["O2"])
-                seed = int(secret["seed"]) if "seed" in secret else None
+                seed = json_int(secret, "seed") if "seed" in secret else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad instance secret block: {exc}") from None
         return Instance(k=k, n=n, m=m, code=code, l1=l1, l2=l2, o1=o1, o2=o2, seed=seed)

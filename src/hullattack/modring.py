@@ -5,15 +5,12 @@ normal form: the unique canonical form whose rows generate not just the
 row module but every "leading zeros" truncation of it.  That uniqueness
 is what lets code-level equality checks be plain tuple comparisons.  It
 is also the one elimination that solves systems: kernels are read off
-the form of an augmented matrix, and so is (G.G^T)^-1.G for a code's
-projector (`codes.projection_matrix`), so no inverse mod k is taken.
+the form of an augmented matrix, and so is a code's projector
+(`codes.projection_matrix`), so no inverse mod k is taken.
 Whether a square matrix is invertible mod k is a Bareiss determinant.
-
-The structure of a row module (its invariant factors and a minimal
-generating set) comes from a Smith form taken over Z/kZ itself, not over
-Z: every step is a unimodular 2x2 transform reduced mod k, so entries
-never leave [0, k) (Storjohann, *Algorithms for Matrix Canonical Forms*,
-2000).
+The size of a row module is read off its Howell form (`howell_order`),
+and that is all the module structure the codes need (Storjohann,
+*Algorithms for Matrix Canonical Forms*, 2000).
 """
 
 from __future__ import annotations
@@ -194,114 +191,3 @@ def is_unit_det(m: ModMatrix) -> bool:
     if m.rows != m.cols:
         raise NonSquare("determinant needs a square matrix")
     return gcd(bareiss_det([list(r) for r in m.entries]) % m.k, m.k) == 1
-
-
-def smith_mod(rows, cols: int, k: int) -> tuple[list[int], list[list[int]]]:
-    """Smith form over Z/kZ of the rows, plus row generators.
-
-    Returns (diag, w): diag holds `cols` invariant factors, each a divisor
-    of k in divisibility order, with k standing for a zero factor; w is a
-    cols x cols matrix invertible mod k whose rows diag[i] * w[i] generate
-    the row module.  w is the inverse of the accumulated column transform.
-    A pivot is normalized to its gcd with k; an entry it does not divide
-    is folded in by the xgcd step, which strictly lowers the pivot, so each
-    pivot settles after at most as many folds as k has prime factors,
-    counted with multiplicity.
-    """
-    a = [[x % k for x in r] for r in rows]
-    nr = len(a)
-    w = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    t = 0
-    while t < min(nr, cols):
-        # the trailing entry with the smallest gcd with k, a unit if any
-        piv, best = None, k
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, cols):
-                if row[j]:
-                    g = gcd(row[j], k)
-                    if g < best:
-                        piv, best = (i, j), g
-            if best == 1:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            w[t], w[j] = w[j], w[t]
-        u = unit_multiplier(a[t][t], k)
-        a[t] = [(u * x) % k for x in a[t]]
-        while True:
-            at = a[t]
-            for i in range(t + 1, nr):
-                b, p, ai = a[i][t], at[t], a[i]
-                if not b:
-                    continue
-                if b % p == 0:
-                    q = b // p
-                    for c in range(t, cols):
-                        ai[c] = (ai[c] - q * at[c]) % k
-                    continue
-                g, x, y = xgcd(p, b)
-                u, v = -(b // g), p // g
-                for c in range(t, cols):
-                    rt, ri = at[c], ai[c]
-                    at[c] = (x * rt + y * ri) % k
-                    ai[c] = (u * rt + v * ri) % k
-            refilled = False
-            for j in range(t + 1, cols):
-                b, p = at[j], at[t]
-                if not b:
-                    continue
-                wt, wj = w[t], w[j]
-                if b % p == 0:
-                    # col_j -= q * col_t, mirrored as w_t += q * w_j
-                    q = b // p
-                    for row in a[t:]:
-                        row[j] = (row[j] - q * row[t]) % k
-                    for c in range(cols):
-                        wt[c] = (wt[c] + q * wj[c]) % k
-                    continue
-                g, x, y = xgcd(p, b)
-                u, v = -(b // g), p // g
-                for row in a[t:]:
-                    rt, rj = row[t], row[j]
-                    row[t] = (x * rt + y * rj) % k
-                    row[j] = (u * rt + v * rj) % k
-                for c in range(cols):
-                    ot, oj = wt[c], wj[c]
-                    wt[c] = (v * ot - u * oj) % k
-                    wj[c] = (x * oj - y * ot) % k
-                refilled = True
-            if refilled and any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            # the pivot must divide the whole trailing block
-            p = at[t]
-            offender = next(
-                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
-            )
-            if offender is None:
-                break
-            for c in range(t + 1, cols):
-                at[c] = (at[c] + a[offender][c]) % k
-        t += 1
-    return [a[i][i] for i in range(t)] + [k] * (cols - t), w
-
-
-def row_module_structure(m: ModMatrix) -> tuple[tuple[int, ...], ModMatrix]:
-    """Invariant factors and a minimal generating matrix of the row module.
-
-    One `smith_mod` pass over the rows (codes hand in their Howell rows):
-    the module decomposes as the direct sum of d_i * Z_k over the returned
-    factors (each dividing k, in divisibility order), and the rows
-    d_i * w_i with d_i < k form a minimal generating set.  The module is
-    free exactly when every factor is 1 or k, and then the generator rows
-    are themselves independent.
-    """
-    k, n = m.k, m.cols
-    diag, w = smith_mod(m.entries, n, k)
-    gens = [[(d * x) % k for x in w[i]] for i, d in enumerate(diag) if d < k]
-    return tuple(diag), ModMatrix.from_rows(k, gens, n)

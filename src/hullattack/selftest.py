@@ -25,6 +25,7 @@ from .codes import (
     code_from_rows,
     dual,
     extended_signed_closure,
+    from_generator,
     hull,
     is_free_lcd,
     is_lcd,
@@ -53,11 +54,16 @@ from .lattices import (
     rotate,
 )
 from .linalg import IntMatrix, RatMatrix
+from .modring import ModMatrix, howell_order
+
+
+def _random_rows(rng: random.Random, k: int, n: int, max_rows: int | None = None) -> ModMatrix:
+    rows = rng.randrange(1, (max_rows or n) + 1)
+    return ModMatrix.from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(rows)])
 
 
 def _random_code(rng: random.Random, k: int, n: int, max_rows: int | None = None) -> LinearCode:
-    rows = rng.randrange(1, (max_rows or n) + 1)
-    return code_from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(rows)])
+    return from_generator(_random_rows(rng, k, n, max_rows))
 
 
 def _words(c: LinearCode) -> list[tuple[int, ...]]:
@@ -123,7 +129,9 @@ def check_closure_preservation(
     closure_fn=signed_closure,
     extended_fn=extended_signed_closure,
 ) -> int:
-    """Free LCD survives the closures, in both directions.
+    """Free LCD survives the closures, in both directions: a closure is
+    isomorphic to its code as a module and scales inner products by a
+    unit, so it keeps the order |C| and the LCD property.
 
     The closure functions are injectable so a deliberately corrupted
     closure can be shown to fail this check.
@@ -201,26 +209,24 @@ def check_projection_laws(samples: int = 200, seed: int = 105) -> int:
 
 
 def check_lcd_gram_unit(samples: int = 200, seed: int = 106, ks=(3, 9, 27, 5, 25)) -> int:
-    """Over prime-power moduli every LCD code is free with a unit Gram
-    determinant, and on free codes the unit criterion is two-sided.
-    Counts LCD codes found among arbitrary random draws."""
+    """Over prime-power moduli every LCD code is free (its order is a
+    power of k), and on drawn rows that are a free basis of their code a
+    unit Gram determinant is exactly LCD, the rule `random_free_lcd`
+    draws by.  Counts LCD codes found among arbitrary random draws."""
     rng = random.Random(seed)
     lcd_seen = 0
     while lcd_seen < samples:
         k = rng.choice(ks)
         n = rng.randrange(1, 5)
-        c = _random_code(rng, k, n)
-        if is_lcd(c):
-            assert c.free_gen is not None, f"LCD code over Z_{k} is not free: {c.gen.entries}"
-            g = c.free_gen
-            assert is_unit_det(g.mul(g.transpose())), (
-                f"LCD code with non-unit Gram determinant (k={k}, gen={c.gen.entries})"
-            )
+        g = _random_rows(rng, k, n)
+        c = from_generator(g)
+        lcd = is_lcd(c)
+        if lcd:
+            assert is_free_lcd(c), f"LCD code over Z_{k} is not free: {c.gen.entries}"
             lcd_seen += 1
-        elif c.free_gen is not None:
-            g = c.free_gen
-            assert not is_unit_det(g.mul(g.transpose())), (
-                f"non-LCD free code with unit Gram determinant (k={k}, gen={c.gen.entries})"
+        if howell_order(c.gen) == k**g.rows:
+            assert is_unit_det(g.mul(g.transpose())) == lcd, (
+                f"unit Gram determinant disagrees with LCD on a free basis (k={k}, g={g.entries})"
             )
     return lcd_seen
 
@@ -248,7 +254,7 @@ def _equivalence_corpus(rng: random.Random, ks, nmax: int, signed: bool):
 
 
 def pep(c1: LinearCode, c2: LinearCode, stats: dict | None = None) -> EquivResult:
-    """Permutation equivalence of free LCD codes.
+    """Permutation equivalence of LCD codes.
 
     Any single graph isomorphism of the projectors is already a code
     equivalence, so the first solution is returned after an exact

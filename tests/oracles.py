@@ -15,7 +15,9 @@ ZLIP solver that reduced the Gram matrix G itself, with its checks
 against k^2.den.I, checks the one that reduces the unit form
 G/(k^2.den).  The projector through the inverse of G.G^T mod k, by
 Gauss-Jordan on unit pivots with an integer adjugate when those stall,
-checks the one read off a single Howell form.  The Gram-Schmidt data
+checks the one read off a single Howell form, on a free basis the
+caller supplies; listing every word of a code checks it on every LCD
+code, free or not.  The Gram-Schmidt data
 and the short-vector enumeration with one Fraction per mu[i][j] and per
 norm check the enumeration on LLL's own integers d and lam;
 `integer_gram_schmidt` reads those integers off the Fractions.  The
@@ -50,7 +52,7 @@ from hullattack.errors import (
     NoCandidate,
     NonSquare,
     NotARotation,
-    NotFreeLcd,
+    NotLcd,
     NotIntegral,
     Singular,
     SpepFailed,
@@ -525,7 +527,7 @@ def hull_attack_trying_every_modulus(
     stats: dict = {}
     try:
         res = spep(c1, c2, stats)
-    except (ExtractionExhausted, NotFreeLcd, BadModulus) as exc:
+    except (ExtractionExhausted, NotLcd, BadModulus) as exc:
         _fail(transcript, SpepFailed(f"signed equivalence failed: {exc}"))
     transcript.append(
         {
@@ -600,20 +602,17 @@ def inverse_mod(m: ModMatrix) -> ModMatrix:
     return ModMatrix(k, m.cols, tuple(tuple((x * f) % k for x in row) for row in num))
 
 
-def projection_matrix_by_inverse(c: LinearCode) -> ModMatrix:
-    """The canonical projector onto C: Pi = G^T (G G^T)^-1 G for a
-    minimal free generator G.  Independent of the choice of G.
+def projection_matrix_by_inverse(c: LinearCode, g: ModMatrix) -> ModMatrix:
+    """The canonical projector onto C: Pi = G^T (G G^T)^-1 G for a free
+    basis G of C, given by the caller.  Independent of the choice of G.
 
     Pi is symmetric, so after H = (G G^T)^-1 G only the upper triangle
     of G^T H is formed, and mirrored.
     """
-    if c.free_gen is None:
-        raise NotFreeLcd("projection needs a free LCD code")
-    g = c.free_gen
     try:
         h = inverse_mod(g.mul(g.transpose())).mul(g)
     except NotAUnit as exc:
-        raise NotFreeLcd(f"Gram determinant is not a unit: {exc}") from None
+        raise NotLcd(f"Gram determinant is not a unit: {exc}") from None
     k, n = c.k, c.n
     gcols = list(zip(*g.entries))
     hcols = list(zip(*h.entries))
@@ -623,6 +622,39 @@ def projection_matrix_by_inverse(c: LinearCode) -> ModMatrix:
         for j in range(i, n):
             row[j] = pi[j][i] = sum(map(mul, gi, hcols[j])) % k
     return ModMatrix(k, n, tuple(map(tuple, pi)))
+
+
+def code_words(c: LinearCode) -> list[tuple[int, ...]]:
+    """Every word of C, once each: the combinations sum a_i . h_i of its
+    Howell rows with 0 <= a_i < k/pivot_i."""
+    k, n = c.k, c.n
+    out = [(0,) * n]
+    for row in c.gen.entries:
+        pivot = next(filter(None, row))
+        out = [
+            tuple((x + a * y) % k for x, y in zip(w, row)) for a in range(k // pivot) for w in out
+        ]
+    return out
+
+
+def projection_matrix_by_words(c: LinearCode) -> ModMatrix:
+    """The projector onto C along C^perp by listing C: row i is the one
+    word x of C with e_i - x orthogonal to every generator row.  NotLcd
+    when some row has no such word or more than one, which happens
+    exactly when C meets its dual."""
+    k, n = c.k, c.n
+    words = code_words(c)
+    rows = []
+    for i in range(n):
+        hits = [
+            x
+            for x in words
+            if all((row[i] - sum(map(mul, x, row))) % k == 0 for row in c.gen.entries)
+        ]
+        if len(hits) != 1:
+            raise NotLcd(f"{len(hits)} words of C differ from e_{i} by a dual word")
+        rows.append(hits[0])
+    return ModMatrix(k, n, tuple(rows))
 
 
 def gram(lattice: LatticeBasis) -> RatMatrix:

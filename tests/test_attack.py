@@ -1068,23 +1068,73 @@ class TestFractionCount:
         assert fractions_built[0] == 0
 
 
-class TestModuleStructureCount:
+class TestClosureCount:
     @pytest.mark.parametrize("k", [15, 6])
-    def test_attack_takes_two_and_closures_none(self, monkeypatch, k):
-        """Column counts of the module-structure passes of one attack: the
-        two extracted codes, of length n.  SPEP never builds a closure, and
-        its fold check compares Howell forms only."""
+    def test_attack_builds_no_closure(self, monkeypatch, k):
+        """SPEP reads the closures' projectors off the codes' own, so an
+        attack ends verified with every way to build a closure code
+        refusing to run."""
         inst = generate_instance(k, 8, 4, seed=1)
-        widths = []
-        real = codes.row_module_structure
 
-        def counted(m):
-            widths.append(m.cols)
-            return real(m)
+        def refuse(*args):
+            raise AssertionError("a closure code was built")
 
-        monkeypatch.setattr(codes, "row_module_structure", counted)
-        hull_attack(inst.l1, inst.l2)
-        assert widths == [8, 8]
+        for name in ("signed_closure", "extended_signed_closure", "_inherit_closure"):
+            monkeypatch.setattr(codes, name, refuse)
+        res = hull_attack(inst.l1, inst.l2)
+        assert res.transcript[-1] == {"step": "verify", "ok": True}
+
+
+def crt_lcd_pair(seed):
+    """Two rotations of Construction A of the CRT sum of a rank-2 LCD
+    code over Z_3 and a rank-4 LCD code over Z_5 at n = 8: LCD over
+    Z_15 but not free, with |det L| = 3^6 . 5^4."""
+    rng = random.Random(seed)
+    c3 = random_free_lcd(3, 8, 2, seed=rng.randrange(10**9))
+    c5 = random_free_lcd(5, 8, 4, seed=rng.randrange(10**9))
+    rows = [[5 * x for x in r] for r in c3.gen.entries]
+    rows += [[3 * x for x in r] for r in c5.gen.entries]
+    code = code_from_rows(15, rows, 8)
+    base = construction_a(code)
+    o1 = random_rational_orthogonal(8, seed=rng.randrange(10**9))
+    o2 = random_rational_orthogonal(8, seed=rng.randrange(10**9))
+    return rotate(base, o1), rotate(base, o2), code
+
+
+class TestNonFreeLcd:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_supplied_modulus_ends_verified(self, seed):
+        l1, l2, code = crt_lcd_pair(seed)
+        assert is_lcd(code) and not codes.is_free_lcd(code)
+        res = hull_attack(l1, l2, k=15)
+        spep_step = next(e for e in res.transcript if e["step"] == "spep")
+        assert spep_step["closure"] == "signed"
+        assert verify_isomorphism(l1, l2, res.o_star.matrix)
+        assert verify_isomorphism(l1, l2, res.o_star, res.certificate)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_attack_and_verify_with_supplied_modulus(self, tmp_path, seed):
+        l1, l2, _ = crt_lcd_pair(seed)
+        inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+        inst.write_text(json.dumps({"public": {"L1": l1.to_dict(), "L2": l2.to_dict()}}))
+        assert cli_main(["attack", "--in", str(inst), "--out", str(res), "--k", "15"]) == 0
+        assert cli_main(["verify", "--instance", str(inst), "--result", str(res)]) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refusal_without_modulus_is_unchanged(self, seed):
+        # The transcript recorded from the SPEP that refused non-free codes.
+        l1, l2, _ = crt_lcd_pair(seed)
+        with pytest.raises(HullNotTrivial) as info:
+            hull_attack(l1, l2)
+        assert str(info.value) == "no candidate modulus carries the trivial-hull signature"
+        assert info.value.transcript == [
+            {
+                "step": "modulus",
+                "determinant": "455625",
+                "candidates": [[675, 6], [455625, 7]],
+                "supplied": False,
+            }
+        ]
 
 
 class TestResultSerialization:

@@ -8,14 +8,15 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hullattack.errors import BadModulus, NotFreeLcd, ParseError, Timeout
+from hullattack.errors import BadModulus, NotLcd, ParseError, Timeout
 from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
     closure_matrices,
+    closure_mode,
     closure_projection,
     code_from_rows,
     dual,
@@ -31,7 +32,13 @@ from hullattack.codes import (
 )
 from hullattack.linalg import IntMatrix
 from hullattack.modring import ModMatrix, howell_form, howell_order, is_unit_det
-from oracles import NotAUnit, _inverse_by_elimination, inverse_mod, projection_matrix_by_inverse
+from oracles import (
+    NotAUnit,
+    _inverse_by_elimination,
+    inverse_mod,
+    projection_matrix_by_inverse,
+    projection_matrix_by_words,
+)
 
 
 def words(c: LinearCode) -> frozenset:
@@ -59,7 +66,7 @@ def small_corpus(seed, count, ks=(2, 3, 4, 5, 6, 9), nmax=3):
 def test_from_generator_pinned():
     c = code_from_rows(3, [[1, 1]])
     assert c.gen.entries == ((1, 1),)
-    assert c.free_rank == 1
+    assert howell_order(c.gen) == 3
 
 
 def test_code_equality_is_module_equality():
@@ -120,15 +127,25 @@ def test_is_lcd_is_the_order_of_the_gram_row_module(c):
     assert is_lcd(c) == (h.rows == 0)
 
 
+def is_free(c: LinearCode) -> bool:
+    """C = Z_k^r as a module, by counting words: |C| = k^r, and for every
+    prime p dividing k the words killed by p number p^r (one cyclic
+    summand of the p-part per rank)."""
+    cw = words(c)
+    r = 0
+    while c.k**r < len(cw):
+        r += 1
+    primes = [p for p in range(2, c.k + 1) if c.k % p == 0 and all(p % q for q in range(2, p))]
+    return c.k**r == len(cw) and all(
+        sum(all(p * x % c.k == 0 for x in w) for w in cw) == p**r for p in primes
+    )
+
+
 def test_is_free_lcd_agrees_with_freeness_plus_lcd():
-    for c in small_corpus(73, 200):
-        assert is_free_lcd(c) == ((c.free_rank is not None) and is_lcd(c))
-
-
-def test_free_rank_counts_code_size():
-    for c in small_corpus(79, 100):
-        if c.free_rank is not None:
-            assert len(words(c)) == c.k**c.free_rank
+    corpus = small_corpus(73, 200, ks=(2, 3, 4, 5, 6, 8, 9, 10, 12, 15))
+    assert any(is_lcd(c) and not is_free(c) for c in corpus)
+    for c in corpus:
+        assert is_free_lcd(c) == (is_free(c) and is_lcd(c))
 
 
 # --- closures ---
@@ -253,7 +270,7 @@ def closable_codes(draw):
 def _projection_or_none(c: LinearCode):
     try:
         return projection_matrix(c)
-    except NotFreeLcd:
+    except NotLcd:
         return None
 
 
@@ -266,12 +283,8 @@ def test_inherited_closure_matches_rebuilt_code(c):
     for cl in closures:
         rebuilt = from_generator(cl.gen)
         assert cl.gen == rebuilt.gen
-        assert cl.free_rank == rebuilt.free_rank
-        assert (cl.free_gen is None) == (rebuilt.free_gen is None)
-        if cl.free_gen is not None:
-            assert cl.free_gen.rows == cl.free_rank
-            assert from_generator(cl.free_gen) == rebuilt
-            assert _projection_or_none(cl) == _projection_or_none(rebuilt)
+        assert howell_order(cl.gen) == howell_order(c.gen)
+        assert _projection_or_none(cl) == _projection_or_none(rebuilt)
 
 
 # --- projections ---
@@ -321,58 +334,77 @@ def generators(draw):
 @given(generators())
 @example((6, 2, [[2, 1], [3, 1]]))
 def test_projection_matches_the_inverse_route(case):
-    """The Howell route gives the projector the inverse of G.G^T gave, and
-    refuses exactly the codes whose G.G^T had no inverse mod k.  Drawn
-    rows that are themselves a free basis are also tried as the free
-    generator, so G.G^T ranges over more than the minimal generator's."""
+    """On drawn rows that are a free basis of their code, the Howell route
+    gives the projector the inverse of G.G^T gives, and refuses exactly
+    the codes whose G.G^T has no inverse mod k."""
     k, n, rows = case
     c = code_from_rows(k, rows, n)
-    if c.free_gen is None:
-        for route in (projection_matrix, projection_matrix_by_inverse):
-            with pytest.raises(NotFreeLcd):
-                route(c)
+    g = ModMatrix.from_rows(k, rows, n)
+    if howell_order(c.gen) != k**g.rows:
         return
-    candidates = [c]
-    if len(rows) == c.free_rank:
-        g = ModMatrix.from_rows(k, rows, n)
-        candidates.append(LinearCode(c.k, c.n, c.gen, free_rank=c.free_rank, free_gen=g))
-    for code in candidates:
-        g = code.free_gen
-        try:
-            inverse_mod(g.mul(g.transpose()))
-        except NotAUnit:
-            with pytest.raises(NotFreeLcd):
-                projection_matrix(code)
-        else:
-            assert projection_matrix(code) == projection_matrix_by_inverse(code)
+    try:
+        inverse_mod(g.mul(g.transpose()))
+    except NotAUnit:
+        for route in (projection_matrix, lambda c: projection_matrix_by_inverse(c, g)):
+            with pytest.raises(NotLcd):
+                route(c)
+    else:
+        assert projection_matrix(c) == projection_matrix_by_inverse(c, g)
+
+
+@st.composite
+def listable_codes(draw):
+    """Codes over any modulus, k = 0 mod 4 and the zero code included,
+    with at most 4096 words, spanned by 0 to n + 1 uniform rows."""
+    k = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 27]))
+    n = draw(st.integers(0, 6))
+    r = draw(st.integers(0, n + 1))
+    rows = [[draw(st.integers(0, k - 1)) for _ in range(n)] for _ in range(r)]
+    c = code_from_rows(k, rows, n)
+    assume(howell_order(c.gen) <= 4096)
+    return c
+
+
+@settings(max_examples=400, deadline=None)
+@given(listable_codes())
+@example(code_from_rows(6, [[2, 0, 0]]))
+@example(code_from_rows(15, [[5, 0, 0], [0, 3, 0], [0, 0, 3]]))
+def test_projection_matches_the_word_listing(c):
+    """The projector is the one found by listing C's words, on every LCD
+    code, free or not, and NotLcd exactly on the codes that are not LCD."""
+    if is_lcd(c):
+        assert projection_matrix(c) == projection_matrix_by_words(c)
+    else:
+        for route in (projection_matrix, projection_matrix_by_words):
+            with pytest.raises(NotLcd):
+                route(c)
 
 
 def test_projection_where_the_inverse_route_found_no_unit_pivot():
     # G.G^T = [[2, 3], [3, 2]] mod 6: no unit in its first column, so the
     # inverse route's Gauss-Jordan stalled and its adjugate decided.
     g = ModMatrix.from_rows(6, [[1, 1, 0], [1, 2, 3]])
-    base = from_generator(g)
-    c = LinearCode(base.k, base.n, base.gen, free_rank=base.free_rank, free_gen=g)
+    c = from_generator(g)
     gram = g.mul(g.transpose())
     assert gram.entries == ((2, 3), (3, 2))
     assert _inverse_by_elimination(gram) is None
     pi = projection_matrix(c)
-    assert pi == projection_matrix_by_inverse(c)
-    assert pi == projection_matrix(from_generator(g))
+    assert pi == projection_matrix_by_inverse(c, g)
     assert pi.mul(pi) == pi and from_generator(pi) == c
 
 
 def test_projection_rejects_non_free_lcd():
-    with pytest.raises(NotFreeLcd):
+    # Both codes meet their duals, so neither has a projector.
+    with pytest.raises(NotLcd):
         projection_matrix(code_from_rows(2, [[1, 1]]))  # self-dual
-    with pytest.raises(NotFreeLcd):
-        projection_matrix(code_from_rows(4, [[2, 0]]))  # not free
+    with pytest.raises(NotLcd):
+        projection_matrix(code_from_rows(4, [[2, 0]]))  # not free, and in its dual
 
 
-def _closure_projection_or_none(c: LinearCode, mode: str):
+def _closure_projection_or_none(c: LinearCode):
     try:
-        return closure_projection(c, mode)
-    except NotFreeLcd:
+        return closure_projection(c)
+    except NotLcd:
         return None
 
 
@@ -390,30 +422,26 @@ def spep_codes(draw):
 @settings(max_examples=200, deadline=None)
 @given(spep_codes())
 def test_closure_projection_matches_the_built_closure(c):
-    # Signed mode on an even k must fail on both paths: 2 is not a unit.
-    built = [("signed", signed_closure)]
-    if c.k % 4 == 2:
-        built.append(("extended", extended_signed_closure))
-    for mode, closure in built:
-        assert _closure_projection_or_none(c, mode) == _projection_or_none(closure(c))
+    closure = signed_closure if closure_mode(c.k) == "signed" else extended_signed_closure
+    assert _closure_projection_or_none(c) == _projection_or_none(closure(c))
 
 
 def test_closure_projection_rejects_what_the_closure_rejects():
-    not_free = code_from_rows(6, [[2, 0, 0]])
     self_orthogonal = code_from_rows(3, [[1, 1, 1]])
-    for c, mode, closure in [
-        (not_free, "extended", extended_signed_closure),
-        (self_orthogonal, "signed", signed_closure),
-        (code_from_rows(10, [[1, 0]]), "signed", signed_closure),
+    self_dual = code_from_rows(10, [[5, 5, 0, 0], [0, 0, 5, 5]])
+    for c, closure in [
+        (self_orthogonal, signed_closure),
+        (self_dual, extended_signed_closure),
     ]:
-        with pytest.raises(NotFreeLcd):
+        with pytest.raises(NotLcd):
             projection_matrix(closure(c))
-        with pytest.raises(NotFreeLcd):
-            closure_projection(c, mode)
+        with pytest.raises(NotLcd):
+            closure_projection(c)
+    # LCD but not free: both closures have a projector.
+    not_free = code_from_rows(6, [[2, 0, 0]])
+    assert closure_projection(not_free) == projection_matrix(extended_signed_closure(not_free))
     with pytest.raises(BadModulus):
-        closure_projection(self_orthogonal, "extended")
-    with pytest.raises(ValueError):
-        closure_projection(self_orthogonal, "nonsense")
+        closure_projection(code_from_rows(4, [[1, 0]]))
 
 
 def test_projection_independent_of_generator_presentation():
@@ -496,7 +524,7 @@ def test_random_free_lcd_properties_and_determinism():
         c1 = random_free_lcd(k, n, m, seed=1234)
         c2 = random_free_lcd(k, n, m, seed=1234)
         assert c1 == c2
-        assert c1.free_rank == m
+        assert howell_order(c1.gen) == k**m
         assert is_free_lcd(c1)
         assert c1.n == n and c1.k == k
 
@@ -508,17 +536,17 @@ def test_random_free_lcd_properties_and_determinism():
     st.data(),
 )
 def test_random_free_lcd_keeps_a_draw_on_a_unit_gram_determinant(k, n, data):
-    # The one-determinant test keeps exactly the draws that build a free
-    # LCD code of full rank, and the kept draw is a free basis of its code.
+    # The one-determinant test keeps exactly the draws that build an LCD
+    # code of k^m words, so the m drawn rows are a free basis of it.
     m = data.draw(st.integers(1, n))
     row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
     rows = data.draw(st.lists(row, min_size=m, max_size=m))
     g = ModMatrix.from_rows(k, rows, n)
     c = from_generator(g)
-    assert is_unit_det(g.mul(g.transpose())) == (c.free_rank == m and is_free_lcd(c))
+    assert is_unit_det(g.mul(g.transpose())) == (howell_order(c.gen) == k**m and is_lcd(c))
     seed = data.draw(st.integers(0, 10**6))
     drawn = random_free_lcd(k, n, m, seed=seed)
-    assert drawn == from_generator(drawn.free_gen) and drawn.free_rank == drawn.free_gen.rows == m
+    assert howell_order(drawn.gen) == k**m and is_free_lcd(drawn)
 
 
 def test_random_free_lcd_draw_budget():

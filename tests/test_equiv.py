@@ -25,7 +25,7 @@ from hullattack.equiv import (
 from hullattack.errors import (
     DimensionMismatch,
     ExtractionExhausted,
-    NotFreeLcd,
+    NotLcd,
     ParseError,
     TooLarge,
 )
@@ -381,8 +381,8 @@ class TestPep:
                 checked_not += 1
 
     def test_requires_free_lcd(self):
-        # <(1,2)> over Z_5 has zero Gram determinant.
-        with pytest.raises(NotFreeLcd):
+        # <(1,2)> over Z_5 is self-orthogonal, so it has no projector.
+        with pytest.raises(NotLcd):
             pep(code_from_rows(5, [[1, 2]]), code_from_rows(5, [[1, 0]]))
 
     def test_dimension_mismatch(self):
@@ -420,6 +420,13 @@ class TestSpep:
         assert stats["mode"] == "extended"
         assert res.outcome == "found"
         assert res.perm.apply_to(c2) == c1
+
+    def test_code_without_projector_is_inconclusive(self):
+        # <(1,2)> over Z_5 is self-orthogonal: no projector, no graph.
+        c = code_from_rows(5, [[1, 2]])
+        res = spep(c, c)
+        assert res.outcome == "inconclusive" and res.perm is None
+        assert "meets its dual" in res.reason
 
     def test_multiple_of_four_is_rejected(self):
         from hullattack.errors import BadModulus
@@ -461,9 +468,10 @@ class TestSpep:
     @pytest.mark.parametrize("k", [15, 6])
     def test_builds_no_howell_form_as_wide_as_a_closure(self, monkeypatch, k):
         # The closure projectors are expanded from the n x n projectors,
-        # each read off one Howell form of [G.G^T | G], of width m + n, and
-        # the fold check takes one Howell form of width n.  A closure
-        # would take 2n or 3n.
+        # each read off one Howell form of [g.g^T | g] for the r Howell
+        # rows g of its code, of width r + n (r = 4 or 5 here), and the
+        # fold check takes one Howell form of width n.  A closure would
+        # take 2n or 3n.
         n, m = 8, 4
         c1 = random_free_lcd(k, n, m, seed=3)
         c2 = apply_signed_perm(c1, [3, 1, 7, 0, 2, 6, 5, 4], [1, -1, -1, 1, 1, -1, 1, 1])
@@ -477,7 +485,8 @@ class TestSpep:
         monkeypatch.setattr(modring, "_howell_rows", counted)
         res = spep(c1, c2)
         assert res.outcome == "found"
-        assert set(widths) == {n, m + n}
+        assert set(widths) == {n, c1.gen.rows + n, c2.gen.rows + n}
+        assert max(widths) < 2 * n
 
     def test_self_equivalence_is_identity_friendly(self):
         c = random_free_lcd(5, 4, 2, seed=8)

@@ -79,6 +79,25 @@ class TestSerialization:
             Instance.from_dict(inst)
 
 
+    @pytest.mark.parametrize("value", [True, "12", 2.9])
+    def test_seed_must_be_a_json_integer(self, value):
+        inst = generate_instance(3, 4, 2, seed=11).to_dict()
+        inst["secret"]["seed"] = value
+        with pytest.raises(ParseError, match="'seed'"):
+            Instance.from_dict(inst)
+
+    @pytest.mark.parametrize("field,value", [("k", 11), ("n", 7)])
+    def test_declared_shape_must_match_the_code_and_lattices(self, field, value):
+        inst = generate_instance(3, 4, 2, seed=11).to_dict()
+        inst[field] = value
+        with pytest.raises(ParseError, match="does not match"):
+            Instance.from_dict(inst)
+        # The code agrees with a wrong declaration, the lattices do not.
+        if field == "n":
+            inst["code"] = {"k": 3, "n": 7, "gen": {"k": 3, "rows": 0, "cols": 7, "entries": []}}
+            with pytest.raises(ParseError, match="does not match"):
+                Instance.from_dict(inst)
+
 # sha256 of the `hullattack gen` file bytes, recorded from the generator
 # that multiplied full Givens matrices entry by entry in Fractions.
 # (k, n, m, seed, depth or None for the default 2n, digest)

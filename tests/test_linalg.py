@@ -23,7 +23,6 @@ from hullattack.linalg import (
     gram_det,
     inv_int_rows,
 )
-from hullattack.modring import ModMatrix, howell_form, is_unit_det, smith_mod
 from hullattack.lattices import GramRecord, random_rational_orthogonal
 from oracles import (
     canonical_basis,
@@ -647,82 +646,3 @@ def test_enumerate_matches_brute_force():
 
 def test_enumerate_zero_bound_empty():
     assert enumerate_short_vectors(gram_of(RatMatrix.identity(3)), Fraction(0)) == []
-
-
-# --- Smith form over Z/kZ ---
-
-SMITH_MODULI = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 25, 27, 30]
-
-
-def smith_rows(rng, k, nr, nc, bound):
-    """Random rows whose entries are often zero divisors mod k: each is a
-    random divisor of k times a small integer."""
-    divisors = [d for d in range(1, k + 1) if k % d == 0]
-    return [
-        [rng.choice(divisors) * rng.randrange(-bound, bound + 1) for _ in range(nc)]
-        for _ in range(nr)
-    ]
-
-
-def test_smith_diag_pinned_examples():
-    # 2*Z6 + 3*Z6 is cyclic: the pivot 2 does not divide the 3 beside it
-    assert smith_mod([[2, 0], [0, 3]], 2, 6)[0] == [1, 6]
-    assert smith_mod([[2, 3]], 2, 6)[0] == [1, 6]
-    assert smith_mod([[4, 0], [0, 6]], 2, 12)[0] == [2, 12]
-    # clearing row 0 moves a 4 under the pivot, which 5 does not divide
-    assert smith_mod([[20, 0], [0, 48], [10, 15]], 2, 60)[0] == [1, 60]
-    assert smith_mod([], 3, 5) == ([5, 5, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def test_smith_diag_divisibility_chain_and_span():
-    rng = random.Random(23)
-    for _ in range(120):
-        k = rng.choice(SMITH_MODULI)
-        nr = rng.randrange(0, 5)
-        nc = rng.randrange(1, 5)
-        rows = smith_rows(rng, k, nr, nc, 9)
-        diag, w = smith_mod(rows, nc, k)
-        assert len(diag) == nc
-        for d in diag:
-            assert 0 < d <= k and k % d == 0
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
-        assert all(0 <= x < k for row in w for x in row)
-        assert is_unit_det(ModMatrix.from_rows(k, w))
-        gens = [[d * x for x in w[i]] for i, d in enumerate(diag) if d < k]
-        assert howell_form(ModMatrix.from_rows(k, gens, nc)) == howell_form(
-            ModMatrix.from_rows(k, rows, nc)
-        )
-
-
-def test_smith_diag_matches_minor_gcd_oracle():
-    """Over Z/kZ the i-th factor is gcd(a_i, k), where a_i is the i-th
-    integer invariant factor of the lifted rows, read off the gcds of
-    their minors (a_i = 0, so the factor is k, past the integer rank)."""
-    import math
-
-    rng = random.Random(29)
-
-    def minors_gcd(rows, k):
-        n, m = len(rows), len(rows[0])
-        from itertools import combinations
-
-        g = 0
-        for ri in combinations(range(n), k):
-            for ci in combinations(range(m), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, laplace_det(sub))
-        return g
-
-    for _ in range(60):
-        k = rng.choice(SMITH_MODULI)
-        nr = rng.randrange(1, 4)
-        nc = rng.randrange(1, 4)
-        rows = smith_rows(rng, k, nr, nc, 6)
-        diag, _ = smith_mod(rows, nc, k)
-        prev = 1
-        for i, d in enumerate(diag):
-            cur = minors_gcd(rows, i + 1) if i < nr else 0
-            a = cur // prev if prev else 0
-            assert d == math.gcd(a, k)
-            prev = cur

@@ -28,7 +28,7 @@ SIGNATURES = {
     IntMatrix: "(entries)",
     RatMatrix: "(num, den=1)",
     ModMatrix: "(k, cols, entries)",
-    LinearCode: "(k, n, gen, free_rank, free_gen)",
+    LinearCode: "(k, n, gen)",
     ClosureMatrices: "(n, interleave, extended)",
     SignedPerm: "(sigma, signs)",
     EquivResult: "(outcome, perm=None, reason=None)",
@@ -110,9 +110,8 @@ def test_equality_and_hash_skip_uncompared_fields(instance):
     assert LatticeBasis(lat.n, lat.basis) != instance.l2
 
     c = instance.code
-    bare = LinearCode(c.k, c.n, c.gen, free_rank=None, free_gen=None)
-    assert bare == c and hash(bare) == hash(c)
-    assert LinearCode(c.k, c.n, c.gen.transpose(), None, None) != c
+    assert LinearCode(c.k, c.n, c.gen) == c
+    assert LinearCode(c.k, c.n, c.gen.transpose()) != c
 
     o = instance.o1
     a = AttackResult(o, [{"step": "verify", "ok": True}], IntMatrix(((1,),)))
@@ -133,7 +132,7 @@ def test_repr_omits_gram_record_and_free_gen(instance):
     lat = instance.l1
     assert repr(lat) == f"LatticeBasis(n={lat.n}, basis={lat.basis!r})"
     c = code_from_rows(3, [[1, 1, 0]])
-    assert repr(c) == f"LinearCode(k=3, n=3, gen={c.gen!r}, free_rank=1)"
+    assert repr(c) == f"LinearCode(k=3, n=3, gen={c.gen!r})"
     res = AttackResult(instance.o1)
     assert repr(res) == f"AttackResult(o_star={instance.o1!r}, transcript=[], certificate=None)"
 
