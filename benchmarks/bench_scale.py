@@ -15,12 +15,16 @@ with s = +-1, so the two Gram matrices differ and their entries grow;
 and non-LCD pairs at (5, 32, 16) and (3, 64, 32) (the first two of the
 scale gate's refusals): two rotations of the Construction A lattice of
 the first code of m random rows over Z_k that is not LCD, which the
-attack must refuse.  A run builds its input (untimed), writes
-the public part to JSON and then times, in process time:
+attack must refuse; and one unimodular cell, k.(Z^m + E8) at n = m + 8,
+on a basis mixed by 5n row additions as above and rotated, attacked
+against itself, which the attack must refuse with ZlipFailed (its unit
+form is unimodular with m < n norm-1 vectors, so it is not Z^n).  A run
+builds its input (untimed), writes the public part to JSON and then
+times, in process time:
 
   parse   both public lattices read back from that JSON,
-  attack  hull_attack on them (on the non-LCD pair, until it raises
-          HullNotTrivial),
+  attack  hull_attack on them (on a pair it must refuse, until it raises
+          HullNotTrivial or ZlipFailed),
   verify  verify_isomorphism on lattices parsed again, with no
           certificate, so it takes its own inverse of G1 (instances and
           the mixed instance only).
@@ -38,9 +42,9 @@ ran under, so for a stage of seconds the corrected time can drift where
 the raw one does not; both are kept.
 
 It also records the sha256 of the attack's result JSON (of the error and
-transcript on the non-LCD pair); the script stops if the two trees
-disagree on it, if an attack is not verified, or if the non-LCD pair is
-not refused.  benchmarks/BENCH_<NAME>.json keeps every run (raw and
+transcript on a refused pair); the script stops if the two trees
+disagree on it, if an attack is not verified, or if a pair that must be
+refused is not.  benchmarks/BENCH_<NAME>.json keeps every run (raw and
 corrected) and, per cell and tree, the median of each stage's raw and
 corrected time, with the parent-to-change ratio of each kind of median.
 """
@@ -55,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -69,6 +74,7 @@ GRID = (
     ("mixed", 3, 32, 16),
     ("non_lcd", 5, 32, 16),
     ("non_lcd", 3, 64, 32),
+    ("unimodular", 3, 26, 18),
 )
 SEED = 1
 TREES = ("parent", "change")
@@ -91,7 +97,7 @@ def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
     """One run in this interpreter, on the checkout at root; prints JSON."""
     sys.path.insert(0, str(Path(root) / "src"))
     from hullattack.attack import hull_attack, verify_isomorphism
-    from hullattack.errors import HullNotTrivial
+    from hullattack.errors import HullNotTrivial, ZlipFailed
     from hullattack.lattices import LatticeBasis
 
     text = json.dumps({"public": public_lattices(kind, k, n, m, seed)})
@@ -102,11 +108,12 @@ def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
 
     out = {"raw_s": {}, "corrected_s": {}}
     l1, l2 = timed(parse, out, "parse")
-    if kind == "non_lcd":
+    refusal = {"non_lcd": HullNotTrivial, "unimodular": ZlipFailed}.get(kind)
+    if refusal is not None:
         def refuse():
             try:
                 hull_attack(l1, l2)
-            except HullNotTrivial as exc:
+            except refusal as exc:
                 return {"error": str(exc), "transcript": exc.transcript}
             return None
 
@@ -132,17 +139,28 @@ def public_lattices(kind: str, k: int, n: int, m: int, seed: int) -> dict:
     if kind == "instance":
         return generate_instance(k, n, m, seed).to_dict(include_secret=False)["public"]
     rng = random.Random(seed)
+
+    def mixed(lattice):
+        rows = [list(r) for r in lattice.basis.num]
+        for _ in range(5 * n):
+            a, b = rng.sample(range(n), 2)
+            sign = rng.choice((1, -1))
+            rows[a] = [x + sign * y for x, y in zip(rows[a], rows[b])]
+        return LatticeBasis(n, RatMatrix.over(rows, lattice.basis.den))
+
     if kind == "mixed":
         inst = generate_instance(k, n, m, seed)
-        out = {}
-        for name, lattice in (("L1", inst.l1), ("L2", inst.l2)):
-            rows = [list(r) for r in lattice.basis.num]
-            for _ in range(5 * n):
-                a, b = rng.sample(range(n), 2)
-                sign = rng.choice((1, -1))
-                rows[a] = [x + sign * y for x, y in zip(rows[a], rows[b])]
-            out[name] = LatticeBasis(n, RatMatrix.over(rows, lattice.basis.den)).to_dict()
-        return out
+        return {name: mixed(lattice).to_dict() for name, lattice in (("L1", inst.l1), ("L2", inst.l2))}
+    if kind == "unimodular":
+        # E8 on the basis 2e_1, e_i - e_(i-1) for i = 2..7, (1/2, ..., 1/2).
+        e8 = [[2] + [0] * 7]
+        e8 += [[int(t == i) - int(t == i - 1) for t in range(8)] for i in range(1, 7)]
+        e8 += [[Fraction(1, 2)] * 8]
+        rows = [[k * int(i == t) for t in range(n)] for i in range(m)]
+        rows += [[0] * m + [k * x for x in r] for r in e8]
+        o = random_rational_orthogonal(n, seed=rng.randrange(2**32))
+        lattice = rotate(mixed(LatticeBasis(n, RatMatrix.from_rows(rows))), o).to_dict()
+        return {"L1": lattice, "L2": lattice}
     while True:
         code = code_from_rows(k, [[rng.randrange(k) for _ in range(n)] for _ in range(m)], n)
         if not is_lcd(code):
@@ -160,7 +178,7 @@ def run(root: Path, cell: tuple[str, int, int, int]) -> dict:
         sys.exit(f"{root}: {cell} failed (exit {proc.returncode}):\n{proc.stderr}")
     out = json.loads(lines[-1])
     if not out["ok"]:
-        sys.exit(f"{root}: {cell} attack not verified, or the non-LCD pair not refused")
+        sys.exit(f"{root}: {cell} attack not verified, or a pair that must be refused not refused")
     return out
 
 

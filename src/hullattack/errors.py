@@ -48,8 +48,9 @@ class NoCandidate(HullAttackError):
 
 
 class HullNotTrivial(HullAttackError):
-    """The scaled hull is not the full scaled lattice: the underlying code
-    is not LCD, so the attack's promise is violated."""
+    """No candidate modulus gives a hull equal to the scaled lattice: the
+    code is not LCD, or it is LCD but no recovered candidate is its true
+    modulus (a non-free LCD code, attacked without k)."""
 
 
 class ZlipFailed(HullAttackError):

@@ -73,6 +73,8 @@ class Instance(Value, frozen=False):
                 f"declared (k, n) = ({k}, {n}) does not match the code ({code.k}, {code.n})"
                 f" and the lattices of dimension {l1.n} and {l2.n}"
             )
+        if not 1 <= m <= n:
+            raise ParseError(f"declared m = {m} is outside 1..{n}")
         o1 = o2 = seed = None
         secret = d.get("secret")
         if secret is not None:
@@ -82,6 +84,8 @@ class Instance(Value, frozen=False):
                 seed = json_int(secret, "seed") if "seed" in secret else None
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad instance secret block: {exc}") from None
+            if o1.n != n or o2.n != n:
+                raise ParseError(f"secret rotations of dimension {o1.n} and {o2.n}, not {n}")
         return Instance(k=k, n=n, m=m, code=code, l1=l1, l2=l2, o1=o1, o2=o2, seed=seed)
 
 

@@ -27,17 +27,22 @@ never forms H.M.H^T (a row it reaches for the first time is still e_i
 in H, so its Gram entries are M[i].h_j); that product is formed here,
 once, from M.  When H does not reduce M to I, the vectors of squared
 norm 1 are enumerated in the coordinates of the LLL rows, on d and lam
-alone in integers, and n pairwise orthogonal ones K are assembled by
-backtracking on H.M.H^T, which pulls the vectors one at a time and
-stops the enumeration once K is complete; U = K.H then passes the same
-two checks.
-Enumeration and backtracking each stop after NODE_BUDGET nodes.  A
+alone in integers, and the first n found are the rows K of U = K.H,
+which then passes the same two checks.  No search is needed to make K
+orthogonal: for two norm-1 vectors x, y of the integral positive-definite
+form R = H.M.H^T that are not +-each other, Cauchy-Schwarz gives
+|x.R.y^T| < 1, so the integer x.R.y^T is 0.  The norm-1 vectors of an
+integral form span an orthogonal summand Z^j (Milnor & Husemoller,
+Symmetric Bilinear Forms, 1973), so there are n of them, one per
++-pair, exactly when M is equivalent to I; fewer is a refusal.
+The enumeration stops after NODE_BUDGET nodes, the one budget.  A
 broken promise or an exhausted budget surfaces as NotARotation, never as
 a wrong answer.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt, prod
 from operator import mul
 from typing import Iterator
@@ -93,58 +98,6 @@ def short_vectors(d, lam, bound: int) -> Iterator[tuple[int, ...]]:
     yield from descend(n - 1, bound * scale)
 
 
-def assemble_orthogonal_basis(gram, d, lam, target: int) -> list[tuple[int, ...]] | None:
-    """Coefficient rows K of n pairwise orthogonal vectors of squared norm
-    `target` in the lattice with integer Gram matrix `gram`, whose integer
-    Gram-Schmidt data are d and lam, so that K.G.K^T = target.I.  None when
-    no such family exists; NotARotation when the enumeration or the
-    backtracking budget runs out.
-
-    The backtracking reads the vectors of norm `target` by index, in the
-    enumeration's discovery order, and pulls each from `short_vectors`
-    only when it first reaches it, so the enumeration stops as soon as n
-    pairwise orthogonal ones are chosen.  The family is the one that
-    listing every vector first would give."""
-    n = len(gram)
-    found = short_vectors(d, lam, target)
-    vecs = []  # (x, G.x) for the x with x.G.x = target pulled so far
-    chosen: list[tuple] = []
-    nodes = 0
-
-    def pulled(idx: int) -> bool:
-        """Whether vecs[idx] exists, enumerating until it does."""
-        while len(vecs) <= idx:
-            x = next(found, None)
-            if x is None:
-                return False
-            gx = [sum(map(mul, row, x)) for row in gram]
-            if sum(map(mul, gx, x)) == target:
-                vecs.append((x, gx))
-        return True
-
-    def extend(start: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == n:
-            return True
-        idx = start
-        while pulled(idx):
-            nodes += 1
-            if nodes > NODE_BUDGET:
-                raise NotARotation(f"orthogonal assembly exceeded {NODE_BUDGET} nodes")
-            x, gx = vecs[idx]
-            if all(sum(map(mul, gx, y)) == 0 for y, _ in chosen):
-                chosen.append(vecs[idx])
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-            idx += 1
-        return False
-
-    if not extend(0):
-        return None
-    return [x for x, _ in chosen]
-
-
 class ZlipSolution(Value):
     __slots__ = ("u", "k", "method")
 
@@ -181,8 +134,11 @@ def solve_scaled_zlip(gram: tuple[list[list[int]], int], k: int) -> ZlipSolution
     # computed here from M.
     reduced = congruence(u.entries, m)
     if not _is_identity(reduced):
-        coeffs = assemble_orthogonal_basis(reduced, d, lam, 1)
-        if coeffs is None:
+        # Norm-1 vectors that are not +-each other are orthogonal (see the
+        # module docstring), so the first n found are the frame.
+        n = len(m)
+        coeffs = list(islice(short_vectors(d, lam, 1), n))
+        if len(coeffs) < n:
             raise NotARotation("no orthogonal family of norm-k vectors")
         u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"
         reduced = congruence(u.entries, m)

@@ -21,8 +21,10 @@ code, free or not.  The Gram-Schmidt data
 and the short-vector enumeration with one Fraction per mu[i][j] and per
 norm check the enumeration on LLL's own integers d and lam;
 `integer_gram_schmidt` reads those integers off the Fractions.  The
-orthogonal assembly that listed every short vector before it backtracked
-checks the one that pulls them as the backtracking reaches them.  `gram`,
+orthogonal assembly that listed every short vector of the target norm
+and backtracked over them checks the ZLIP fallback that takes the first
+n norm-1 vectors, and still serves the solver on G, whose target norm
+is k^2.den.  `gram`,
 `o_hat`, `s_hull` and `lll_rows` are the test-only conveniences that
 used to live in the library.
 """
@@ -70,7 +72,7 @@ from hullattack.lattices import (
 )
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence, inv_int_rows
 from hullattack.modring import ModMatrix, kernel_mod
-from hullattack.zlip import ZlipSolution, assemble_orthogonal_basis, solve_scaled_zlip
+from hullattack.zlip import ZlipSolution, solve_scaled_zlip
 
 
 def hnf_rows(rows, ncols):
@@ -335,9 +337,14 @@ def integer_gram_schmidt(gram) -> tuple[list[int], list[list[int]]]:
 def assemble_orthogonal_basis_listing_first(
     gram, d, lam, target: int
 ) -> list[tuple[int, ...]] | None:
-    """`zlip.assemble_orthogonal_basis` as it was before the backtracking
-    pulled vectors lazily: every vector of norm `target` is listed, under
-    the enumeration's budget, before the first backtracking step.  The
+    """Coefficient rows K of n pairwise orthogonal vectors of squared norm
+    `target` in the lattice with integer Gram matrix `gram`, whose integer
+    Gram-Schmidt data are d and lam, so that K.G.K^T = target.I; None when
+    no such family exists.  Every vector of norm `target` is listed, under
+    the enumeration's budget, before backtracking picks the first family
+    in discovery order; the backtracking stops after as many nodes again.
+    At target 1 the family, when there is one, is the first n vectors,
+    which is what `zlip.solve_scaled_zlip` takes without a search.  The
     budget is read from `zlip` at call time, so a test can lower it
     there."""
     n = len(gram)
@@ -392,7 +399,7 @@ def solve_scaled_zlip_on_gram(gram: tuple[list[list[int]], int], k: int) -> Zlip
     # computed here from G.
     reduced = congruence(u.entries, g)
     if not _is_scalar(reduced, target):
-        coeffs = assemble_orthogonal_basis(reduced, d, lam, target)
+        coeffs = assemble_orthogonal_basis_listing_first(reduced, d, lam, target)
         if coeffs is None:
             raise NotARotation("no orthogonal family of norm-k vectors")
         u, method = IntMatrix.from_rows(coeffs).mul(u), "enumeration"

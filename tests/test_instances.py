@@ -98,6 +98,20 @@ class TestSerialization:
             with pytest.raises(ParseError, match="does not match"):
                 Instance.from_dict(inst)
 
+    @pytest.mark.parametrize("m", [0, -1, 5, 9])
+    def test_declared_rank_must_lie_in_one_to_n(self, m):
+        inst = generate_instance(3, 4, 2, seed=11).to_dict()
+        inst["m"] = m
+        with pytest.raises(ParseError, match="outside 1..4"):
+            Instance.from_dict(inst)
+
+    @pytest.mark.parametrize("name", ["O1", "O2"])
+    def test_secret_rotation_must_match_the_dimension(self, name):
+        inst = generate_instance(3, 4, 2, seed=11).to_dict()
+        inst["secret"][name] = generate_instance(3, 3, 2, seed=11).to_dict()["secret"][name]
+        with pytest.raises(ParseError, match="not 4"):
+            Instance.from_dict(inst)
+
 # sha256 of the `hullattack gen` file bytes, recorded from the generator
 # that multiplied full Givens matrices entry by entry in Fractions.
 # (k, n, m, seed, depth or None for the default 2n, digest)

@@ -21,7 +21,12 @@ code of random rows that is not LCD, rotated twice, must raise
 `HullNotTrivial` once the hull test has failed every candidate modulus
 or found a hull index too large for one, which no later candidate can
 pass.  For a prime k that happens at the first candidate, k itself; the
-pair over Z_9 here goes on from 3 to 9.
+pair over Z_9 here goes on from 3 to 9.  A rotated, row-mixed basis of
+3.(Z^j + E8), attacked against itself, must raise `ZlipFailed`: its hull
+is the whole lattice and its unit form is unimodular but not
+equivalent to I, with only j < n norm-1 vectors.  The solver that
+searched those vectors for an orthogonal family of n took 15 s at
+n = 28 and 56 s at n = 48 to refuse them, at its node budget.
 """
 
 import random
@@ -33,9 +38,11 @@ import pytest
 
 from hullattack.attack import hull_attack, verify_isomorphism
 from hullattack.codes import code_from_rows, is_lcd
-from hullattack.errors import HullNotTrivial
+from hullattack.errors import HullNotTrivial, ZlipFailed
 from hullattack.instances import generate_instance
 from hullattack.lattices import LatticeBasis, construction_a, random_rational_orthogonal, rotate
+from hullattack.linalg import RatMatrix
+from test_zlip import e8_rows, mixed
 
 # (k, n, m, seed, budget in seconds); attack plus verify measured:
 # 0.02-0.03, 0.05-0.06, 0.08, 0.14-0.15, 0.44-0.52, 1.14-1.17,
@@ -60,6 +67,12 @@ REJECT_CORPUS = [
     (5, 32, 16, 1, 0.5),
     (3, 64, 32, 1, 2.0),
     (9, 64, 32, 1, 0.2),
+]
+# (j, seed, budget in seconds) of 3.(Z^j + E8) at n = j + 8; the attack
+# until ZlipFailed measured 0.02-0.03 s and 0.08-0.11 s.
+UNIMODULAR_CORPUS = [
+    (20, 1, 0.5),
+    (40, 1, 1.0),
 ]
 
 
@@ -127,4 +140,25 @@ def test_non_lcd_rejected_within_budget(acceptance_report, k, n, m, seed, budget
         hull_attack(l1, l2)
     dt = time.perf_counter() - t0
     acceptance_report(f"REJECT non-LCD k={k} n={n} m={m} seed={seed}: {dt:.2f}s (budget {budget:g}s)")
+    assert dt <= budget, f"rejection took {dt:.2f}s, budget {budget}s"
+
+
+def unimodular_lattice(j, seed, k=3):
+    """k.(Z^j + E8) on a basis mixed by 5n seeded row additions and then
+    rotated, read back as from a file."""
+    n = j + 8
+    rows = [[k * int(i == t) for t in range(n)] for i in range(j)]
+    rows += [[0] * j + [k * x for x in r] for r in e8_rows()]
+    base = mixed(LatticeBasis(n, RatMatrix.from_rows(rows)), 5 * n, seed)
+    return LatticeBasis.from_dict(rotate(base, random_rational_orthogonal(n, seed=seed)).to_dict())
+
+
+@pytest.mark.parametrize("j,seed,budget", UNIMODULAR_CORPUS)
+def test_unimodular_rejected_within_budget(acceptance_report, j, seed, budget):
+    lattice = unimodular_lattice(j, seed)
+    t0 = time.perf_counter()
+    with deadline(budget), pytest.raises(ZlipFailed, match="no orthogonal family"):
+        hull_attack(lattice, lattice)
+    dt = time.perf_counter() - t0
+    acceptance_report(f"REJECT unimodular 3.(Z^{j} + E8) n={j + 8} seed={seed}: {dt:.2f}s (budget {budget:g}s)")
     assert dt <= budget, f"rejection took {dt:.2f}s, budget {budget}s"

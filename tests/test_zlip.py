@@ -5,6 +5,7 @@ permutations."""
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,13 +21,8 @@ from hullattack.lattices import (
     rotate,
     sublattice_gram,
 )
-from hullattack.linalg import RatMatrix, bareiss_det, congruence
-from hullattack.zlip import (
-    ZlipSolution,
-    assemble_orthogonal_basis,
-    short_vectors,
-    solve_scaled_zlip,
-)
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence
+from hullattack.zlip import ZlipSolution, short_vectors, solve_scaled_zlip
 from oracles import (
     assemble_orthogonal_basis_listing_first,
     enumerate_short_vectors,
@@ -82,23 +78,6 @@ def test_wrong_scale_rejected():
     lat = scaled_zn(3, 6)
     with pytest.raises(NotARotation):
         solve_scaled_zlip(lat.gram_record.cleared, 3)
-
-
-def test_assembly_from_unreduced_basis():
-    # Rows (5, 0) and (5, 5): Gram [[25, 25], [25, 50]].
-    b = RatMatrix.from_rows([[5, 0], [5, 5]])
-    gram = [[25, 25], [25, 50]]
-    coeffs = assemble_orthogonal_basis(gram, *integer_gram_schmidt(gram), 25)
-    assert coeffs is not None
-    frame = RatMatrix.from_rows(coeffs).mul(b)
-    assert frame.mul(frame.transpose()) == RatMatrix.from_rows([[25, 0], [0, 25]])
-
-
-def test_assembly_returns_none_without_orthogonal_family():
-    # Rows (1, 0) and (0, 4): the only vectors of squared norm 4 are
-    # +-(2, 0), so no orthogonal pair exists.
-    gram = [[1, 0], [0, 16]]
-    assert assemble_orthogonal_basis(gram, *integer_gram_schmidt(gram), 4) is None
 
 
 def honest_transform(h):
@@ -162,6 +141,25 @@ def test_enumeration_fallback_through_solver(monkeypatch, handed):
     sol, image = solved_image(lat, k)
     assert sol.method == "enumeration"
     assert lattice_equal(image, scaled_zn(n, k))
+
+
+def test_fallback_from_unreduced_basis(monkeypatch):
+    # Rows (5, 0) and (5, 5): unit form [[1, 1], [1, 2]], which LLL is
+    # made to leave as it is, so the two norm-1 vectors are enumerated.
+    lat = LatticeBasis(2, RatMatrix.from_rows([[5, 0], [5, 5]]))
+    monkeypatch.setattr(zlip, "lll_gram", honest_transform([[1, 0], [0, 1]]))
+    sol, image = solved_image(lat, 5)
+    assert sol.method == "enumeration"
+    assert lattice_equal(image, scaled_zn(2, 5))
+
+
+def test_fallback_refuses_without_orthogonal_family(monkeypatch):
+    # Rows (2, 0) and (0, 4): unit form diag(1, 4), whose only norm-1
+    # vectors are +-(1, 0), one short of a family.
+    lat = LatticeBasis(2, RatMatrix.from_rows([[2, 0], [0, 4]]))
+    monkeypatch.setattr(zlip, "lll_gram", honest_transform([[1, 0], [0, 1]]))
+    with pytest.raises(NotARotation, match="no orthogonal family of norm-k vectors"):
+        solve_scaled_zlip(lat.gram_record.cleared, 2)
 
 
 # --- the unit-scale solver against the one that reduced G itself ---
@@ -262,20 +260,73 @@ def test_integer_enumeration_matches_the_fraction_one(case):
     assert list(short_vectors(d, lam, bound)) == enumerate_short_vectors(gram, Fraction(bound))
 
 
+def e8_rows():
+    """A basis of E8: 2e_1, e_i - e_(i-1) for i = 2..7, and (1/2, ..., 1/2);
+    its Gram matrix is even with determinant 1."""
+    rows = [[2] + [0] * 7]
+    rows += [[int(t == i) - int(t == i - 1) for t in range(8)] for i in range(1, 7)]
+    return rows + [[Fraction(1, 2)] * 8]
+
+
+@st.composite
+def norm_one_cases(draw):
+    """(G, d, lam) for an integral form G: one of `enumeration_cases`, or
+    Z^j + E8 (j <= 2) on a basis mixed by up to 40 row additions, an odd
+    or even unimodular form with j norm-1 vectors but not equivalent to I,
+    with the integer Gram-Schmidt data read off the Fraction oracle."""
+    if draw(st.booleans()):
+        return draw(enumeration_cases())[:3]
+    j = draw(st.integers(0, 2))
+    rows = [[int(i == t) for t in range(j + 8)] for i in range(j)]
+    rows += [[0] * j + r for r in e8_rows()]
+    lattice = LatticeBasis(j + 8, RatMatrix.from_rows(rows))
+    lattice = mixed(lattice, draw(st.integers(0, 40)), draw(st.integers(0, 10**6)))
+    gram, den = lattice.gram_record.cleared
+    assert den == 1
+    return gram, *integer_gram_schmidt(gram)
+
+
 @settings(max_examples=200, deadline=None)
-@given(enumeration_cases())
-def test_lazy_assembly_matches_listing_first(case):
-    """Wherever listing every vector of the target norm first ends within
-    the budget, pulling them as the backtracking reaches them gives the
-    same family K, or the same None."""
-    gram, d, lam, target = case
+@given(norm_one_cases())
+def test_fallback_family_matches_the_backtracking(case):
+    """With LLL made to leave an integral form G as it is, the solver's
+    fallback finds the family that backtracking over every norm-1 vector
+    finds, or refuses where that finds none, wherever the backtracking
+    ends within the budget."""
+    gram, d, lam = case
+    n = len(gram)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    if gram == identity:
+        return  # LLL's output is accepted; the fallback does not run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zlip, "NODE_BUDGET", 20_000)
         try:
-            expected = assemble_orthogonal_basis_listing_first(gram, d, lam, target)
+            family = assemble_orthogonal_basis_listing_first(gram, d, lam, 1)
         except NotARotation:
             return
-        assert assemble_orthogonal_basis(gram, d, lam, target) == expected
+        mp.setattr(zlip, "lll_gram", lambda g, num, den: (identity, d, lam))
+        outcome = zlip_outcome(solve_scaled_zlip, (gram, 1), 1)
+    if family is None:
+        assert outcome is NotARotation
+    else:
+        assert outcome == (IntMatrix.from_rows(family), "enumeration")
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_one_cases())
+def test_norm_one_vectors_are_pairwise_orthogonal(case):
+    """Two norm-1 vectors x, y of an integral positive-definite form that
+    are not +-each other have |x.G.y^T| < 1, so x.G.y^T = 0."""
+    gram, d, lam = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlip, "NODE_BUDGET", 20_000)
+        try:
+            found = list(short_vectors(d, lam, 1))
+        except NotARotation:
+            return
+    for a, x in enumerate(found):
+        gx = [sum(map(mul, row, x)) for row in gram]
+        assert [sum(map(mul, gx, y)) for y in found] == [int(a == b) for b in range(len(found))]
 
 
 def test_exhausted_enumeration_budget_refuses(monkeypatch):
