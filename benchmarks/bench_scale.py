@@ -26,8 +26,9 @@ times, in process time:
   attack  hull_attack on them (on a pair it must refuse, until it raises
           HullNotTrivial or ZlipFailed),
   verify  verify_isomorphism on lattices parsed again, with no
-          certificate, so it takes its own inverse of G1 (instances and
-          the mixed instance only).
+          certificate, so it solves for the change of basis on G1's
+          fraction-free elimination (instances and the mixed instance
+          only).
 
 On a shared host the same stage can take up to 1.8 times as long while a
 neighbour loads the sibling hyperthread.  So each stage sits between two

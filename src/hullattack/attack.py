@@ -53,7 +53,7 @@ from .lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from .linalg import IntMatrix, RatMatrix, Value
+from .linalg import IntMatrix, RatMatrix, Value, gram_solves
 from .modring import ModMatrix, howell_order
 from .zlip import solve_scaled_zlip
 
@@ -212,12 +212,15 @@ def verify_isomorphism(
     checked: T* . B1 = B2 . o_star^T, i.e. T* . A1 . e2 . D = A2 . M^T . e1,
     row by row.  Products only, no inverse, determinant, HNF or LLL once
     the two |det L| are cached.
-    Without one, B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so
-    T = (A2 . M^T . A1^T) . den . G1^-1 / (e1 . e2 . D) is tested entry
-    by entry against the Bareiss inverse of G1; the first non-integral
-    entry ends the test.  A singular B1 spans no full-rank lattice, so
-    the answer is False.  No Howell form runs on either path, so the
-    verifier shares no kernel with the canonical forms the solver builds.
+    Without one, B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so T is
+    the solution of T . G1 = (A2 . M^T . A1^T) . den / (e1 . e2 . D).  Row
+    by row, that right side is checked integral (T . G1 is, when T is)
+    and T solved for on the fraction-free elimination of G1 that
+    |det L1| was read off (`gram_solves`); the first row of T that is
+    not integral ends the test.  A singular B1 spans no full-rank
+    lattice, so the answer is False.  No Howell form runs on either
+    path, so the verifier shares no kernel with the canonical forms the
+    solver builds.
     """
     n = l1.n
     if isinstance(o_star, RatMatrix):
@@ -240,12 +243,10 @@ def verify_isomorphism(
             [f * sum(map(mul, t, col)) for col in cols] == [e1 * sum(map(mul, b, mr)) for mr in m]
             for t, b in zip(certificate.entries, a2)
         )
-    image = [[sum(map(mul, row, mr)) for mr in m] for row in a2]
-    p = [[sum(map(mul, row, ar)) for ar in a1] for row in image]
-    (_, den), (ginv, q) = l1.gram_record.cleared, l1.gram_record.inverse
-    big = e1 * e2 * d * q
-    # G1^-1 is symmetric, so its rows are its columns.
-    return all(den * sum(map(mul, row, col)) % big == 0 for row in p for col in ginv)
+    den = l1.gram_record.cleared[1]
+    images = ([sum(map(mul, row, mr)) for mr in m] for row in a2)
+    x = ([den * sum(map(mul, image, ar)) for ar in a1] for image in images)
+    return gram_solves(l1.gram_record.triangle, x, e1 * e2 * d)
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:

@@ -5,11 +5,12 @@ must preserve the Gram matrix, so rows are never silently rebased), as
 one integer matrix over one denominator (`RatMatrix`).
 Its determinant comes from one integer Gram record, B.B^T = G/den in
 lowest terms, whose entries stay small where the basis entries of a
-rotated lattice do not: |det B| is sqrt(det G), taken exactly.  The
-record also caches G^-1, which only the verifier run without a
-certificate takes, on a lattice that comes from outside; a basis has no
-inverse of its own.  A rotation is an orthonormal image with the same
-G, so it shares the record of the lattice it came from.
+rotated lattice do not: |det B| is sqrt(det G), taken exactly, the last
+pivot of G's fraction-free elimination.  The record keeps that
+elimination, on which the verifier run without a certificate solves
+against G on a lattice that comes from outside; nothing takes an
+inverse.  A rotation is an orthonormal image with the same G, so it
+shares the record of the lattice it came from.
 The attack moves between lattices by integer transforms of a basis,
 and reads each through the Gram record instead of forming the new
 basis: the rows C.B of an integer C have Gram matrix C.G.C^T/den
@@ -44,8 +45,7 @@ from .linalg import (
     Value,
     _set,
     congruence,
-    gram_det,
-    inv_int_rows,
+    gram_triangle,
     json_int,
     symmetric_product,
 )
@@ -63,7 +63,8 @@ def _lowest_terms(g: list[list[int]], den: int) -> tuple[list[list[int]], int]:
 
 class GramRecord:
     """The integer Gram matrix of a basis: B.B^T = G/den with the fraction
-    in lowest terms, plus |det B| and G^-1, each computed on first use.
+    in lowest terms, plus G's fraction-free elimination and |det B|, each
+    computed on first use.
 
     B = A/db cleared to integers gives B.B^T = (A.A^T)/db^2; only the
     upper triangle of A.A^T is formed, and the result is divided by the
@@ -81,20 +82,21 @@ class GramRecord:
         return _lowest_terms(symmetric_product(a, a), db * db)
 
     @cached_property
+    def triangle(self) -> list[list[int]]:
+        """The `gram_triangle` of G: its leading minors on the diagonal."""
+        return gram_triangle(self.cleared[0])
+
+    @cached_property
     def abs_det(self) -> Fraction:
-        """|det B| = sqrt(det G / den^n), both square roots exact; 0 when
-        the rows are dependent."""
-        g, den = self.cleared
-        sq = Fraction(gram_det(g), den ** len(g))
+        """|det B| = sqrt(det G / den^n), both square roots exact, with
+        det G the last pivot of the triangle; 0 when the rows are
+        dependent."""
+        (g, den), u = self.cleared, self.triangle
+        sq = Fraction(u[-1][len(u) - 1] if u else 1, den ** len(g))
         num, d = isqrt(sq.numerator), isqrt(sq.denominator)
         if num * num != sq.numerator or d * d != sq.denominator:
             raise AssertionError("det of a Gram matrix is not the square of a rational")
         return Fraction(num, d)
-
-    @cached_property
-    def inverse(self) -> tuple[list[list[int]], int]:
-        """(N, q) with G^-1 = N/q from the Bareiss inverse; N is symmetric."""
-        return inv_int_rows(self.cleared[0])
 
 
 class LatticeBasis(Value, uncompared=("gram_record",), hidden=("gram_record",)):

@@ -24,7 +24,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .errors import NonSquare, ParseError, Singular
+from .errors import NonSquare, ParseError
 
 # How a frozen value class's __init__ stores its fields.
 _set = object.__setattr__
@@ -312,15 +312,17 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def gram_det(gram) -> int:
-    """det G for an integer Gram matrix G = A.A^T (symmetric positive
-    semidefinite), by fraction-free elimination on the upper triangle.
+def gram_triangle(gram) -> list[list[int]]:
+    """The fraction-free elimination U of an integer Gram matrix G = A.A^T
+    (symmetric positive semidefinite), on the upper triangle: row p holds,
+    from column p on, the entries of row p once p pivots are eliminated,
+    and U[p][p] is the leading principal minor of order p + 1.
 
     Each Schur complement of a symmetric matrix is symmetric, so the
-    entry below a pivot is read from the pivot's row.  Pivot p is the
-    leading principal minor of order p + 1, the Gram determinant of the
-    first p + 1 rows of A; when it is 0 those rows are dependent, so all
-    rows are and det G = 0, with no row swap.
+    entry below a pivot is read from the pivot's row.  A zero pivot means
+    the first p + 1 rows of A are dependent, so all rows are: the rows
+    stop there, and det G, the last pivot U[-1][len(U) - 1], is 0.  The
+    entries left of the diagonal are G's own, never read.
     """
     m = [list(r) for r in gram]
     n = len(m)
@@ -329,67 +331,43 @@ def gram_det(gram) -> int:
         rp = m[p]
         piv = rp[p]
         if piv == 0:
-            return 0
+            return m[: p + 1]
         for i in range(p + 1, n):
             ri, f = m[i], rp[i]
             for j in range(i, n):
                 ri[j] = (piv * ri[j] - f * rp[j]) // prev
         prev = piv
-    return m[-1][-1] if m else 1
+    return m
 
 
-def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Exact inverse of a square integer matrix as (numerators, den).
+def gram_solves(u: list[list[int]], rows, q: int) -> bool:
+    """Whether y.G = x/q has an integer solution y for every integer row
+    x, given the `gram_triangle` U of a nonsingular G; the first row
+    without one ends the test, and rows are read one at a time.
 
-    Fraction-free Gauss-Jordan (Bareiss/Montante) on [M | I]: after the
-    sweep the left block is den * I and the right block is den * inverse,
-    with den = +-det.  Every interior division is exact.
-
-    At pivot p only the columns that can be nonzero off their own row
-    are swept: the left columns after p, and the identity columns owned
-    by the rows already used as pivots (a row swap swaps owners).  The
-    left columns before p hold only their row's diagonal entry, and an
-    identity column not yet reached only its owner's entry, so the
-    skipped updates would compute 0 from 0; those two entries of each
-    row are updated on their own, so the diagonal invariant is checked
-    on computed values.
+    An integral y makes y.G integral, so q must divide x; the rest is on
+    b = x/q.  G is symmetric, so y.G = b is G.y^T = b^T.  The forward
+    pass replays U's elimination on b, with the same exact divisions
+    (each entry is a bordered minor of [G | b^T]), leaving U.y^T = b'.
+    Back substitution then runs from the last row up on integers: once
+    y_j is integral for every j > p, y_p = (b'_p - sum U[p][j].y_j) / U[p][p]
+    is integral exactly when U[p][p] divides the numerator.
     """
-    n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    owner = list(range(n, 2 * n))  # owner[i]: the identity column that row i holds
-    prev = 1
-    for p in range(n):
-        if m[p][p] == 0:
-            for r in range(p + 1, n):
-                if m[r][p]:
-                    m[p], m[r] = m[r], m[p]
-                    owner[p], owner[r] = owner[r], owner[p]
-                    break
-            else:
-                raise Singular("matrix is singular")
-        piv = m[p][p]
-        rp = m[p]
-        swept = list(range(p + 1, n)) + owner[: p + 1]
-        for i in range(n):
-            if i == p:
-                continue
-            f = m[i][p]
-            ri = m[i]
-            for j in swept:
-                q, rem = divmod(piv * ri[j] - f * rp[j], prev)
-                if rem:
-                    raise AssertionError("inexact division in fraction-free elimination")
-                ri[j] = q
-            # Row i's own entry: its diagonal once eliminated, else its identity entry.
-            j = i if i < p else owner[i]
-            q, rem = divmod(piv * ri[j], prev)
-            if rem:
-                raise AssertionError("inexact division in fraction-free elimination")
-            ri[j] = q
-            ri[p] = 0
-        prev = piv
-    den = m[0][0] if n else 1
-    for i in range(n):
-        if m[i][i] != den:
-            raise AssertionError("fraction-free elimination lost its diagonal invariant")
-    return [m[i][n:] for i in range(n)], den
+    n = len(u)
+    for x in rows:
+        if any(v % q for v in x):
+            return False
+        b = [v // q for v in x]
+        prev = 1
+        for p in range(n - 1):
+            up = u[p]
+            piv, bp = up[p], b[p]
+            b[p + 1 :] = [(piv * bi - f * bp) // prev for bi, f in zip(b[p + 1 :], up[p + 1 :])]
+            prev = piv
+        y = [0] * n
+        for p in range(n - 1, -1, -1):
+            up = u[p]
+            y[p], r = divmod(b[p] - sum(map(mul, up[p + 1 :], y[p + 1 :])), up[p])
+            if r:
+                return False
+    return True

@@ -346,7 +346,7 @@ def check_end_to_end(
                 t0 = time.time()
                 inst = generate_instance(k, n, m, seed=rng.randrange(2**32), depth=depth)
                 res = hull_attack(inst.l1, inst.l2)
-                # The verifier through G1^-1 and the one that checks the
+                # The verifier that solves on G1 and the one that checks the
                 # attack's change-of-basis certificate must both accept.
                 assert verify_isomorphism(inst.l1, inst.l2, res.o_star.matrix), (
                     f"unverified witness for k={k}, n={n}, m={m}"

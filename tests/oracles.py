@@ -7,7 +7,9 @@ integer code that replaced them.  The rational inverse, determinant and
 dual basis, lattice equality by a unimodular change of basis, and
 membership and code reading through B^-1 are the side routes the library
 dropped for `attack.verify_isomorphism`; they stay here as independent
-checks of it.  The hull test that took the kernel of the Gram matrix for
+checks of it.  So does the Bareiss inverse of G1 that the verifier run
+without a certificate tested T against, before it solved for T on G1's
+own elimination.  The hull test that took the kernel of the Gram matrix for
 every candidate modulus checks the one that reads the Gram matrix's row
 module, and the attack that tried every candidate modulus checks the one
 that stops at the first hull index too large for its candidate.  The
@@ -70,7 +72,7 @@ from hullattack.lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence, inv_int_rows
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence
 from hullattack.modring import ModMatrix, kernel_mod
 from hullattack.zlip import ZlipSolution, solve_scaled_zlip
 
@@ -679,6 +681,63 @@ def o_hat(sol, basis: RatMatrix) -> RationalOrthogonal:
 def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
     """The s-hull as a basis: the rows C.B for C = hull_coefficients."""
     return LatticeBasis(lattice.n, hull_coefficients(lattice, s).to_rat().mul(lattice.basis))
+
+
+def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Exact inverse of a square integer matrix as (numerators, den).
+
+    Fraction-free Gauss-Jordan (Bareiss/Montante) on [M | I]: after the
+    sweep the left block is den * I and the right block is den * inverse,
+    with den = +-det.  Every interior division is exact.
+
+    At pivot p only the columns that can be nonzero off their own row
+    are swept: the left columns after p, and the identity columns owned
+    by the rows already used as pivots (a row swap swaps owners).  The
+    left columns before p hold only their row's diagonal entry, and an
+    identity column not yet reached only its owner's entry, so the
+    skipped updates would compute 0 from 0; those two entries of each
+    row are updated on their own, so the diagonal invariant is checked
+    on computed values.
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    owner = list(range(n, 2 * n))  # owner[i]: the identity column that row i holds
+    prev = 1
+    for p in range(n):
+        if m[p][p] == 0:
+            for r in range(p + 1, n):
+                if m[r][p]:
+                    m[p], m[r] = m[r], m[p]
+                    owner[p], owner[r] = owner[r], owner[p]
+                    break
+            else:
+                raise Singular("matrix is singular")
+        piv = m[p][p]
+        rp = m[p]
+        swept = list(range(p + 1, n)) + owner[: p + 1]
+        for i in range(n):
+            if i == p:
+                continue
+            f = m[i][p]
+            ri = m[i]
+            for j in swept:
+                q, rem = divmod(piv * ri[j] - f * rp[j], prev)
+                if rem:
+                    raise AssertionError("inexact division in fraction-free elimination")
+                ri[j] = q
+            # Row i's own entry: its diagonal once eliminated, else its identity entry.
+            j = i if i < p else owner[i]
+            q, rem = divmod(piv * ri[j], prev)
+            if rem:
+                raise AssertionError("inexact division in fraction-free elimination")
+            ri[j] = q
+            ri[p] = 0
+        prev = piv
+    den = m[0][0] if n else 1
+    for i in range(n):
+        if m[i][i] != den:
+            raise AssertionError("fraction-free elimination lost its diagonal invariant")
+    return [m[i][n:] for i in range(n)], den
 
 
 def det(m: RatMatrix) -> Fraction:

@@ -50,6 +50,7 @@ from hullattack.errors import (
 )
 from hullattack.instances import generate_instance
 from hullattack.lattices import (
+    GramRecord,
     LatticeBasis,
     RationalOrthogonal,
     construction_a,
@@ -60,7 +61,7 @@ from hullattack.lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_det, inv_int_rows
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_solves, gram_triangle
 from hullattack.modring import howell_order
 from hullattack.selftest import brute_force_spep
 from hullattack.zlip import solve_scaled_zlip
@@ -71,6 +72,7 @@ from oracles import (
     hull_coefficients_by_kernel,
     hull_det_matches_by_kernel,
     integer_gram_schmidt,
+    inv_int_rows,
     lattice_equal,
     mod_reduce_to_code,
     o_hat,
@@ -349,19 +351,21 @@ class TestVerifyIsomorphism:
         # the API that no command called.  The projector reads (G.G^T)^-1.G
         # off one Howell form, so the inverse mod k left with its two paths.
         # ZLIP enumerates on LLL's integer Gram-Schmidt data, so the
-        # Fraction Gram-Schmidt and enumeration left.
+        # Fraction Gram-Schmidt and enumeration left.  The verifier solves
+        # on the Gram elimination parsing keeps, so the Bareiss inverse left.
         gone = {
             "hnf_rows", "hnf", "canonical_basis", "same_lattice", "rat_inverse", "dual_basis",
             "det", "mod_reduce_to_code", "integral_rotation", "s_hull", "lattice_equal",
             "DoesNotContainKZn", "NotSymmetric", "WeightedGraph", "graph_from_projection",
             "inverse_mod", "_inverse_by_elimination", "NotAUnit",
-            "gram_schmidt", "enumerate_short_vectors",
+            "gram_schmidt", "enumerate_short_vectors", "inv_int_rows", "gram_det",
         }
         modules = (attack, codes, equiv, errors, kernels, lattices, linalg, modring, selftest, zlip)
         for mod in modules:
             assert not gone & set(vars(mod)), mod.__name__
         gone_attributes = {
             LatticeBasis: ("_inverse", "contains"),
+            GramRecord: ("inverse",),
             RatMatrix: ("scale", "is_integral", "to_int", "clear_denominators"),
             IntMatrix: ("to_dict", "from_dict"),
             SignedPerm: ("identity", "to_dict", "from_dict"),
@@ -429,7 +433,8 @@ def verify_cases(draw):
 
 def rational_product_verdict(l1, l2, o) -> bool:
     """The verifier that formed B2 . o^T . B1^T as two `RatMatrix`
-    products before testing T = (B2 . o^T . B1^T) . den . G1^-1."""
+    products before testing T = (B2 . o^T . B1^T) . den . G1^-1, with
+    G1^-1 from the reference Bareiss inverse."""
     try:
         o = RationalOrthogonal(o)
     except NotARotation:
@@ -438,7 +443,8 @@ def rational_product_verdict(l1, l2, o) -> bool:
         return False
     image = l2.basis.mul(o.matrix.transpose()).mul(l1.basis.transpose())
     p, dp = image.num, image.den
-    (_, den), (ginv, q) = l1.gram_record.cleared, l1.gram_record.inverse
+    g, den = l1.gram_record.cleared
+    ginv, q = inv_int_rows(g)
     return all(
         den * sum(x * y for x, y in zip(row, col)) % (dp * q) == 0 for row in p for col in ginv
     )
@@ -463,6 +469,29 @@ class TestVerifierEquivalence:
         verdict = verify_isomorphism(l1, l2, o)
         assert verdict is old_verdict(l1, l2, o)
         assert verdict is rational_product_verdict(l1, l2, o)
+
+
+class TestCertificateFreeVerify:
+    """The solve at the sizes benchmarked: large-verify's n = 16 items
+    (k = 15, seeds 1 and 3) and n = 32, on lattices parsed from the
+    public JSON, as `hullattack verify` reads them."""
+
+    @pytest.mark.parametrize("k,n,m,seed", [(15, 16, 8, 1), (15, 16, 8, 3), (3, 32, 16, 1)])
+    def test_accepts_the_witness_and_rejects_wrong_ones(self, k, n, m, seed):
+        inst = generate_instance(k, n, m, seed)
+        l1, l2 = parsed_public(inst)
+        o_star = hull_attack(l1, l2).o_star.matrix
+        assert verify_isomorphism(l1, l2, o_star)
+        turned = o_star.mul(random_rational_orthogonal(n, seed=seed + 100).matrix)
+        assert not verify_isomorphism(l1, l2, turned)
+        # The secrets of two independent codes: O1 of this instance and
+        # O2 of another, whose |det L| is the same k^(n - m).
+        other = generate_instance(k, n, m, seed + 1)
+        _, l2_other = parsed_public(other)
+        assert l2_other.abs_det == l1.abs_det
+        assert verify_isomorphism(l1, l2, inst.o1.matrix.mul(inst.o2.matrix.transpose()))
+        crossed = inst.o1.matrix.mul(other.o2.matrix.transpose())
+        assert not verify_isomorphism(l1, l2_other, crossed)
 
 
 def perm_rotation(s: SignedPerm) -> RatMatrix:
@@ -787,15 +816,15 @@ def flip_first_sign(monkeypatch):
 
 
 class TestVerificationFailure:
-    def test_wrong_sign_fails_verification(self, monkeypatch, lattice_inverses):
+    def test_wrong_sign_fails_verification(self, monkeypatch, lattice_solves):
         # k does not divide R2.P^T.T1, so no certificate exists and the
-        # attack fails without falling back to the verifier's G1^-1.
+        # attack fails without falling back to the verifier's solve on G1.
         inst = generate_instance(15, 8, 4, seed=1)
         flip_first_sign(monkeypatch)
         with pytest.raises(VerificationFailed) as exc_info:
             hull_attack(inst.l1, inst.l2)
         assert exc_info.value.transcript[-1] == {"step": "verify", "ok": False}
-        assert lattice_inverses == []
+        assert lattice_solves == []
 
     def test_cli_attack_exits_four_without_traceback(self, monkeypatch, tmp_path, capsys):
         inst, res = tmp_path / "inst.json", tmp_path / "res.json"
@@ -811,10 +840,10 @@ class TestVerificationFailure:
 
 @pytest.fixture()
 def lattice_dets(monkeypatch):
-    """Sizes of the determinants taken on lattice data, by Bareiss or on a
-    Gram matrix's upper triangle, counted in every module that binds
-    `bareiss_det` or `gram_det` except modring, whose determinants are of
-    m x m code Gram matrices mod k."""
+    """Sizes of the determinants taken on lattice data, by Bareiss or by
+    the elimination of a Gram matrix's upper triangle, counted in every
+    module that binds `bareiss_det` or `gram_triangle` except modring,
+    whose determinants are of m x m code Gram matrices mod k."""
     sizes = []
 
     def counting(det):
@@ -825,7 +854,7 @@ def lattice_dets(monkeypatch):
         return counted
 
     for mod in (attack, lattices, linalg, zlip):
-        for det in (bareiss_det, gram_det):
+        for det in (bareiss_det, gram_triangle):
             if getattr(mod, det.__name__, None) is det:
                 monkeypatch.setattr(mod, det.__name__, counting(det))
     return sizes
@@ -842,26 +871,29 @@ class TestDeterminantCount:
         l1, l2 = LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
         # det G of each parsed lattice's Gram matrix.
         assert lattice_dets == [8, 8]
-        hull_attack(l1, l2, k=k)
+        o_star = hull_attack(l1, l2, k=k).o_star
         # |det H| of each ZLIP transform; verify reads |det L1| = |det L2|
         # off the Gram records and takes no det T.
+        assert lattice_dets == [8, 8, 8, 8]
+        # Without a certificate, verify solves on L1's cached triangle.
+        assert verify_isomorphism(l1, l2, o_star.matrix)
         assert lattice_dets == [8, 8, 8, 8]
 
 
 @pytest.fixture()
-def lattice_inverses(monkeypatch):
-    """Matrices handed to the Bareiss inverse, recorded in every loaded
-    hullattack module that binds `inv_int_rows`."""
+def lattice_solves(monkeypatch):
+    """The triangles handed to `gram_solves`, recorded in every loaded
+    hullattack module that binds it."""
     seen = []
 
-    def counted(rows):
-        seen.append([list(r) for r in rows])
-        return inv_int_rows(rows)
+    def counted(u, rows, q):
+        seen.append(u)
+        return gram_solves(u, rows, q)
 
     loaded = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "hullattack"]
     for mod in loaded:
-        if getattr(mod, "inv_int_rows", None) is inv_int_rows:
-            monkeypatch.setattr(mod, "inv_int_rows", counted)
+        if getattr(mod, "gram_solves", None) is gram_solves:
+            monkeypatch.setattr(mod, "gram_solves", counted)
     return seen
 
 
@@ -872,20 +904,20 @@ def parsed_public(inst):
 
 class TestInverseCount:
     @pytest.mark.parametrize("k", [None, 15])
-    def test_attack_inverts_nothing(self, lattice_inverses, k):
+    def test_attack_inverts_nothing(self, lattice_solves, k):
         # Code extraction knows R^-1 = T/k, and verify checks the
-        # change-of-basis certificate instead of inverting G1.
+        # change-of-basis certificate instead of solving against G1.
         l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
         hull_attack(l1, l2, k=k)
-        assert lattice_inverses == []
+        assert lattice_solves == []
 
     @pytest.mark.parametrize("k", [None, 15])
     def test_attack_verify_runs_on_products_only(self, monkeypatch, k):
         """The attack's verify step gets a certificate and reaches no
-        inverse, determinant, Howell form or LLL kernel, in any module
-        (the HNF kernel is gone: `test_calls_no_hnf`)."""
+        solve, determinant, Howell form or LLL kernel, in any module
+        (the HNF kernel and the inverse are gone: `test_calls_no_hnf`)."""
         l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
-        kernel_names = ("inv_int_rows", "bareiss_det", "gram_det", "_howell_rows", "lll_gram")
+        kernel_names = ("gram_solves", "bareiss_det", "gram_triangle", "_howell_rows", "lll_gram")
         in_verify, reached, certificates = [False], [], []
 
         def watched(name, fn):
@@ -917,14 +949,15 @@ class TestInverseCount:
         assert len(certificates) == 1 and certificates[0] is res.certificate is not None
         assert reached == []
 
-    def test_standalone_verify_inverts_one(self, lattice_inverses):
+    def test_standalone_verify_solves_once(self, lattice_solves):
+        # One solve, on the triangle that parsing L1 left in its record.
         inst = generate_instance(15, 8, 4, seed=1)
         o_star = hull_attack(inst.l1, inst.l2).o_star
         l1, l2 = parsed_public(inst)
-        lattice_inverses.clear()
+        triangle = l1.gram_record.triangle
+        lattice_solves.clear()
         assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
-        assert len(lattice_inverses) == 1
-        assert lattice_inverses == [l1.gram_record.cleared[0]]
+        assert len(lattice_solves) == 1 and lattice_solves[0] is triangle
 
 
 @pytest.fixture()

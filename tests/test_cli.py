@@ -1,12 +1,19 @@
 """CLI behavior: file formats, exit codes, determinism."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullattack import equiv
+from hullattack.attack import hull_attack
 from hullattack.cli import main
 from hullattack.codes import code_from_rows
 from hullattack.instances import generate_instance
@@ -251,6 +258,109 @@ class TestVerify:
         run_cli("attack", "--in", str(instance_file), "--out", str(res))
         assert run_cli("verify", "--instance", str(hostile_file), "--result", str(res)) == 2
         assert run_cli("verify", "--instance", str(instance_file), "--result", str(hostile_file)) == 2
+
+
+@lru_cache(maxsize=None)
+def verify_files() -> tuple[dict, dict]:
+    """An instance (k = 5, n = 5, m = 2) and its attack's result, as JSON."""
+    inst = generate_instance(5, 5, 2, seed=9)
+    return inst.to_dict(), hull_attack(inst.l1, inst.l2).to_dict()
+
+
+# JSON values a hostile file may put anywhere: null, booleans, strings that
+# are no number or divide by zero, NaN and infinities, huge integers (as
+# numbers, and as a string past the int-to-str digit limit), containers.
+JUNK = st.sampled_from(
+    [None, True, False, "1/0", "x", "", float("nan"), float("inf"), 10**1000, -(10**600),
+     "9" * 5000, 0, -1, 1.5, "3/4", [], {}, [[1]]]
+)
+MATRICES = [("instance", "public", "L1"), ("instance", "public", "L2"), ("result", "o_star")]
+
+
+@st.composite
+def mutations(draw):
+    """One to three edits of the verify inputs: a block, field or entry
+    replaced by junk or an integer, a field removed, a shape made wrong,
+    or L1's second row made a copy of its first."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(MATRICES))
+        kind = draw(st.sampled_from(["block", "field", "entry", "delete", "shape", "singular"]))
+        if kind == "block":
+            edits.append((kind, where[: draw(st.integers(2, len(where)))], draw(JUNK)))
+        elif kind in ("field", "delete"):
+            key = draw(st.sampled_from(["n", "rows", "cols", "entries"]))
+            edits.append((kind, where + (key,), draw(JUNK | st.integers(-2, 30))))
+        elif kind == "entry":
+            value = draw(JUNK | st.integers(-(10**40), 10**40) | st.sampled_from(["2", "-1/3"]))
+            edits.append((kind, where, (draw(st.integers(0, 24)), value)))
+        elif kind == "shape":
+            edits.append((kind, where, draw(st.sampled_from(["drop", "append", "grow", "square"]))))
+        else:
+            edits.append((kind, ("instance", "public", "L1"), None))
+    return edits
+
+
+def apply_edit(files: dict, edit) -> None:
+    """Apply one edit in place; an edit whose target is no longer an
+    object or a list of entries is skipped.  The junk is copied, so no
+    container is shared between two places."""
+    kind, path, arg = copy.deepcopy(edit)
+    node = files
+    for key in path[:-1]:
+        if not isinstance(node, dict) or key not in node:
+            return
+        node = node[key]
+    if not isinstance(node, dict):
+        return
+    last = path[-1]
+    if kind in ("block", "field"):
+        node[last] = arg
+    elif kind == "delete":
+        node.pop(last, None)
+    elif not isinstance(node.get(last), dict):
+        return
+    else:
+        m = node[last]
+        entries = m.get("entries")
+        if not isinstance(entries, list):
+            return
+        if kind == "entry" and entries:
+            entries[arg[0] % len(entries)] = arg[1]
+        elif kind == "shape":
+            if arg == "drop" and entries:
+                entries.pop()
+            elif arg == "append":
+                entries.append("0")
+            elif arg == "grow":
+                m["n"] = m.get("n", 0) + 1 if isinstance(m.get("n"), int) else 1
+            else:
+                m["rows"], m["cols"] = len(entries), 1
+        elif kind == "singular" and isinstance(m.get("cols"), int) and len(entries) >= 2 * m["cols"]:
+            c = m["cols"]
+            entries[c : 2 * c] = entries[:c]
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutations())
+    def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, edits):
+        inst, res = verify_files()
+        files = {"instance": copy.deepcopy(inst), "result": copy.deepcopy(res)}
+        for edit in edits:
+            apply_edit(files, edit)
+        folder = tmp_path_factory.mktemp("verify")
+        paths = {}
+        for name, d in files.items():
+            paths[name] = folder / f"{name}.json"
+            paths[name].write_text(json.dumps(d))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run_cli(
+                "verify", "--instance", str(paths["instance"]), "--result", str(paths["result"])
+            )
+        assert code in (0, 2, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSelftest:

@@ -23,7 +23,7 @@ from hullattack.lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_solves
 from hullattack.modring import howell_order
 from oracles import (
     canonical_basis,
@@ -37,6 +37,7 @@ from oracles import (
     gram,
     hull_coefficients_by_hnf,
     hull_coefficients_by_kernel,
+    inv_int_rows,
     lattice_equal,
     mod_reduce_to_code,
     rat_inverse,
@@ -396,9 +397,16 @@ def test_gram_record_matches_the_basis(b, data):
     assert sublattice_gram(lat, c) == combined.gram_record.cleared
     assert lat.abs_det == abs(det(b))
     if lat.abs_det:
-        # The record's G^-1 = N/q inverts the integer G.
-        (g_int, _), (inv, q) = lat.gram_record.cleared, lat.gram_record.inverse
+        # The record's triangle solves y.G = x exactly where the reference
+        # inverse G^-1 = N/q gives an integral x.G^-1: on the rows of G
+        # (y = e_i) and on G's rows plus one.
+        g_int = lat.gram_record.cleared[0]
+        inv, q = inv_int_rows(g_int)
         assert RatMatrix.over(g_int, 1).mul(RatMatrix.over(inv, q)) == RatMatrix.identity(b.rows)
+        assert gram_solves(lat.gram_record.triangle, g_int, 1)
+        shifted = [[x + 1 for x in row] for row in g_int]
+        integral = RatMatrix.over(shifted, 1).mul(RatMatrix.over(inv, q)).den == 1
+        assert gram_solves(lat.gram_record.triangle, shifted, 1) is integral
 
 
 @pytest.mark.parametrize(

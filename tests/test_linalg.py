@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,8 +21,8 @@ from hullattack.linalg import (
     IntMatrix,
     RatMatrix,
     bareiss_det,
-    gram_det,
-    inv_int_rows,
+    gram_solves,
+    gram_triangle,
 )
 from hullattack.lattices import GramRecord, random_rational_orthogonal
 from oracles import (
@@ -35,6 +36,7 @@ from oracles import (
     fractions,
     gram_schmidt,
     hnf,
+    inv_int_rows,
     lll_rows,
     rat_inverse,
     same_lattice,
@@ -336,9 +338,52 @@ def gram_matrices(draw):
 @example([[0, 0], [0, 5]])
 @example([[1, 2], [2, 4]])
 def test_gram_det_matches_bareiss(gram):
+    # det G is the triangle's last pivot, and every pivot is the leading
+    # principal minor of its order, up to the first that is 0.
     before = [list(r) for r in gram]
-    assert gram_det(gram) == bareiss_det(gram)
+    u = gram_triangle(gram)
+    assert (u[-1][len(u) - 1] if u else 1) == bareiss_det(gram)
+    assert [u[p][p] for p in range(len(u))] == [
+        bareiss_det([r[: p + 1] for r in gram[: p + 1]]) for p in range(len(u))
+    ]
+    assert all(u[p][p] for p in range(len(u) - 1))
     assert gram == before
+
+
+@st.composite
+def gram_systems(draw):
+    """(G, rows, q) for G = A.A^T of a nonsingular integer A with n <= 8:
+    rows x = q.t.G for integer rows t, each of which may be perturbed
+    in one entry, and a denominator q."""
+    n = draw(st.integers(0, 8))
+    entry = st.integers(-6, 6)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(bareiss_det(a) != 0)
+    g = [[sum(map(mul, ai, aj)) for aj in a] for ai in a]
+    q = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.lists(entry, min_size=n, max_size=n))
+        x = [q * sum(ti * gi[j] for ti, gi in zip(t, g)) for j in range(n)]
+        if n and draw(st.booleans()):
+            x[draw(st.integers(0, n - 1))] += draw(st.sampled_from([1, -1, q, g[0][0]]))
+        rows.append(x)
+    return g, rows, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(gram_systems())
+@example(([[2, 1], [1, 2]], [[3, 3], [1, 0]], 1))
+@example(([[4]], [[6]], 3))
+def test_gram_solves_matches_the_inverse(system):
+    # y.G = x/q has an integer solution y exactly when x.N = 0 mod q.den
+    # for the reference inverse G^-1 = N/den.
+    g, rows, q = system
+    num, den = inv_int_rows(g)
+    # N is symmetric, so its rows are its columns.
+    expected = all(sum(map(mul, x, col)) % (q * den) == 0 for x in rows for col in num)
+    assert gram_solves(gram_triangle(g), rows, q) is expected
+    assert gram_solves(gram_triangle(g), iter(rows), q) is expected
 
 
 def test_det_rational_rotation_is_one():

@@ -2,8 +2,9 @@
 
 Each instance must be recovered and its witness accepted by
 `verify_isomorphism` within its budget (attack plus verify, generation
-excluded).  The verify here gets no certificate, so it inverts G1, which
-the attack itself no longer does.  A budget is at least five times what
+excluded).  The verify here gets no certificate, so it solves for the
+change of basis on G1's fraction-free elimination, which the attack
+itself does not do.  A budget is at least five times what
 the certificate-checking attack and this verifier take on a 2-vCPU x86
 box (pure Python 3.11).  At n = 16, 20 and 32 it is below what the verifier that
 compared two canonical HNFs took there: 1.2 s, 15 s and over 370 s.  At
