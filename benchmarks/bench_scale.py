@@ -7,8 +7,9 @@ DIR is the root of a checkout.  Each cell of the grid, seed 1, is run
 --reps times (default 5) per tree, each run in a fresh interpreter that
 imports the tree's own `src/`.  The parent runs first in even
 repetitions and the change in odd ones.  The cells are instances
-(k, n, m) = (15, 32, 16), (3, 64, 32), (3, 96, 48) and (3, 128, 64)
-(the largest cell of the scale gate in tests/test_scale.py); one mixed
+(k, n, m) = (15, 32, 16), (3, 64, 32), (2, 64, 32) (SPEP on the 3n
+closure, with a graph-isomorphism search of 129 nodes), (3, 96, 48) and
+(3, 128, 64) (the largest cell of the scale gate in tests/test_scale.py); one mixed
 instance at (3, 32, 16), whose public bases B_i are replaced by U_i.B_i
 for U_i a seeded product of 5n elementary row additions r_a += s.r_b
 with s = +-1, so the two Gram matrices differ and their entries grow;
@@ -28,7 +29,9 @@ times, in process time:
   verify  verify_isomorphism on lattices parsed again, with no
           certificate, so it solves for the change of basis on G1's
           fraction-free elimination (instances and the mixed instance
-          only).
+          only),
+  spep    the part of attack spent in `spep` (instances and the mixed
+          instance only), corrected by the attack's two samples.
 
 On a shared host the same stage can take up to 1.8 times as long while a
 neighbour loads the sibling hyperthread.  So each stage sits between two
@@ -70,6 +73,7 @@ import calibrate  # noqa: E402  (perfbench/calibrate.py)
 GRID = (
     ("instance", 15, 32, 16),
     ("instance", 3, 64, 32),
+    ("instance", 2, 64, 32),
     ("instance", 3, 96, 48),
     ("instance", 3, 128, 64),
     ("mixed", 3, 32, 16),
@@ -97,6 +101,7 @@ def timed(fn, out: dict, stage: str):
 def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
     """One run in this interpreter, on the checkout at root; prints JSON."""
     sys.path.insert(0, str(Path(root) / "src"))
+    from hullattack import attack
     from hullattack.attack import hull_attack, verify_isomorphism
     from hullattack.errors import HullNotTrivial, ZlipFailed
     from hullattack.lattices import LatticeBasis
@@ -121,7 +126,21 @@ def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
         result = timed(refuse, out, "attack")
         out["ok"] = result is not None
     else:
+        spep_s = []
+        real_spep = attack.spep
+
+        def spep(*args):
+            t0 = time.process_time()
+            try:
+                return real_spep(*args)
+            finally:
+                spep_s.append(time.process_time() - t0)
+
+        attack.spep = spep
         res = timed(lambda: hull_attack(l1, l2), out, "attack")
+        load = out["corrected_s"]["attack"] / out["raw_s"]["attack"]
+        out["raw_s"]["spep"] = sum(spep_s)
+        out["corrected_s"]["spep"] = sum(spep_s) * load
         l1, l2 = parse()
         out["ok"] = timed(lambda: verify_isomorphism(l1, l2, res.o_star.matrix), out, "verify")
         result = res.to_dict()

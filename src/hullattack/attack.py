@@ -142,9 +142,18 @@ def _hull_det_matches(
     row module mod k.den (`gram_row_module`): (k.den)^n / prod gcd(s_i,
     k.den) over G's Smith invariants s_i.  Each candidate divides the
     next, so that product never falls and |det hull| < k^n stays below.
+
+    No index matches when k^n/|det L| is not an integer (a wrong
+    supplied k; a recovered one has k^e = |det L1|), so then None comes
+    before any Howell form.  The outcome is the one the index would
+    give: where |det hull| would be smaller, no later candidate passes
+    either, and the search ends in the same refusal.
     """
+    d, target = lattice.abs_det, k**lattice.n
+    if d and target * d.denominator % d.numerator:
+        return None
     module = gram_row_module(lattice, k)
-    hull_det, target = howell_order(module) * lattice.abs_det, k**lattice.n
+    hull_det = howell_order(module) * d
     if hull_det < target:
         _fail(transcript, HullNotTrivial(refusal))
     return None if hull_det > target else hull_coefficients_from(module)

@@ -144,7 +144,7 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hullattack",
-        description="Hull attack on lattice isomorphism for Construction A of free LCD codes.",
+        description="Hull attack on lattice isomorphism for Construction A of LCD codes over Z/kZ.",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

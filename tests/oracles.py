@@ -23,6 +23,9 @@ code, free or not.  The Gram-Schmidt data
 and the short-vector enumeration with one Fraction per mu[i][j] and per
 norm check the enumeration on LLL's own integers d and lam;
 `integer_gram_schmidt` reads those integers off the Fractions.  The
+graph-isomorphism search that refined every node's coloring from
+scratch, on the full matrices, checks the one whose children split their
+parent's stable coloring by the individualized vertex.  The
 orthogonal assembly that listed every short vector of the target norm
 and backtracked over them checks the ZLIP fallback that takes the first
 n norm-1 vectors, and still serves the solver on G, whose target norm
@@ -664,6 +667,84 @@ def projection_matrix_by_words(c: LinearCode) -> ModMatrix:
             raise NotLcd(f"{len(hits)} words of C differ from e_{i} by a dual word")
         rows.append(hits[0])
     return ModMatrix(k, n, tuple(rows))
+
+
+def refine_on_matrices(a1, a2, colors1, colors2, n):
+    """Joint color refinement read off the full matrices, every round
+    from scratch; None when the color histograms split."""
+    while True:
+        sig_ids: dict = {}
+        new1 = [0] * n
+        new2 = [0] * n
+        for a, colors, new in ((a1, colors1, new1), (a2, colors2, new2)):
+            for v in range(n):
+                row = a[v]
+                sig = (
+                    colors[v],
+                    tuple(sorted((colors[u], row[u]) for u in range(n) if u != v and row[u])),
+                )
+                if sig not in sig_ids:
+                    sig_ids[sig] = len(sig_ids)
+                new[v] = sig_ids[sig]
+        hist1: dict = {}
+        hist2: dict = {}
+        for c in new1:
+            hist1[c] = hist1.get(c, 0) + 1
+        for c in new2:
+            hist2[c] = hist2.get(c, 0) + 1
+        if hist1 != hist2:
+            return None
+        if len(set(new1)) == len(set(colors1)):
+            return new1, new2
+        colors1, colors2 = new1, new2
+
+
+def weighted_gi_by_full_refinement(pi1: ModMatrix, pi2: ModMatrix, stats: dict | None = None):
+    """All isomorphisms p with A1[i][j] == A2[p(i)][p(j)], lazily, by the
+    same individualization-refinement search as `equiv.solve_weighted_gi`,
+    but every node refines its whole coloring from scratch: a child
+    individualizes v and u with one fresh color and runs full rounds."""
+    if stats is not None:
+        stats.setdefault("nodes", 0)
+    if pi1.k != pi2.k or pi1.rows != pi2.rows:
+        return
+    n = pi1.rows
+    if n == 0:
+        yield ()
+        return
+    a1, a2 = pi1.entries, pi2.entries
+    init_ids: dict = {}
+    c1 = [init_ids.setdefault(a1[v][v], len(init_ids)) for v in range(n)]
+    c2 = [init_ids.setdefault(a2[v][v], len(init_ids)) for v in range(n)]
+
+    def search(colors1, colors2):
+        if stats is not None:
+            stats["nodes"] += 1
+        refined = refine_on_matrices(a1, a2, colors1, colors2, n)
+        if refined is None:
+            return
+        colors1, colors2 = refined
+        cells1: dict = {}
+        cells2: dict = {}
+        for v in range(n):
+            cells1.setdefault(colors1[v], []).append(v)
+            cells2.setdefault(colors2[v], []).append(v)
+        target = min((c for c in cells1 if len(cells1[c]) > 1), default=None)
+        if target is None:
+            perm = [0] * n
+            for color, vs in cells1.items():
+                perm[vs[0]] = cells2[color][0]
+            if all(a1[i][j] == a2[perm[i]][perm[j]] for i in range(n) for j in range(n)):
+                yield tuple(perm)
+            return
+        v = cells1[target][0]
+        fresh = n + max(colors1) + 1
+        for u in cells2[target]:
+            nc1, nc2 = list(colors1), list(colors2)
+            nc1[v] = nc2[u] = fresh
+            yield from search(nc1, nc2)
+
+    yield from search(c1, c2)
 
 
 def gram(lattice: LatticeBasis) -> RatMatrix:

@@ -269,6 +269,32 @@ class TestHullAttack:
         with pytest.raises(HullNotTrivial):
             hull_attack(l1, l2, k=7)
 
+    # (k, n, m, seed, supplied k): perfbench's wrong_k reject items.
+    @pytest.mark.parametrize(
+        "k,n,m,seed,supplied", [(5, 12, 6, 1, 3), (10, 12, 6, 1, 6), (3, 16, 8, 1, 5)]
+    )
+    def test_wrong_supplied_modulus_takes_no_howell_form(
+        self, monkeypatch, k, n, m, seed, supplied
+    ):
+        # k^n / |det L| is not an integer, so no hull index can match.
+        inst = generate_instance(k, n, m, seed)
+        l1, l2 = (LatticeBasis.from_dict(lat.to_dict()) for lat in (inst.l1, inst.l2))
+        with pytest.raises(HullNotTrivial) as expected:
+            hull_attack_trying_every_modulus(l1, l2, k=supplied)
+        forms = []
+        real = modring._howell_rows
+
+        def counted(rows, cols, k):
+            forms.append(cols)
+            return real(rows, cols, k)
+
+        monkeypatch.setattr(modring, "_howell_rows", counted)
+        with pytest.raises(HullNotTrivial) as got:
+            hull_attack(l1, l2, k=supplied)
+        assert str(got.value) == str(expected.value)
+        assert got.value.transcript == expected.value.transcript
+        assert forms == []
+
     def test_non_equivalent_codes_fail_spep(self):
         rng = random.Random(77)
         found = False

@@ -11,7 +11,10 @@ from hullattack import equiv, modring
 from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
+    closure_mode,
+    closure_projection,
     code_from_rows,
+    is_lcd,
     projection_matrix,
     random_free_lcd,
     signed_closure,
@@ -31,6 +34,7 @@ from hullattack.errors import (
 )
 from hullattack.modring import ModMatrix
 from hullattack.selftest import brute_force_pep, brute_force_spep, pep
+from oracles import refine_on_matrices, weighted_gi_by_full_refinement
 
 
 def brute_gi(g1: ModMatrix, g2: ModMatrix) -> set:
@@ -60,35 +64,6 @@ def conjugate(a: ModMatrix, p) -> ModMatrix:
         for j in range(n):
             rows[p[i]][p[j]] = a.entries[i][j]
     return ModMatrix.from_rows(a.k, rows)
-
-
-def refine_oracle(a1, a2, colors1, colors2, n):
-    """Joint color refinement; None when the color histograms split."""
-    while True:
-        sig_ids: dict = {}
-        new1 = [0] * n
-        new2 = [0] * n
-        for a, colors, new in ((a1, colors1, new1), (a2, colors2, new2)):
-            for v in range(n):
-                row = a[v]
-                sig = (
-                    colors[v],
-                    tuple(sorted((colors[u], row[u]) for u in range(n) if u != v and row[u])),
-                )
-                if sig not in sig_ids:
-                    sig_ids[sig] = len(sig_ids)
-                new[v] = sig_ids[sig]
-        hist1: dict = {}
-        hist2: dict = {}
-        for c in new1:
-            hist1[c] = hist1.get(c, 0) + 1
-        for c in new2:
-            hist2[c] = hist2.get(c, 0) + 1
-        if hist1 != hist2:
-            return None
-        if len(set(new1)) == len(set(colors1)):
-            return new1, new2
-        colors1, colors2 = new1, new2
 
 
 def circulant_graph(k: int, n: int, steps) -> ModMatrix:
@@ -147,8 +122,44 @@ def graph_pairs(draw):
     return k, a, ModMatrix.from_rows(k, b)
 
 
+def first_solutions(solver, a, b, **kw):
+    """The first 30 solutions, in order (cliques have n! of them; 30 pin
+    the order), and the nodes visited to reach them."""
+    stats = {}
+    solutions = list(islice(solver(a, b, stats, **kw), 30))
+    return solutions, stats["nodes"]
+
+
+@st.composite
+def closure_projector_pairs(draw):
+    """The closure projectors of an LCD code over Z_k, k in {2, 3, 5, 6,
+    10}, and of a signed permutation of it or of an independent code,
+    with their closure mode.  A code of random rows that is not LCD is
+    replaced by a free LCD code of the same shape."""
+    k = draw(st.sampled_from([2, 3, 5, 6, 10]))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+
+    def code():
+        row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=m, max_size=m))
+        c = code_from_rows(k, rows, n)
+        return c if is_lcd(c) else random_free_lcd(k, n, m, seed=draw(st.integers(0, 2**32)))
+
+    c1 = code()
+    if draw(st.booleans()):
+        sigma = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        c2 = apply_signed_perm(c1, sigma, signs)
+    else:
+        c2 = code()
+    return closure_projection(c1), closure_projection(c2), closure_mode(k)
+
+
 class TestRefinement:
-    """The refinement on neighbour lists against the full-matrix oracle."""
+    """The solver against the search that refines every node from
+    scratch on the full matrices, and its refinement against the
+    full-matrix rounds."""
 
     @settings(max_examples=300, deadline=None)
     @given(graph_pairs())
@@ -156,19 +167,48 @@ class TestRefinement:
     @example((2, *DISCRETE_UNCONFIRMED))  # only the leaf check rejects this bijection
     def test_search_is_unchanged_under_the_oracle(self, pair):
         k, a, b = pair
-        n = a.rows
-        a1 = [list(r) for r in a.entries]
-        a2 = [list(r) for r in b.entries]
-        runs = []
-        for refine in (None, lambda nb1, nb2, c1, c2, k: refine_oracle(a1, a2, c1, c2, n)):
-            stats = {}
-            with pytest.MonkeyPatch.context() as mp:
-                if refine is not None:
-                    mp.setattr(equiv, "_refine", refine)
-                # Cliques have n! solutions; the first 30 pin the order.
-                solutions = list(islice(solve_weighted_gi(a, b, stats), 30))
-            runs.append((solutions, stats["nodes"]))
-        assert runs[0] == runs[1]
+        assert first_solutions(solve_weighted_gi, a, b) == first_solutions(
+            weighted_gi_by_full_refinement, a, b
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_projector_pairs())
+    def test_closure_search_matches_the_full_refinement(self, pair):
+        p1, p2, mode = pair
+        assert first_solutions(solve_weighted_gi, p1, p2, closure=mode) == first_solutions(
+            weighted_gi_by_full_refinement, p1, p2
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(closure_projector_pairs())
+    def test_sign_flip_is_an_automorphism_of_closure_projectors(self, pair):
+        p1, p2, mode = pair
+        size = p1.rows
+        orbits = equiv._flip_orbits(size, mode)
+        flip = [
+            next((w for w in range(size) if orbits[w] == orbits[v] and w != v), v)
+            for v in range(size)
+        ]
+        assert sorted(flip) == list(range(size)) and flip != list(range(size))
+        for a in (p1.entries, p2.entries):
+            assert all(a[flip[i]][flip[j]] == a[i][j] for i in range(size) for j in range(size))
+
+    def test_child_whose_first_split_is_not_final(self, monkeypatch):
+        # In C6, individualizing 0 splits off its neighbours 1 and 5; only
+        # the round after that separates 3 from 2 and 4.
+        g = circulant_graph(2, 6, {1})
+        rounds = []
+        real = equiv._refine
+
+        def counted(*args):
+            rounds.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(equiv, "_refine", counted)
+        got = first_solutions(solve_weighted_gi, g, g)
+        assert len(rounds) > 1 and rounds[1] == [0, 1, 2, 2, 2, 1]
+        assert got == first_solutions(weighted_gi_by_full_refinement, g, g)
+        assert len(got[0]) == 12  # the dihedral group of the hexagon
 
     @settings(max_examples=300, deadline=None)
     @given(graph_pairs(), st.data())
@@ -182,7 +222,7 @@ class TestRefinement:
         got = equiv._refine(
             equiv._neighbours(a1), equiv._neighbours(a2), colors1, colors2, k
         )
-        expect = refine_oracle(a1, a2, colors1, colors2, n)
+        expect = refine_on_matrices(a1, a2, colors1, colors2, n)
         if got == expect:
             return
         # Only a discrete coloring returns without its confirming round,
@@ -201,12 +241,12 @@ class TestRefinement:
         colors = [0, 1, 2, 2]
         nbrs = equiv._neighbours(a)
         got = equiv._refine(nbrs, nbrs, colors, colors, 3)
-        assert got == refine_oracle(a, a, colors, colors, 4) == ([0, 1, 2, 3], [0, 1, 2, 3])
+        assert got == refine_on_matrices(a, a, colors, colors, 4) == ([0, 1, 2, 3], [0, 1, 2, 3])
 
     def test_discrete_coloring_skips_the_confirming_round(self):
         a1, a2 = (m.entries for m in DISCRETE_UNCONFIRMED)
         colors1, colors2 = [0, 0, 0, 1, 0], [0, 1, 0, 0, 0]
-        assert refine_oracle(a1, a2, colors1, colors2, 5) is None
+        assert refine_on_matrices(a1, a2, colors1, colors2, 5) is None
         got = equiv._refine(equiv._neighbours(a1), equiv._neighbours(a2), colors1, colors2, 2)
         assert got == ([0, 1, 2, 3, 4], [0, 3, 4, 2, 1])
         stats = {}
