@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parse, attack and certificate-free verify at n = 32 to 128 on two checkouts.
+"""Time generation, parse, attack and certificate-free verify at n = 32 to 128 on two checkouts.
 
     python3 benchmarks/bench_scale.py --parent DIR --change DIR --tag NAME [--reps 5]
 
@@ -20,9 +20,11 @@ attack must refuse; and one unimodular cell, k.(Z^m + E8) at n = m + 8,
 on a basis mixed by 5n row additions as above and rotated, attacked
 against itself, which the attack must refuse with ZlipFailed (its unit
 form is unimodular with m < n norm-1 vectors, so it is not Z^n).  A run
-builds its input (untimed), writes the public part to JSON and then
 times, in process time:
 
+  gen     the cell's input built and its public part written to JSON
+          (for an instance, `generate_instance` and `to_dict`; for the
+          other cells, the construction above),
   parse   both public lattices read back from that JSON,
   attack  hull_attack on them (on a pair it must refuse, until it raises
           HullNotTrivial or ZlipFailed),
@@ -106,13 +108,13 @@ def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
     from hullattack.errors import HullNotTrivial, ZlipFailed
     from hullattack.lattices import LatticeBasis
 
-    text = json.dumps({"public": public_lattices(kind, k, n, m, seed)})
+    out = {"raw_s": {}, "corrected_s": {}}
+    text = timed(lambda: json.dumps({"public": public_lattices(kind, k, n, m, seed)}), out, "gen")
 
     def parse():
         pub = json.loads(text)["public"]
         return LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
 
-    out = {"raw_s": {}, "corrected_s": {}}
     l1, l2 = timed(parse, out, "parse")
     refusal = {"non_lcd": HullNotTrivial, "unimodular": ZlipFailed}.get(kind)
     if refusal is not None:

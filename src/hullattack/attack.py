@@ -53,7 +53,7 @@ from .lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from .linalg import IntMatrix, RatMatrix, Value, gram_solves
+from .linalg import IntMatrix, RatMatrix, Value, gram_solves, row_products
 from .modring import ModMatrix, howell_order
 from .zlip import solve_scaled_zlip
 
@@ -167,18 +167,18 @@ def _assemble(
 
     With B_i = A_i / db_i and F_i = T_i . A_i that is
     F1^T . P . F2 / (k^2 . db1 . db2): P moves row i of F2 to row
-    sigma[i] with sign signs[i], one integer product follows, and one
-    gcd brings the quotient to lowest terms.  The product of orthonormal
-    factors is checked once, as the witness.
+    sigma[i] with sign signs[i], and the three integer products (F1, F2
+    and F1^T times the moved F2) run on `row_products`; one gcd brings
+    the quotient to lowest terms.  The product of orthonormal factors is
+    checked once, as the witness.
     """
     (a1, db1), (a2, db2) = (l1.basis.num, l1.basis.den), (l2.basis.num, l2.basis.den)
-    f1 = [[sum(map(mul, row, col)) for col in zip(*a1)] for row in t1.entries]
-    f2 = [[sum(map(mul, row, col)) for col in zip(*a2)] for row in t2.entries]
+    f1 = list(row_products(t1.entries, a1))
+    f2 = list(row_products(t2.entries, a2))
     moved = [None] * s.n
     for i, (j, sign) in enumerate(zip(s.sigma, s.signs)):
         moved[j] = f2[i] if sign == 1 else [-x for x in f2[i]]
-    cols = list(zip(*moved))
-    rows = [[sum(map(mul, fc, mc)) for mc in cols] for fc in zip(*f1)]
+    rows = list(row_products(list(zip(*f1)), moved))
     return RationalOrthogonal(RatMatrix.over(rows, k * k * db1 * db2))
 
 
@@ -186,15 +186,16 @@ def _certificate(r2: IntMatrix, t1: IntMatrix, s: SignedPerm, k: int) -> IntMatr
     """T* = R2 . P^T . T1 / k, the change of basis with T* . B1 = B2 . o_star^T
     for the o_star of `_assemble`: B2 . o_star^T = R2 . P^T . o_hat1 and
     o_hat1 = T1 . B1 / k.  Row j of P^T . T1 is signs[j] times row
-    sigma[j] of T1, so one integer product follows.  Raises NotIntegral
-    unless k divides every entry, which is when L2 . o_star^T lies in L1.
+    sigma[j] of T1, and R2 times those rows runs on `row_products`, read
+    one row at a time.  Raises NotIntegral, at the first row with an
+    entry that k does not divide, unless k divides every entry, which is
+    when L2 . o_star^T lies in L1.
     """
     rows = t1.entries
     moved = [rows[j] if sign == 1 else [-x for x in rows[j]] for j, sign in zip(s.sigma, s.signs)]
-    cols = list(zip(*moved))
     out = []
-    for row in r2.entries:
-        qs = [divmod(sum(map(mul, row, col)), k) for col in cols]
+    for row in row_products(r2.entries, moved):
+        qs = [divmod(x, k) for x in row]
         if any(rem for _, rem in qs):
             raise NotIntegral("the change of basis of the witness is not integral")
         out.append(tuple(q for q, _ in qs))
@@ -229,7 +230,9 @@ def verify_isomorphism(
     not integral ends the test.  A singular B1 spans no full-rank
     lattice, so the answer is False.  No Howell form runs on either
     path, so the verifier shares no kernel with the canonical forms the
-    solver builds.
+    solver builds; and its products are its own dot products, not the
+    solver's `row_products`, so a fault in that packed product cannot
+    both build a witness and approve it.
     """
     n = l1.n
     if isinstance(o_star, RatMatrix):

@@ -35,7 +35,6 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from operator import mul
 
 from .codes import LinearCode
 from .errors import DimensionMismatch, NotARotation, NotIntegral, ParseError
@@ -47,6 +46,7 @@ from .linalg import (
     congruence,
     gram_triangle,
     json_int,
+    row_products,
     symmetric_product,
 )
 from .modring import ModMatrix, howell_form, kernel_mod
@@ -285,14 +285,14 @@ def rotated_rows(lattice: LatticeBasis, t: IntMatrix, s: int) -> IntMatrix:
     of norm s, i.e. T.G.T^T = s^2.den.I (which `solve_scaled_zlip`
     checks), so O is orthonormal.  The rotated rows are
     R = B.O^T = B.B^T.T^T/s = G.T^T/(den.s), one integer product of
-    Gram-sized entries.  The frame is s.I in the rotated coordinates,
-    T.R = s.I, so R^-1 = T/s with no inverse taken.
+    Gram-sized entries, by `row_products` on the rows of G and of T^T.
+    The frame is s.I in the rotated coordinates, T.R = s.I, so
+    R^-1 = T/s with no inverse taken.
     Raises NotIntegral unless den.s divides every entry.
     """
     g, den = lattice.gram_record.cleared
     q = den * s
-    # G is symmetric, so its rows are its columns.
-    rows = [[sum(map(mul, gi, tj)) for tj in t.entries] for gi in g]
+    rows = list(row_products(g, list(zip(*t.entries))))
     if any(x % q for row in rows for x in row):
         raise NotIntegral("rotated lattice has non-integer entries")
     return IntMatrix(tuple(tuple(x // q for x in row) for row in rows))

@@ -7,9 +7,14 @@ rounds, so every downstream equality check is a real equality.
 
 A rational product is one integer product over the product of the two
 denominators, brought back to lowest terms by one gcd; no Fraction is
-built per entry.  Fractions appear only where rational input is read
-(`RatMatrix.from_rows`, and `from_dict` on entries other than "p" and
-"p/q").
+built per entry.  An integer product runs on `row_products`, which packs
+each row of the right factor into one integer, so an (r x n) by (n x c)
+product takes r.n Python steps and the rest runs inside CPython's
+big-integer arithmetic.  Products with a symmetric result, of which
+only the upper triangle is formed (`symmetric_product`,
+`RatMatrix.rows_orthonormal`), stay on plain dot products.  Fractions
+appear only where rational input is read (`RatMatrix.from_rows`, and
+`from_dict` on entries other than "p" and "p/q").
 
 `Value` is the slotted base of the package's value classes, these
 matrices among them: plain classes, so importing the package runs no
@@ -110,10 +115,7 @@ class IntMatrix(Value):
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise NonSquare(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = list(zip(*other.entries))
-        return IntMatrix(
-            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.entries)
-        )
+        return IntMatrix(tuple(map(tuple, row_products(self.entries, other.entries))))
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self.entries)
@@ -176,10 +178,7 @@ class RatMatrix(Value):
         then one gcd."""
         if self.cols != other.rows:
             raise NonSquare(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other.num))
-        return RatMatrix.over(
-            [[sum(map(mul, a, b)) for b in cols] for a in self.num], self.den * other.den
-        )
+        return RatMatrix.over(list(row_products(self.num, other.num)), self.den * other.den)
 
     def rows_orthonormal(self) -> bool:
         """self . self^T = I, read as num . num^T = den^2 . I on the upper
@@ -265,6 +264,34 @@ def _check_matrix_dict(d: dict) -> tuple[int, int, list]:
     return rows, cols, flat
 
 
+def row_products(a, b):
+    """The rows of a.b, one list at a time, for integer rows a (r x n)
+    and b (n x c).
+
+    Each row of b is packed into one integer of c fields, each s bits
+    wide, with s = bits(max|a|) + bits(max|b|) + bits(n) + 1, so every
+    entry of a.b lies strictly between -2^(s-1) and 2^(s-1).  A row of
+    a.b is then the packed sum over j of a[i][j] times packed row j
+    (Kronecker substitution).  Adding 2^(s-1) to every field keeps each
+    one in [0, 2^s), so field t reads back exactly as
+    ((acc >> t.s) & (2^s - 1)) - 2^(s-1).
+    """
+    c = len(b[0]) if b else 0
+    s = (
+        max(map(abs, chain.from_iterable(a)), default=0).bit_length()
+        + max(map(abs, chain.from_iterable(b)), default=0).bit_length()
+        + len(b).bit_length()
+        + 1
+    )
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    shifts = range(0, s * c, s)
+    packed = [sum([x << t for x, t in zip(row, shifts)]) for row in b]
+    bias = sum([half << t for t in shifts])
+    for row in a:
+        acc = sum(map(mul, row, packed), bias)
+        yield [((acc >> t) & mask) - half for t in shifts]
+
+
 def symmetric_product(x, y) -> list[list[int]]:
     """x . y^T for integer rows whose product is known to be symmetric
     (a Gram matrix A.A^T, or a congruence T.G.T^T given T.G as x): only
@@ -279,9 +306,9 @@ def symmetric_product(x, y) -> list[list[int]]:
 
 
 def congruence(t, g) -> list[list[int]]:
-    """T . G . T^T for integer rows T and a symmetric integer G."""
-    # G is symmetric, so its rows are its columns.
-    return symmetric_product([[sum(map(mul, row, col)) for col in g] for row in t], t)
+    """T . G . T^T for integer rows T and a symmetric integer G: T . G
+    by `row_products`, then the symmetric upper triangle with T^T."""
+    return symmetric_product(list(row_products(t, g)), t)
 
 
 def bareiss_det(rows: list[list[int]]) -> int:

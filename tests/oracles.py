@@ -31,7 +31,9 @@ and backtracked over them checks the ZLIP fallback that takes the first
 n norm-1 vectors, and still serves the solver on G, whose target norm
 is k^2.den.  `gram`,
 `o_hat`, `s_hull` and `lll_rows` are the test-only conveniences that
-used to live in the library.
+used to live in the library.  The plain integer product, one dot
+product per entry, checks the packed one every general product in the
+library now runs on.
 """
 
 from fractions import Fraction
@@ -882,6 +884,12 @@ def fractions(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
 def fraction_str(x: Fraction) -> str:
     """The entry format of the matrix files: "p" or "p/q"."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def int_product(a, b):
+    """a . b for integer rows, one dot product per entry: the plain
+    product that `linalg.row_products` packs."""
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def fraction_product(a, b):

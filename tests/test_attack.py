@@ -61,7 +61,14 @@ from hullattack.lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, gram_solves, gram_triangle
+from hullattack.linalg import (
+    IntMatrix,
+    RatMatrix,
+    bareiss_det,
+    gram_solves,
+    gram_triangle,
+    row_products,
+)
 from hullattack.modring import howell_order
 from hullattack.selftest import brute_force_spep
 from hullattack.zlip import solve_scaled_zlip
@@ -923,6 +930,19 @@ def lattice_solves(monkeypatch):
     return seen
 
 
+def refuse_packed_products(monkeypatch):
+    """Make `row_products` raise in every loaded hullattack module that
+    binds it."""
+
+    def refused(a, b):
+        raise RuntimeError("row_products reached")
+
+    loaded = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "hullattack"]
+    for mod in loaded:
+        if getattr(mod, "row_products", None) is row_products:
+            monkeypatch.setattr(mod, "row_products", refused)
+
+
 def parsed_public(inst):
     pub = inst.to_dict()["public"]
     return LatticeBasis.from_dict(pub["L1"]), LatticeBasis.from_dict(pub["L2"])
@@ -941,9 +961,17 @@ class TestInverseCount:
     def test_attack_verify_runs_on_products_only(self, monkeypatch, k):
         """The attack's verify step gets a certificate and reaches no
         solve, determinant, Howell form or LLL kernel, in any module
-        (the HNF kernel and the inverse are gone: `test_calls_no_hnf`)."""
+        (the HNF kernel and the inverse are gone: `test_calls_no_hnf`),
+        nor the packed product the solver's own products run on."""
         l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
-        kernel_names = ("gram_solves", "bareiss_det", "gram_triangle", "_howell_rows", "lll_gram")
+        kernel_names = (
+            "gram_solves",
+            "bareiss_det",
+            "gram_triangle",
+            "_howell_rows",
+            "lll_gram",
+            "row_products",
+        )
         in_verify, reached, certificates = [False], [], []
 
         def watched(name, fn):
@@ -975,15 +1003,30 @@ class TestInverseCount:
         assert len(certificates) == 1 and certificates[0] is res.certificate is not None
         assert reached == []
 
-    def test_standalone_verify_solves_once(self, lattice_solves):
+    def test_standalone_verify_solves_once(self, monkeypatch, lattice_solves):
         # One solve, on the triangle that parsing L1 left in its record.
         inst = generate_instance(15, 8, 4, seed=1)
-        o_star = hull_attack(inst.l1, inst.l2).o_star
+        res = hull_attack(inst.l1, inst.l2)
+        o_star, certificate = res.o_star, res.certificate
         l1, l2 = parsed_public(inst)
         triangle = l1.gram_record.triangle
+        turned = o_star.matrix.mul(random_rational_orthogonal(8, seed=101).matrix)
+        forged = [list(r) for r in certificate.entries]
+        forged[0][0] += 1
+        forged = IntMatrix.from_rows(forged)
+        # A fault in the packed product the solver builds witnesses with
+        # cannot reach the verifier: with it raising, both paths still
+        # accept the witness and refuse wrong ones.
+        refuse_packed_products(monkeypatch)
+        with pytest.raises(RuntimeError, match="row_products reached"):
+            o_star.matrix.mul(turned)
         lattice_solves.clear()
         assert verify_isomorphism(l1, l2, RatMatrix.from_dict(o_star.to_dict()))
         assert len(lattice_solves) == 1 and lattice_solves[0] is triangle
+        assert not verify_isomorphism(l1, l2, turned)
+        assert verify_isomorphism(l1, l2, o_star, certificate)
+        assert not verify_isomorphism(l1, l2, o_star, forged)
+        assert not verify_isomorphism(l1, l2, turned, certificate)
 
 
 @pytest.fixture()

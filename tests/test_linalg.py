@@ -23,6 +23,7 @@ from hullattack.linalg import (
     bareiss_det,
     gram_solves,
     gram_triangle,
+    row_products,
 )
 from hullattack.lattices import GramRecord, random_rational_orthogonal
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     fractions,
     gram_schmidt,
     hnf,
+    int_product,
     inv_int_rows,
     lll_rows,
     rat_inverse,
@@ -88,9 +90,51 @@ def random_unimodular(rng, n, steps=12):
     return m
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+# --- packed integer product ---
+
+# 0, +-1 and +-(2^j - 1): all-ones words up to 300 bits, whose products
+# fill the packed fields as far as they go.
+packed_entries = st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.builds(lambda j, sign: sign * ((1 << j) - 1), st.integers(1, 300), st.sampled_from((1, -1))),
+)
+
+
+@st.composite
+def int_matmul_pairs(draw):
+    r, n, c = (draw(st.integers(0, 6)) for _ in range(3))
+    a = [[draw(packed_entries) for _ in range(n)] for _ in range(r)]
+    b = [[draw(packed_entries) for _ in range(c)] for _ in range(n)]
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_matmul_pairs())
+def test_row_products_match_the_plain_product(pair):
+    a, b = pair
+    assert list(row_products(a, b)) == int_product(a, b)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits_a,bits_b,n", [(1, 1, 1), (1, 1, 7), (3, 5, 8), (64, 64, 15), (300, 2, 6)])
+def test_row_products_at_the_field_bound(bits_a, bits_b, n, sign):
+    # Every |entry| = n.(2^ba - 1).(2^bb - 1), the largest the field
+    # width bits(max|a|) + bits(max|b|) + bits(n) + 1 has to hold.
+    x, y = (1 << bits_a) - 1, sign * ((1 << bits_b) - 1)
+    a = [[x] * n for _ in range(3)]
+    b = [[y] * 4 for _ in range(n)]
+    assert list(row_products(a, b)) == [[n * x * y] * 4] * 3
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [((), ()), (((),) * 3, ()), (((1, 2),), ((), ()))],
+    ids=["0x0.0x0", "3x0.0x0", "1x2.2x0"],
+)
+def test_intmul_on_empty_shapes(a, b):
+    want = IntMatrix(tuple(map(tuple, int_product(a, b))))
+    assert IntMatrix(a).mul(IntMatrix(b)) == want
+    assert want.rows == len(a) and want.cols == 0
 
 
 # --- rational product ---
@@ -274,7 +318,7 @@ def test_hnf_recovers_known_form_under_unimodular_mixing():
                 h[i][j] = rng.randrange(h[j][j]) if h[j][j] > 1 else 0
         # entries above a pivot must lie in [0, pivot)
         truth = hnf(IntMatrix.from_rows(h))
-        mixed = mat_mul(random_unimodular(rng, n), [list(r) for r in truth.entries])
+        mixed = int_product(random_unimodular(rng, n), [list(r) for r in truth.entries])
         assert hnf(IntMatrix.from_rows(mixed)) == truth
 
 
