@@ -47,12 +47,15 @@ The two samples gauge the load at the ends of a stage, not the load it
 ran under, so for a stage of seconds the corrected time can drift where
 the raw one does not; both are kept.
 
-It also records the sha256 of the attack's result JSON (of the error and
+It also records the sha256 of the cell's gen JSON (the text the gen
+stage writes) and of the attack's result JSON (of the error and
 transcript on a refused pair); the script stops if the two trees
-disagree on it, if an attack is not verified, or if a pair that must be
-refused is not.  benchmarks/BENCH_<NAME>.json keeps every run (raw and
-corrected) and, per cell and tree, the median of each stage's raw and
-corrected time, with the parent-to-change ratio of each kind of median.
+disagree on either, if an attack is not verified, or if a pair that
+must be refused is not.  The tests pin gen bytes only up to n = 32, so
+the gen hash is what shows the larger cells unchanged.
+benchmarks/BENCH_<NAME>.json keeps every run (raw and corrected) and,
+per cell and tree, the median of each stage's raw and corrected time,
+with the parent-to-change ratio of each kind of median.
 """
 
 import argparse
@@ -110,6 +113,7 @@ def child(root: str, kind: str, k: int, n: int, m: int, seed: int) -> None:
 
     out = {"raw_s": {}, "corrected_s": {}}
     text = timed(lambda: json.dumps({"public": public_lattices(kind, k, n, m, seed)}), out, "gen")
+    out["gen_sha256"] = hashlib.sha256(text.encode()).hexdigest()
 
     def parse():
         pub = json.loads(text)["public"]
@@ -234,6 +238,8 @@ def main(argv=None) -> int:
             rep = {"first": order[0]}
             for tree in order:
                 rep[tree] = run(roots[tree], cell)
+            if rep["parent"]["gen_sha256"] != rep["change"]["gen_sha256"]:
+                sys.exit(f"{cell}: the two trees generate different inputs")
             if rep["parent"]["sha256"] != rep["change"]["sha256"]:
                 sys.exit(f"{cell}: the two trees return different attack results")
             runs.append(rep)

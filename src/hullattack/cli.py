@@ -12,10 +12,10 @@ import json
 import sys
 
 from . import __version__
-from .attack import AttackResult, hull_attack, verify_isomorphism
+from .attack import hull_attack, verify_isomorphism
 from .errors import HullAttackError, ParseError, Timeout, VerificationFailed
-from .instances import Instance, generate_instance
-from .lattices import LatticeBasis
+from .instances import generate_instance
+from .lattices import MAX_DEPTH_PER_DIM, LatticeBasis
 from .linalg import RatMatrix
 
 EXIT_OK = 0
@@ -64,8 +64,11 @@ def cmd_gen(args) -> int:
     if not 1 <= args.m <= args.n:
         _err(f"need 1 <= m <= n, got m={args.m}, n={args.n}")
         return EXIT_BAD_INPUT
-    if args.depth is not None and args.depth < 0:
-        _err(f"rotation depth must be non-negative, got {args.depth}")
+    if args.depth is not None and not 0 <= args.depth <= MAX_DEPTH_PER_DIM * args.n:
+        _err(
+            f"rotation depth must be in [0, {MAX_DEPTH_PER_DIM}n] = [0, {MAX_DEPTH_PER_DIM * args.n}],"
+            f" got {args.depth}"
+        )
         return EXIT_BAD_INPUT
     try:
         inst = generate_instance(args.k, args.n, args.m, seed=args.seed, depth=args.depth)
@@ -98,7 +101,12 @@ def cmd_attack(args) -> int:
             _dump_json(args.out, failure)
         _err(f"attack failed ({type(exc).__name__}): {exc}")
         return EXIT_UNVERIFIED if isinstance(exc, VerificationFailed) else EXIT_FAILED
-    payload = res.to_dict()
+    try:
+        payload = res.to_dict()
+    except ValueError as exc:
+        # An entry past the interpreter's int-to-str digit limit.
+        _err(f"verified witness cannot be written: {exc}")
+        return EXIT_BAD_INPUT
     if args.out:
         _dump_json(args.out, payload)
     else:

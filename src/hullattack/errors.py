@@ -21,10 +21,6 @@ class NonSquare(HullAttackError):
     """A square matrix was required."""
 
 
-class Singular(HullAttackError):
-    """Matrix (or basis) does not have full rank."""
-
-
 class BadModulus(HullAttackError):
     """The modulus is outside the supported classes (k ≡ 0 mod 4, or the
     wrong parity for the requested closure)."""

@@ -27,6 +27,13 @@ full-rank integer coefficients times the lattice's basis).
 Whether two bases span the same lattice is decided in one place,
 `attack.verify_isomorphism`, and this module has no other membership
 or equality test.
+The generator's rotations, products of Pythagorean Givens rotations,
+keep each column of the matrix as one packed integer with a field per
+row, so a rotation is two big-integer combinations of two columns.  The
+field width comes from the column denominators, which the drawn
+rotations fix before any entry is computed: a column of an orthonormal
+matrix is a unit vector, so no entry exceeds its denominator
+(`random_rational_orthogonal`).
 """
 
 from __future__ import annotations
@@ -52,6 +59,12 @@ from .linalg import (
 from .modring import ModMatrix, howell_form, kernel_mod
 
 PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
+
+# `random_rational_orthogonal` takes at most this many rotations per
+# dimension.  At 64n its largest denominator had at most 724 digits for
+# n <= 128 (seeds 0-4), so a witness composed from two such transforms
+# stays under the interpreter's 4300-digit limit on int-to-str conversion.
+MAX_DEPTH_PER_DIM = 64
 
 
 def _lowest_terms(g: list[list[int]], den: int) -> tuple[list[list[int]], int]:
@@ -302,22 +315,34 @@ def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> R
     """Exact orthonormal transform: a product of `depth` Pythagorean
     Givens rotations followed by a random signed permutation.
 
-    Each column is kept as integers over its own denominator.  A rotation
-    touches two columns only: both are brought to the lcm of their
-    denominators, which is then multiplied by the triple's hypotenuse, an
-    O(n) update.  The signed permutation moves and negates columns, each
-    brought to the lcm D of all column denominators, and the matrix is
-    the integer one over D, reduced by one gcd.
+    The rotations are drawn first, since no draw depends on the matrix:
+    a rotation of columns i and j brings both to the lcm d of their
+    denominators and leaves them over d times the triple's hypotenuse,
+    so every column's denominator dens[t] is known before any entry is.
+    Each column x of M is then one packed integer, the sum of x[r].2^(s.r)
+    over its rows, with s = bits(max dens) + 1.  Packing is linear, so a
+    rotation is two big-integer combinations of the two packed columns,
+    exact whatever the fields hold on the way.  Only the final fields
+    must fit: column t is a unit vector over dens[t], so every |x[r]| is
+    at most dens[t] < 2^(s-1) (with equality at depth 0, ±1 over 1), and
+    each column is read back once, as `row_products` reads its rows, when
+    the signed permutation moves and negates it and brings it to the lcm
+    D of all denominators.  The matrix is the integer one over D, reduced
+    by one gcd.
+
+    A denominator can gain the bits of a hypotenuse at every rotation, so
+    depth is bounded by MAX_DEPTH_PER_DIM.n: beyond it the entries would
+    outgrow what a file can hold.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if depth is None:
         depth = 2 * n
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
+    if not 0 <= depth <= MAX_DEPTH_PER_DIM * n:
+        raise ValueError(f"depth must be in [0, {MAX_DEPTH_PER_DIM * n}] at n = {n}, got {depth}")
     rng = random.Random(seed)
-    cols = [[int(r == t) for r in range(n)] for t in range(n)]
     dens = [1] * n
+    steps = []
     if n >= 2:
         for _ in range(depth):
             i = rng.randrange(n)
@@ -329,17 +354,22 @@ def random_rational_orthogonal(n: int, seed: int, depth: int | None = None) -> R
                 b = -b
             # (M G) with G[i][i] = G[j][j] = a/c, G[i][j] = b/c, G[j][i] = -b/c
             d = lcm(dens[i], dens[j])
-            fi, fj = d // dens[i], d // dens[j]
-            ci = [x * fi for x in cols[i]]
-            cj = [x * fj for x in cols[j]]
-            cols[i] = [a * x - b * y for x, y in zip(ci, cj)]
-            cols[j] = [b * x + a * y for x, y in zip(ci, cj)]
+            steps.append((i, j, a, b, d // dens[i], d // dens[j]))
             dens[i] = dens[j] = d * c
+    s = max(dens).bit_length() + 1
+    cols = [1 << (s * t) for t in range(n)]
+    for i, j, a, b, fi, fj in steps:
+        ci, cj = cols[i] * fi, cols[j] * fj
+        cols[i], cols[j] = a * ci - b * cj, b * ci + a * cj
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    shifts = range(0, s * n, s)
+    bias = sum([half << t for t in shifts])
     sigma = list(range(n))
     rng.shuffle(sigma)
     den = lcm(*dens)
     out = [None] * n
     for t in range(n):
-        f = rng.choice((1, -1)) * (den // dens[t])
-        out[sigma[t]] = [f * x for x in cols[t]]
+        acc = rng.choice((1, -1)) * cols[t] + bias
+        f = den // dens[t]
+        out[sigma[t]] = [f * (((acc >> r) & mask) - half) for r in shifts]
     return RationalOrthogonal(RatMatrix.over(list(zip(*out)), den))

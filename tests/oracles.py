@@ -33,12 +33,16 @@ is k^2.den.  `gram`,
 `o_hat`, `s_hull` and `lll_rows` are the test-only conveniences that
 used to live in the library.  The plain integer product, one dot
 product per entry, checks the packed one every general product in the
-library now runs on.
+library now runs on.  The generator of random orthonormal transforms
+that kept each column as a list of integers, and rotated two lists per
+Givens step, checks the one that packs each column into one integer;
+it takes any depth, so it also builds the deep rotations `gen` refuses.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from hullattack import kernels, zlip
@@ -63,13 +67,13 @@ from hullattack.errors import (
     NotARotation,
     NotLcd,
     NotIntegral,
-    Singular,
     SpepFailed,
     VerificationFailed,
     ZlipFailed,
 )
 from hullattack.kernels import xgcd
 from hullattack.lattices import (
+    PYTHAGOREAN_TRIPLES,
     LatticeBasis,
     RationalOrthogonal,
     _hermite_lift,
@@ -80,6 +84,10 @@ from hullattack.lattices import (
 from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence
 from hullattack.modring import ModMatrix, kernel_mod
 from hullattack.zlip import ZlipSolution, solve_scaled_zlip
+
+
+class Singular(HullAttackError):
+    """Matrix (or basis) does not have full rank."""
 
 
 def hnf_rows(rows, ncols):
@@ -905,3 +913,52 @@ def fraction_rows_orthonormal(rows) -> bool:
     n = len(rows)
     prod = fraction_product(rows, list(zip(*rows)))
     return all(prod[i][j] == (i == j) for i in range(n) for j in range(n))
+
+
+def random_rational_orthogonal_by_columns(
+    n: int, seed: int, depth: int | None = None
+) -> RationalOrthogonal:
+    """Exact orthonormal transform: a product of `depth` Pythagorean
+    Givens rotations followed by a random signed permutation.
+
+    Each column is kept as integers over its own denominator.  A rotation
+    touches two columns only: both are brought to the lcm of their
+    denominators, which is then multiplied by the triple's hypotenuse, an
+    O(n) update.  The signed permutation moves and negates columns, each
+    brought to the lcm D of all column denominators, and the matrix is
+    the integer one over D, reduced by one gcd.
+    """
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    if depth is None:
+        depth = 2 * n
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    rng = random.Random(seed)
+    cols = [[int(r == t) for r in range(n)] for t in range(n)]
+    dens = [1] * n
+    if n >= 2:
+        for _ in range(depth):
+            i = rng.randrange(n)
+            j = rng.randrange(n - 1)
+            if j >= i:
+                j += 1
+            a, b, c = PYTHAGOREAN_TRIPLES[rng.randrange(len(PYTHAGOREAN_TRIPLES))]
+            if rng.randrange(2):
+                b = -b
+            # (M G) with G[i][i] = G[j][j] = a/c, G[i][j] = b/c, G[j][i] = -b/c
+            d = lcm(dens[i], dens[j])
+            fi, fj = d // dens[i], d // dens[j]
+            ci = [x * fi for x in cols[i]]
+            cj = [x * fj for x in cols[j]]
+            cols[i] = [a * x - b * y for x, y in zip(ci, cj)]
+            cols[j] = [b * x + a * y for x, y in zip(ci, cj)]
+            dens[i] = dens[j] = d * c
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    den = lcm(*dens)
+    out = [None] * n
+    for t in range(n):
+        f = rng.choice((1, -1)) * (den // dens[t])
+        out[sigma[t]] = [f * x for x in cols[t]]
+    return RationalOrthogonal(RatMatrix.over(list(zip(*out)), den))

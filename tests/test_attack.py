@@ -44,7 +44,6 @@ from hullattack.errors import (
     NoCandidate,
     NotARotation,
     NotIntegral,
-    Singular,
     SpepFailed,
     VerificationFailed,
 )
@@ -73,6 +72,7 @@ from hullattack.modring import howell_order
 from hullattack.selftest import brute_force_spep
 from hullattack.zlip import solve_scaled_zlip
 from oracles import (
+    Singular,
     det,
     fractions,
     hull_attack_trying_every_modulus,

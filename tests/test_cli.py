@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullattack import equiv
+from hullattack import equiv, instances
 from hullattack.attack import hull_attack
 from hullattack.cli import main
 from hullattack.codes import code_from_rows
 from hullattack.instances import generate_instance
-from hullattack.lattices import construction_a
+from hullattack.lattices import MAX_DEPTH_PER_DIM, construction_a
+from oracles import random_rational_orthogonal_by_columns
 
 
 def run_cli(*argv) -> int:
@@ -84,6 +85,29 @@ class TestGen:
         assert "depth" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, m, depth", [(8, 4, 8000), (4, 2, 3000), (4, 2, 4 * MAX_DEPTH_PER_DIM + 1)])
+    def test_depth_past_64n_is_input_error(self, tmp_path, n, m, depth):
+        # At these depths an entry of O (n = 8), or of the witness an
+        # attack would compose from two of them (n = 4), passes the
+        # interpreter's int-to-str digit limit.
+        out = tmp_path / "x.json"
+        args = ["gen", "--k", "3", "--n", str(n), "--m", str(m), "--seed", "1", "--depth", str(depth)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hullattack.cli", *args, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "depth" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_depth_64n_attacks_and_verifies(self, tmp_path):
+        inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+        args = ["gen", "--k", "3", "--n", "4", "--m", "2", "--seed", "1"]
+        assert run_cli(*args, "--depth", str(4 * MAX_DEPTH_PER_DIM), "--out", str(inst)) == 0
+        assert run_cli("attack", "--in", str(inst), "--out", str(res)) == 0
+        assert run_cli("verify", "--instance", str(inst), "--result", str(res)) == 0
+
     def test_depth_flag_changes_rotations(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("gen", "--k", "3", "--n", "4", "--m", "2", "--seed", "5", "--out", str(a))
@@ -137,6 +161,23 @@ class TestAttack:
         assert d["error"]["type"] == "SpepFailed"
         assert "exceeded 1 nodes" in d["error"]["message"]
         assert [e["step"] for e in d["transcript"]][-1] == "codes"
+
+    def test_unwritable_witness_is_input_error(self, tmp_path, monkeypatch):
+        # Depth 3000 at (3, 4, 2), by the unbounded column-list generator:
+        # O's entries fit the int-to-str digit limit, and o_star's, with
+        # about twice the digits, do not.
+        monkeypatch.setattr(instances, "random_rational_orthogonal", random_rational_orthogonal_by_columns)
+        path, res = tmp_path / "deep.json", tmp_path / "res.json"
+        path.write_text(json.dumps(generate_instance(3, 4, 2, seed=1, depth=3000).to_dict()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hullattack.cli", "attack", "--in", str(path), "--out", str(res)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: verified witness cannot be written")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not res.exists()
 
     def test_k_multiple_of_four_is_input_error(self, instance_file):
         assert run_cli("attack", "--in", str(instance_file), "--k", "8") == 2

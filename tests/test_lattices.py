@@ -6,12 +6,13 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullattack.codes import code_from_rows, dual, hull, is_lcd, random_free_lcd
 from hullattack.errors import NotARotation, NotIntegral, ParseError
 from hullattack.lattices import (
+    MAX_DEPTH_PER_DIM,
     PYTHAGOREAN_TRIPLES,
     LatticeBasis,
     RationalOrthogonal,
@@ -40,6 +41,7 @@ from oracles import (
     inv_int_rows,
     lattice_equal,
     mod_reduce_to_code,
+    random_rational_orthogonal_by_columns,
     rat_inverse,
     s_hull,
 )
@@ -225,10 +227,31 @@ def reference_rational_orthogonal(n, seed, depth):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_random_rational_orthogonal_matches_givens_product(n):
-    for depth in (0, 1, 2 * n):
+    depths = (0, 1, 2 * n) + ((MAX_DEPTH_PER_DIM * n,) if n <= 5 else ())
+    for depth in depths:
         for seed in (0, 1, 99):
             got = random_rational_orthogonal(n, seed=seed, depth=depth).matrix
             assert [list(row) for row in fractions(got)] == reference_rational_orthogonal(n, seed, depth)
+
+
+@st.composite
+def generator_args(draw):
+    """(n, depth, seed) over every depth the generator admits."""
+    n = draw(st.integers(1, 16))
+    return n, draw(st.integers(0, MAX_DEPTH_PER_DIM * n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_args())
+@example((16, 0, 0))
+@example((16, MAX_DEPTH_PER_DIM * 16, 0))
+def test_random_rational_orthogonal_matches_the_column_lists(args):
+    """The packed columns against the column-list generator.  At depth 0
+    every entry is ±1 over 1, equal to its denominator: the tightest case
+    for the field width."""
+    n, depth, seed = args
+    got = random_rational_orthogonal(n, seed=seed, depth=depth)
+    assert got == random_rational_orthogonal_by_columns(n, seed=seed, depth=depth)
 
 
 def test_depth_zero_is_a_signed_permutation():
@@ -240,6 +263,12 @@ def test_depth_zero_is_a_signed_permutation():
 def test_negative_depth_rejected():
     with pytest.raises(ValueError, match="depth"):
         random_rational_orthogonal(5, seed=7, depth=-3)
+
+
+def test_depth_past_the_bound_rejected():
+    random_rational_orthogonal(5, seed=7, depth=MAX_DEPTH_PER_DIM * 5)
+    with pytest.raises(ValueError, match="depth"):
+        random_rational_orthogonal(5, seed=7, depth=MAX_DEPTH_PER_DIM * 5 + 1)
 
 
 def test_rotation_constructor_rejects_non_orthogonal():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hullattack.errors import NonSquare, ParseError, Singular
+from hullattack.errors import NonSquare, ParseError
 from hullattack.linalg import (
     IntMatrix,
     RatMatrix,
@@ -27,6 +27,7 @@ from hullattack.linalg import (
 )
 from hullattack.lattices import GramRecord, random_rational_orthogonal
 from oracles import (
+    Singular,
     canonical_basis,
     det,
     dual_basis,
