@@ -1,8 +1,8 @@
 """Command line interface: gen, attack, verify, selftest.
 
-Exit codes: 0 success, 2 unusable input (files or parameters), 3 the
-operation itself failed (attack found no isomorphism, selftest failed),
-4 a witness failed verification.
+Exit codes: 0 success, 2 unusable input or output (files or
+parameters), 3 the operation itself failed (attack found no isomorphism,
+selftest failed), 4 a witness failed verification.
 """
 
 from __future__ import annotations
@@ -41,10 +41,16 @@ def _load_json(path: str) -> dict:
     return d
 
 
-def _dump_json(path: str, d: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(d, indent=2, sort_keys=True))
-        fh.write("\n")
+def _dump_json(path: str, d: dict) -> bool:
+    """Write d to path; on failure print one error line and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(d, indent=2, sort_keys=True))
+            fh.write("\n")
+    except OSError as exc:
+        _err(f"cannot write {path}: {exc}")
+        return False
+    return True
 
 
 def _public_lattices(d: dict, path: str) -> tuple[LatticeBasis, LatticeBasis]:
@@ -75,7 +81,8 @@ def cmd_gen(args) -> int:
     except Timeout as exc:
         _err(f"could not generate a free LCD code: {exc}")
         return EXIT_FAILED
-    _dump_json(args.out, inst.to_dict())
+    if not _dump_json(args.out, inst.to_dict()):
+        return EXIT_BAD_INPUT
     print(f"wrote instance k={args.k} n={args.n} m={args.m} seed={args.seed} to {args.out}")
     return EXIT_OK
 
@@ -97,8 +104,8 @@ def cmd_attack(args) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "transcript": getattr(exc, "transcript", []),
         }
-        if args.out:
-            _dump_json(args.out, failure)
+        if args.out and not _dump_json(args.out, failure):
+            return EXIT_BAD_INPUT
         _err(f"attack failed ({type(exc).__name__}): {exc}")
         return EXIT_UNVERIFIED if isinstance(exc, VerificationFailed) else EXIT_FAILED
     try:
@@ -108,7 +115,8 @@ def cmd_attack(args) -> int:
         _err(f"verified witness cannot be written: {exc}")
         return EXIT_BAD_INPUT
     if args.out:
-        _dump_json(args.out, payload)
+        if not _dump_json(args.out, payload):
+            return EXIT_BAD_INPUT
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     recovered = next(

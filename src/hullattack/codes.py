@@ -2,9 +2,13 @@
 
 A code is stored by the Howell form g of its generator, which makes code
 equality a tuple comparison, and g serves every computation below, free
-or not.  A code's projector is read off the Howell form of [g.g^T | g];
-the signed closures are never built for SPEP, because their projectors
-expand from the code's own.
+or not.  A code's projector is read off the Howell form of [g.g^T | g].
+
+SPEP runs on a closure of C: 2n signed interleaved columns for odd k,
+and an h-scaled tail of n more for k = 2h.  One coordinate list
+(`_closure_coords`) defines it, column a holding c_a . x[i_a].  `closure`
+builds the code from that list, and `closure_projection` expands C's own
+projector through it, so the attack never builds a closure code.
 
 The LCD test needs neither the dual nor the hull.  For the Howell
 generator g of C, x -> x.g^T maps C onto the row module of g.g^T, and
@@ -21,7 +25,7 @@ import random
 from operator import mul
 
 from .errors import BadModulus, NotLcd, ParseError, Timeout
-from .linalg import IntMatrix, Value, _set, json_int
+from .linalg import Value, _set, json_int
 from .modring import ModMatrix, howell_form, howell_order, is_unit_det, kernel_mod
 
 
@@ -66,7 +70,8 @@ def dual(c: LinearCode) -> LinearCode:
 def hull(c: LinearCode) -> LinearCode:
     """C intersect its dual, computed as the kernel of the stacked
     generators of C and its dual."""
-    return from_generator(kernel_mod(c.gen.stack(dual(c).gen)))
+    stacked = ModMatrix(c.k, c.n, c.gen.entries + dual(c).gen.entries)
+    return from_generator(kernel_mod(stacked))
 
 
 def is_lcd(c: LinearCode) -> bool:
@@ -97,38 +102,6 @@ def is_free_lcd(c: LinearCode) -> bool:
     return order == 1
 
 
-class ClosureMatrices(Value):
-    """Integer matrices behind the signed closures.
-
-    interleave maps x to (x_1, -x_1, ..., x_n, -x_n); reading back every
-    other coordinate is a right inverse over Z.  For k = 2m with m odd,
-    extended appends the block m*I, mapping x to
-    (x_1, -x_1, ..., x_n, -x_n, m*x_1, ..., m*x_n).
-    """
-
-    __slots__ = ("n", "interleave", "extended")
-
-    def __init__(self, n: int, interleave: IntMatrix, extended: IntMatrix | None):
-        _set(self, "n", n)
-        _set(self, "interleave", interleave)
-        _set(self, "extended", extended)
-
-
-def closure_matrices(n: int, k: int | None = None) -> ClosureMatrices:
-    inter = [[0] * (2 * n) for _ in range(n)]
-    for i in range(n):
-        inter[i][2 * i] = 1
-        inter[i][2 * i + 1] = -1
-    ext = None
-    if k is not None:
-        if k % 2 or k % 4 == 0:
-            raise BadModulus(f"extended closure needs k = 2m with m odd, got k={k}")
-        m = k // 2
-        ext = [row + [m * int(i == j) for j in range(n)] for i, row in enumerate(inter)]
-        ext = IntMatrix.from_rows(ext)
-    return ClosureMatrices(n=n, interleave=IntMatrix.from_rows(inter), extended=ext)
-
-
 def closure_mode(k: int) -> str:
     """The closure SPEP runs on for modulus k: "signed", of length 2n, for
     odd k, "extended", of length 3n, for k = 2 mod 4 (k = 2 included);
@@ -140,30 +113,35 @@ def closure_mode(k: int) -> str:
     raise BadModulus(f"signed equivalence needs k odd or k = 2 mod 4, got k={k}")
 
 
-def _inherit_closure(c: LinearCode, t: IntMatrix) -> LinearCode:
-    """The code generated by the rows of C's generator times T.
+def _closure_coords(k: int, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The closure for modulus k (`closure_mode`) as a coordinate list, and
+    the unit t.
 
-    T has a right inverse over Z, so x -> x . T is injective on Z_k^n and
-    the closure is isomorphic to C as a module.
+    Column a of the closure holds c_a . x[i_a] for the pair (i_a, c_a):
+    (i, 1) and (i, -1) for every i, the signed interleaving, then, for
+    k = 2h, (i, h) for every i, the h-scaled tail.  So the closure is
+    generated by G.T, where column a of T holds c_a on row i_a, and
+    T.T^T = t.I with t = 2 for odd k, or t = h^2 + 2, odd and prime to h,
+    for k = 2h: inner products scale by the unit t.  Reading back every
+    other coordinate inverts x -> x.T, so the closure is isomorphic to C
+    as a module, and it is LCD (and free) exactly when C is.
     """
-    return from_generator(c.gen.mul(ModMatrix.from_rows(c.k, t.entries)))
+    coords = [(i, s) for i in range(n) for s in (1, -1)]
+    t = 2
+    if closure_mode(k) == "extended":
+        h = k // 2
+        coords += [(i, h) for i in range(n)]
+        t += h * h
+    return coords, t
 
 
-def signed_closure(c: LinearCode) -> LinearCode:
-    """Length-2n code generated by the signed interleavings of C's words.
-
-    For odd k the closure doubles every inner product (2 is a unit), so
-    it preserves freeness and LCD in both directions.
-    """
-    return _inherit_closure(c, closure_matrices(c.n).interleave)
-
-
-def extended_signed_closure(c: LinearCode) -> LinearCode:
-    """Length-3n closure for k = 2m with m odd: interleavings plus an
-    m-scaled copy.  Inner products scale by m^2 + 2, a unit mod 2m."""
-    if c.k % 2 or c.k % 4 == 0:
-        raise BadModulus(f"extended closure needs k = 2m with m odd, got k={c.k}")
-    return _inherit_closure(c, closure_matrices(c.n, c.k).extended)
+def closure(c: LinearCode) -> LinearCode:
+    """The closure SPEP runs on for C's modulus: the code of length 2n
+    (odd k) or 3n (k = 2 mod 4) whose words are C's words read through
+    `_closure_coords`."""
+    coords, _ = _closure_coords(c.k, c.n)
+    rows = [[s * row[i] for i, s in coords] for row in c.gen.entries]
+    return code_from_rows(c.k, rows, len(coords))
 
 
 def projection_matrix(c: LinearCode) -> ModMatrix:
@@ -211,26 +189,17 @@ def projection_matrix(c: LinearCode) -> ModMatrix:
 
 
 def closure_projection(c: LinearCode) -> ModMatrix:
-    """The projector of the closure SPEP runs on for C's modulus
-    (`closure_mode`): `signed_closure(c)` for odd k,
-    `extended_signed_closure(c)` for k = 2 mod 4.  It is read off C's
-    own projector without building the closure, and NotLcd is raised
-    exactly when the closure's projector would raise it.
+    """The projector of `closure(c)`, read off C's own projector without
+    building the closure; NotLcd is raised exactly when the closure's
+    projector would raise it.
 
-    The closure is generated by G.T, where column a of T holds a single
-    coefficient c_a in {1, -1, h} on row i_a (h = k/2 for the extended
-    tail), and T.T^T = t.I with t = 2 for odd k, or t = h^2 + 2, odd and
-    prime to h, for k = 2h.  t is a unit, so the closure is LCD exactly
-    when C is, and its projector is t^-1 . T^T . Pi . T, whose entry
-    (a, b) is t^-1 . c_a . c_b . Pi[i_a][i_b].
+    The closure is generated by G.T with T.T^T = t.I for a unit t
+    (`_closure_coords`), so it is LCD exactly when C is, and its projector
+    is t^-1 . T^T . Pi . T, whose entry (a, b) is
+    t^-1 . c_a . c_b . Pi[i_a][i_b].
     """
-    k, n = c.k, c.n
-    coords = [(i, s) for i in range(n) for s in (1, -1)]
-    t = 2
-    if closure_mode(k) == "extended":
-        h = k // 2
-        coords += [(i, h) for i in range(n)]
-        t += h * h
+    k = c.k
+    coords, t = _closure_coords(k, c.n)
     pi = projection_matrix(c).entries
     u = pow(t, -1, k)
     wide = [[u * cb * row[j] for j, cb in coords] for row in pi]

@@ -22,8 +22,7 @@ class NonSquare(HullAttackError):
 
 
 class BadModulus(HullAttackError):
-    """The modulus is outside the supported classes (k ≡ 0 mod 4, or the
-    wrong parity for the requested closure)."""
+    """The modulus is outside the supported classes (k ≡ 0 mod 4)."""
 
 
 class NotLcd(HullAttackError):

@@ -117,9 +117,6 @@ class IntMatrix(Value):
             raise NonSquare(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return IntMatrix(tuple(map(tuple, row_products(self.entries, other.entries))))
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.entries)
-
 
 class RatMatrix(Value):
     """Immutable rational matrix num/den: one integer matrix (tuple of row
@@ -168,7 +165,7 @@ class RatMatrix(Value):
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rat()
+        return RatMatrix(IntMatrix.identity(n).entries)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.num)), self.den) if self.num else self

@@ -67,11 +67,6 @@ class ModMatrix(Value):
         out = tuple(tuple(sum(map(mul, row, col)) % k for col in bt) for row in self.entries)
         return ModMatrix(k, other.cols, out)
 
-    def stack(self, other: "ModMatrix") -> "ModMatrix":
-        if self.k != other.k or self.cols != other.cols:
-            raise ParseError("stack needs matching modulus and width")
-        return ModMatrix(self.k, self.cols, self.entries + other.entries)
-
     def to_dict(self) -> dict:
         return {
             "k": self.k,

@@ -765,13 +765,14 @@ def gram(lattice: LatticeBasis) -> RatMatrix:
 def o_hat(sol, basis: RatMatrix) -> RationalOrthogonal:
     """U.B/k for the ZLIP solution of the basis B whose Gram matrix was
     solved: the orthonormal transform with rotate(lattice, o_hat) = k*Z^n."""
-    frame = sol.u.to_rat().mul(basis)
+    frame = RatMatrix(sol.u.entries).mul(basis)
     return RationalOrthogonal(RatMatrix.over(frame.num, frame.den * sol.k))
 
 
 def s_hull(lattice: LatticeBasis, s: int) -> LatticeBasis:
     """The s-hull as a basis: the rows C.B for C = hull_coefficients."""
-    return LatticeBasis(lattice.n, hull_coefficients(lattice, s).to_rat().mul(lattice.basis))
+    coeff = RatMatrix(hull_coefficients(lattice, s).entries)
+    return LatticeBasis(lattice.n, coeff.mul(lattice.basis))
 
 
 def inv_int_rows(rows: list[list[int]]) -> tuple[list[list[int]], int]:

@@ -101,6 +101,12 @@ class TestGen:
         assert "depth" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run_cli("gen", "--k", "3", "--n", "8", "--m", "4", "--seed", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_depth_64n_attacks_and_verifies(self, tmp_path):
         inst, res = tmp_path / "inst.json", tmp_path / "res.json"
         args = ["gen", "--k", "3", "--n", "4", "--m", "2", "--seed", "1"]
@@ -178,6 +184,18 @@ class TestAttack:
         assert proc.stderr.startswith("error: verified witness cannot be written")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not res.exists()
+
+    def test_unwritable_out_is_input_error(self, instance_file, tmp_path, capsys):
+        # --out names a directory; the witness is found but cannot be written.
+        assert run_cli("attack", "--in", str(instance_file), "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert captured.err.count("\n") == 1 and "recovered" not in captured.out
+
+    def test_unwritable_failure_record_is_input_error(self, instance_file, tmp_path, capsys):
+        assert run_cli("attack", "--in", str(instance_file), "--k", "7", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
 
     def test_k_multiple_of_four_is_input_error(self, instance_file):
         assert run_cli("attack", "--in", str(instance_file), "--k", "8") == 2

@@ -15,22 +15,18 @@ from hullattack.errors import BadModulus, NotLcd, ParseError, Timeout
 from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
-    closure_matrices,
-    closure_mode,
+    closure,
     closure_projection,
     code_from_rows,
     dual,
-    extended_signed_closure,
     from_generator,
     hull,
     is_free_lcd,
     is_lcd,
     projection_matrix,
     random_free_lcd,
-    signed_closure,
     signed_perm_maps,
 )
-from hullattack.linalg import IntMatrix
 from hullattack.modring import ModMatrix, howell_form, howell_order, is_unit_det
 from oracles import (
     NotAUnit,
@@ -151,36 +147,16 @@ def test_is_free_lcd_agrees_with_freeness_plus_lcd():
 # --- closures ---
 
 
-def test_closure_matrices_invariants():
-    for n in (1, 2, 3, 5):
-        cm = closure_matrices(n, 6)
-        # Reading back every other coordinate is a right inverse over Z.
-        every_other = IntMatrix.from_rows(
-            [[int(j == 2 * i) for i in range(n)] for j in range(2 * n)]
-        )
-        assert cm.interleave.mul(every_other) == IntMatrix.identity(n)
-        for i in range(n):
-            row = cm.extended.entries[i]
-            assert row[: 2 * n] == cm.interleave.entries[i]
-            assert row[2 * n :] == tuple(3 * int(i == j) for j in range(n))
-    with pytest.raises(BadModulus):
-        closure_matrices(2, 4)
-    with pytest.raises(BadModulus):
-        closure_matrices(2, 3)
-
-
 def test_signed_closure_pinned():
     c = code_from_rows(3, [[1, 1]])
-    assert signed_closure(c) == code_from_rows(3, [[1, 2, 1, 2]])
+    assert closure(c) == code_from_rows(3, [[1, 2, 1, 2]])
 
 
 def test_extended_closure_pinned():
     c = code_from_rows(6, [[1, 0]])
-    assert extended_signed_closure(c) == code_from_rows(6, [[1, 5, 0, 0, 3, 0]])
+    assert closure(c) == code_from_rows(6, [[1, 5, 0, 0, 3, 0]])
     with pytest.raises(BadModulus):
-        extended_signed_closure(code_from_rows(3, [[1, 1]]))
-    with pytest.raises(BadModulus):
-        extended_signed_closure(code_from_rows(8, [[1, 0]]))
+        closure(code_from_rows(8, [[1, 0]]))
 
 
 def test_closure_words_are_signed_interleavings():
@@ -189,7 +165,7 @@ def test_closure_words_are_signed_interleavings():
         k = rng.choice([3, 5, 7, 9])
         n = rng.randrange(1, 4)
         c = random_code(rng, k, n)
-        cl = signed_closure(c)
+        cl = closure(c)
         expect = set()
         for w in words(c):
             v = []
@@ -206,7 +182,7 @@ def test_extended_closure_words():
         m = k // 2
         n = rng.randrange(1, 3)
         c = random_code(rng, k, n)
-        cl = extended_signed_closure(c)
+        cl = closure(c)
         expect = set()
         for w in words(c):
             v = []
@@ -249,12 +225,10 @@ def test_closure_preserves_free_lcd_both_directions():
         n = rng.randrange(1, 4)
         c = random_code(rng, k, n)
         if k % 2:
-            cl = signed_closure(c)
             odd_seen += 1
         else:
-            cl = extended_signed_closure(c)
             even_seen += 1
-        assert is_free_lcd(cl) == is_free_lcd(c)
+        assert is_free_lcd(closure(c)) == is_free_lcd(c)
     assert odd_seen and even_seen
 
 
@@ -277,14 +251,11 @@ def _projection_or_none(c: LinearCode):
 @settings(max_examples=150, deadline=None)
 @given(closable_codes())
 def test_inherited_closure_matches_rebuilt_code(c):
-    closures = [signed_closure(c)]
-    if c.k % 4 == 2:
-        closures.append(extended_signed_closure(c))
-    for cl in closures:
-        rebuilt = from_generator(cl.gen)
-        assert cl.gen == rebuilt.gen
-        assert howell_order(cl.gen) == howell_order(c.gen)
-        assert _projection_or_none(cl) == _projection_or_none(rebuilt)
+    cl = closure(c)
+    rebuilt = from_generator(cl.gen)
+    assert cl.gen == rebuilt.gen
+    assert howell_order(cl.gen) == howell_order(c.gen)
+    assert _projection_or_none(cl) == _projection_or_none(rebuilt)
 
 
 # --- projections ---
@@ -422,24 +393,20 @@ def spep_codes(draw):
 @settings(max_examples=200, deadline=None)
 @given(spep_codes())
 def test_closure_projection_matches_the_built_closure(c):
-    closure = signed_closure if closure_mode(c.k) == "signed" else extended_signed_closure
     assert _closure_projection_or_none(c) == _projection_or_none(closure(c))
 
 
 def test_closure_projection_rejects_what_the_closure_rejects():
     self_orthogonal = code_from_rows(3, [[1, 1, 1]])
     self_dual = code_from_rows(10, [[5, 5, 0, 0], [0, 0, 5, 5]])
-    for c, closure in [
-        (self_orthogonal, signed_closure),
-        (self_dual, extended_signed_closure),
-    ]:
+    for c in (self_orthogonal, self_dual):
         with pytest.raises(NotLcd):
             projection_matrix(closure(c))
         with pytest.raises(NotLcd):
             closure_projection(c)
     # LCD but not free: both closures have a projector.
     not_free = code_from_rows(6, [[2, 0, 0]])
-    assert closure_projection(not_free) == projection_matrix(extended_signed_closure(not_free))
+    assert closure_projection(not_free) == projection_matrix(closure(not_free))
     with pytest.raises(BadModulus):
         closure_projection(code_from_rows(4, [[1, 0]]))
 

@@ -11,13 +11,13 @@ from hullattack import equiv, modring
 from hullattack.codes import (
     LinearCode,
     apply_signed_perm,
+    closure,
     closure_mode,
     closure_projection,
     code_from_rows,
     is_lcd,
     projection_matrix,
     random_free_lcd,
-    signed_closure,
 )
 from hullattack.equiv import (
     SignedPerm,
@@ -580,6 +580,6 @@ class TestProjectorInvariance:
     def test_closure_projectors_detect_signed_equivalence(self):
         c1 = code_from_rows(3, [[1, 1]])
         c2 = code_from_rows(3, [[1, 2]])
-        g1 = projection_matrix(signed_closure(c1))
-        g2 = projection_matrix(signed_closure(c2))
+        g1 = projection_matrix(closure(c1))
+        g2 = projection_matrix(closure(c2))
         assert len(list(solve_weighted_gi(g1, g2))) > 0

@@ -149,7 +149,7 @@ def test_howell_lifts_match_the_hnf_oracle(case, s):
     # Construction A and the hull coefficients are the lifted Howell forms;
     # the HNF of the lifted generators stacked over q.I is the same matrix.
     c, lat = case
-    assert construction_a(c).basis == construction_a_by_hnf(c.k, c.gen).to_rat()
+    assert construction_a(c).basis == RatMatrix(construction_a_by_hnf(c.k, c.gen).entries)
     for scale in (s, c.k):
         assert hull_coefficients(lat, scale) == hull_coefficients_by_hnf(lat, scale)
 
@@ -422,7 +422,7 @@ def test_gram_record_matches_the_basis(b, data):
     c = IntMatrix.from_rows(
         [[data.draw(st.integers(-3, 3)) for _ in range(b.rows)] for _ in range(b.rows)]
     )
-    combined = LatticeBasis(b.rows, c.to_rat().mul(b))
+    combined = LatticeBasis(b.rows, RatMatrix(c.entries).mul(b))
     assert sublattice_gram(lat, c) == combined.gram_record.cleared
     assert lat.abs_det == abs(det(b))
     if lat.abs_det:

@@ -3,7 +3,7 @@
 import pytest
 
 from hullattack import selftest
-from hullattack.codes import code_from_rows
+from hullattack.codes import closure, code_from_rows
 from hullattack.selftest import (
     check_closure_preservation,
     check_dual_identity,
@@ -23,9 +23,10 @@ class TestRunLevel:
 class TestSensitivity:
     def test_corrupted_closure_is_caught(self):
         # A closure that forgets the code entirely cannot preserve the
-        # free LCD biconditional; the check must notice.
+        # free LCD biconditional; the check must notice, though only the
+        # odd-k closures are corrupted.
         def corrupted(c):
-            return code_from_rows(c.k, [[0] * (2 * c.n)])
+            return code_from_rows(c.k, [[0] * (2 * c.n)]) if c.k % 2 else closure(c)
 
         try:
             check_closure_preservation(samples=80, closure_fn=corrupted)
@@ -34,11 +35,12 @@ class TestSensitivity:
         raise AssertionError("corrupted closure slipped through")
 
     def test_corrupted_extended_closure_is_caught(self):
+        # Only the k = 2 mod 4 closures are corrupted.
         def corrupted(c):
-            return code_from_rows(c.k, [[0] * (3 * c.n)])
+            return closure(c) if c.k % 2 else code_from_rows(c.k, [[0] * (3 * c.n)])
 
         try:
-            check_closure_preservation(samples=80, extended_fn=corrupted)
+            check_closure_preservation(samples=80, closure_fn=corrupted)
         except AssertionError:
             return
         raise AssertionError("corrupted extended closure slipped through")

@@ -13,7 +13,7 @@ import pytest
 
 import hullattack
 from hullattack.attack import AttackResult
-from hullattack.codes import ClosureMatrices, LinearCode, closure_matrices, code_from_rows
+from hullattack.codes import LinearCode, code_from_rows
 from hullattack.equiv import EquivResult, SignedPerm
 from hullattack.instances import Instance, generate_instance
 from hullattack.lattices import GramRecord, LatticeBasis, RationalOrthogonal
@@ -29,7 +29,6 @@ SIGNATURES = {
     RatMatrix: "(num, den=1)",
     ModMatrix: "(k, cols, entries)",
     LinearCode: "(k, n, gen)",
-    ClosureMatrices: "(n, interleave, extended)",
     SignedPerm: "(sigma, signs)",
     EquivResult: "(outcome, perm=None, reason=None)",
     LatticeBasis: "(n, basis, gram_record=None)",
@@ -57,7 +56,6 @@ def frozen_values(inst):
         RatMatrix(((1, 2),), 3),
         inst.code.gen,
         inst.code,
-        closure_matrices(2, 6),
         SignedPerm((1, 0), (1, -1)),
         EquivResult("found", SignedPerm((0,), (1,))),
         inst.l1,
