@@ -53,7 +53,15 @@ from .lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from .linalg import IntMatrix, RatMatrix, Value, gram_solves, row_products
+from .linalg import (
+    IntMatrix,
+    RatMatrix,
+    Value,
+    gram_solves,
+    max_abs,
+    packed_rows,
+    row_products,
+)
 from .modring import ModMatrix, howell_order
 from .zlip import solve_scaled_zlip
 
@@ -202,6 +210,32 @@ def _certificate(r2: IntMatrix, t1: IntMatrix, s: SignedPerm, k: int) -> IntMatr
     return IntMatrix(tuple(out))
 
 
+def _right_side(a2, m, a1, den: int) -> list[tuple[int, ...]]:
+    """The rows of X = den . A2 . M^T . A1^T for n x n integer rows, one
+    packed column at a time, on the verifier's own packing.
+
+    Column l of A2 is packed over A2's rows into s-bit fields
+    (`packed_rows`), so Q_t = sum_l M[t][l] . P(col_l A2) is column t of
+    A2 . M^T, packed, and column j of X is den . sum_t A1[j][t] . Q_t.
+    Every |X[i][j]| is at most den . n^2 . max|A2| . max|M| . max|A1|,
+    which 2^(s-1) exceeds, so with 2^(s-1) added to every field each one
+    lies in [0, 2^s) and column j reads back field by field, once.  The
+    width comes from the input sizes alone, not from the witness.
+    """
+    n = len(a2)
+    s = (den * n * n * max_abs(a2) * max_abs(m) * max_abs(a1)).bit_length() + 1
+    cols = packed_rows(list(zip(*a2)), s)
+    q = [sum(map(mul, row, cols)) for row in m]
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    shifts = range(0, s * n, s)
+    bias = sum([half << t for t in shifts])
+    x = []
+    for row in a1:
+        acc = den * sum(map(mul, row, q)) + bias
+        x.append([((acc >> t) & mask) - half for t in shifts])
+    return list(zip(*x))
+
+
 def verify_isomorphism(
     l1: LatticeBasis,
     l2: LatticeBasis,
@@ -219,20 +253,28 @@ def verify_isomorphism(
     the image is A2 . M^T / (e2 . D), formed over the integers.
 
     With a `certificate` T*, an integer matrix, T is not computed but
-    checked: T* . B1 = B2 . o_star^T, i.e. T* . A1 . e2 . D = A2 . M^T . e1,
-    row by row.  Products only, no inverse, determinant, HNF or LLL once
-    the two |det L| are cached.
+    checked: T* . B1 = B2 . o_star^T, i.e. e2 . D . T* . A1 = e1 . A2 . M^T,
+    row by row on packed integers.  Row i of the left side is
+    e2 . D . sum_j T*[i][j] . P(row_j A1) and of the right side
+    e1 . sum_j A2[i][j] . P(col_j M), for P(v) the packed integer of v
+    with s-bit fields, and 2^s exceeds the sum of the two sides' field
+    bounds, n . e2 . D . max|T*| . max|A1| and n . e1 . max|A2| . max|M|.
+    Equal packed integers then mean equal rows, for any D, as in
+    `RatMatrix.rows_orthonormal`, and no field is read back.  Products
+    only, no inverse, determinant, HNF or LLL once the two |det L| are
+    cached.
     Without one, B1^-1 = B1^T . G1^-1 with B1 . B1^T = G1/den, so T is
-    the solution of T . G1 = (A2 . M^T . A1^T) . den / (e1 . e2 . D).  Row
-    by row, that right side is checked integral (T . G1 is, when T is)
-    and T solved for on the fraction-free elimination of G1 that
-    |det L1| was read off (`gram_solves`); the first row of T that is
-    not integral ends the test.  A singular B1 spans no full-rank
-    lattice, so the answer is False.  No Howell form runs on either
-    path, so the verifier shares no kernel with the canonical forms the
-    solver builds; and its products are its own dot products, not the
-    solver's `row_products`, so a fault in that packed product cannot
-    both build a witness and approve it.
+    the solution of T . G1 = X / (e1 . e2 . D) for
+    X = den . A2 . M^T . A1^T, which `_right_side` forms column by column
+    on packed integers.  Row by row, X is checked divisible (T . G1 is
+    integral when T is) and T solved for on the fraction-free
+    elimination of G1 that |det L1| was read off (`gram_solves`); the
+    first row of T that is not integral ends the test.  A singular B1
+    spans no full-rank lattice, so the answer is False.  No Howell form
+    runs on either path, so the verifier shares no kernel with the
+    canonical forms the solver builds; and it packs with its own
+    `packed_rows`, never the solver's `row_products`, so a fault in that
+    packed product cannot both build a witness and approve it.
     """
     n = l1.n
     if isinstance(o_star, RatMatrix):
@@ -248,17 +290,16 @@ def verify_isomorphism(
         return False
     m, d = o_star.matrix.num, o_star.matrix.den
     (a1, e1), (a2, e2) = (l1.basis.num, l1.basis.den), (l2.basis.num, l2.basis.den)
-    # The rows of M are the columns of M^T, and likewise for A1.
     if certificate is not None:
-        f, cols = e2 * d, list(zip(*a1))
+        t, f1 = certificate.entries, e2 * d
+        s = (n * (f1 * max_abs(t) * max_abs(a1) + e1 * max_abs(a2) * max_abs(m))).bit_length()
+        rows_a1, cols_m = packed_rows(a1, s), packed_rows(list(zip(*m)), s)
         return all(
-            [f * sum(map(mul, t, col)) for col in cols] == [e1 * sum(map(mul, b, mr)) for mr in m]
-            for t, b in zip(certificate.entries, a2)
+            f1 * sum(map(mul, ti, rows_a1)) == e1 * sum(map(mul, ai, cols_m))
+            for ti, ai in zip(t, a2)
         )
     den = l1.gram_record.cleared[1]
-    images = ([sum(map(mul, row, mr)) for mr in m] for row in a2)
-    x = ([den * sum(map(mul, image, ar)) for ar in a1] for image in images)
-    return gram_solves(l1.gram_record.triangle, x, e1 * e2 * d)
+    return gram_solves(l1.gram_record.triangle, _right_side(a2, m, a1, den), e1 * e2 * d)
 
 
 def hull_attack(l1: LatticeBasis, l2: LatticeBasis, k: int | None = None) -> AttackResult:

@@ -10,11 +10,14 @@ denominators, brought back to lowest terms by one gcd; no Fraction is
 built per entry.  An integer product runs on `row_products`, which packs
 each row of the right factor into one integer, so an (r x n) by (n x c)
 product takes r.n Python steps and the rest runs inside CPython's
-big-integer arithmetic.  Products with a symmetric result, of which
-only the upper triangle is formed (`symmetric_product`,
-`RatMatrix.rows_orthonormal`), stay on plain dot products.  Fractions
-appear only where rational input is read (`RatMatrix.from_rows`, and
-`from_dict` on entries other than "p" and "p/q").
+big-integer arithmetic.  The upper triangle of a product with a
+symmetric result (`symmetric_product`) stays on plain dot products.
+The verifier's checks pack with code of their own (`packed_rows`), never
+with `row_products`: `RatMatrix.rows_orthonormal` compares each row of
+num . num^T, as one packed integer, with den^2 in its diagonal field,
+and reads no field back.  Fractions appear only where rational input is
+read (`RatMatrix.from_rows`, and `from_dict` on entries other than "p"
+and "p/q").
 
 `Value` is the slotted base of the package's value classes, these
 matrices among them: plain classes, so importing the package runs no
@@ -178,14 +181,25 @@ class RatMatrix(Value):
         return RatMatrix.over(list(row_products(self.num, other.num)), self.den * other.den)
 
     def rows_orthonormal(self) -> bool:
-        """self . self^T = I, read as num . num^T = den^2 . I on the upper
-        triangle only; the first failing product ends it."""
+        """self . self^T = I, read as num . num^T = den^2 . I; the first
+        failing row ends it.
+
+        Each column of num is packed into one integer of s-bit fields
+        (`packed_rows`), so row i of num . num^T is the packed integer
+        sum over c of num[i][c] times packed column c, and it must equal
+        den^2 . 2^(s.i).  Its fields are at most c.max|num|^2 in absolute
+        value for c columns, and 2^s exceeds that plus den^2, so every
+        field of the difference of the two sides is below 2^s in absolute
+        value.  Were the lowest nonzero one in field t, the difference
+        would be nonzero modulo 2^(s.(t+1)): equal integers mean equal
+        rows, and no field is read back.
+        """
         rows, d2 = self.num, self.den * self.den
-        return all(
-            sum(map(mul, a, b)) == (d2 if i == j else 0)
-            for i, a in enumerate(rows)
-            for j, b in enumerate(rows[i:], i)
-        )
+        cols = list(zip(*rows))
+        top = max_abs(rows)
+        s = (len(cols) * top * top + d2).bit_length()
+        packed = packed_rows(cols, s)
+        return all(sum(map(mul, row, packed)) == d2 << (s * i) for i, row in enumerate(rows))
 
     def to_dict(self) -> dict:
         """Entries as "p" or "p/q" in lowest terms, row by row."""
@@ -287,6 +301,24 @@ def row_products(a, b):
     for row in a:
         acc = sum(map(mul, row, packed), bias)
         yield [((acc >> t) & mask) - half for t in shifts]
+
+
+def max_abs(rows) -> int:
+    """The largest |entry| of integer rows, 0 for none."""
+    return max(map(abs, chain.from_iterable(rows)), default=0)
+
+
+def packed_rows(rows, s: int) -> list[int]:
+    """Each integer row x as the one integer sum of x[t].2^(s.t), its
+    entries as s-bit fields from the lowest up (Kronecker substitution).
+
+    Packing is linear, so a combination of packed rows is the packed
+    combination, exact whatever its fields hold.  The verifier's checks
+    pack with this and only this; the solver's products pack inside
+    `row_products`.
+    """
+    shifts = range(0, s * len(rows[0]), s) if rows else ()
+    return [sum([x << t for x, t in zip(row, shifts)]) for row in rows]
 
 
 def symmetric_product(x, y) -> list[list[int]]:

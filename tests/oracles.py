@@ -37,6 +37,10 @@ library now runs on.  The generator of random orthonormal transforms
 that kept each column as a list of integers, and rotated two lists per
 Givens step, checks the one that packs each column into one integer;
 it takes any depth, so it also builds the deep rotations `gen` refuses.
+The verifier that formed its products as plain dot products, A2 . M^T
+and then (.) . A1^T for the solve and T* . A1 against A2 . M^T for a
+certificate, with the orthonormality check on the upper triangle of
+M . M^T, checks the one that compares and decodes packed integers.
 """
 
 import random
@@ -81,7 +85,7 @@ from hullattack.lattices import (
     rotated_rows,
     sublattice_gram,
 )
-from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence
+from hullattack.linalg import IntMatrix, RatMatrix, bareiss_det, congruence, gram_solves
 from hullattack.modring import ModMatrix, kernel_mod
 from hullattack.zlip import ZlipSolution, solve_scaled_zlip
 
@@ -963,3 +967,49 @@ def random_rational_orthogonal_by_columns(
         f = rng.choice((1, -1)) * (den // dens[t])
         out[sigma[t]] = [f * x for x in cols[t]]
     return RationalOrthogonal(RatMatrix.over(list(zip(*out)), den))
+
+
+def rows_orthonormal_by_dot_products(m: RatMatrix) -> bool:
+    """m . m^T = I, read as num . num^T = den^2 . I on the upper
+    triangle only; the first failing product ends it."""
+    rows, d2 = m.num, m.den * m.den
+    return all(
+        sum(map(mul, a, b)) == (d2 if i == j else 0)
+        for i, a in enumerate(rows)
+        for j, b in enumerate(rows[i:], i)
+    )
+
+
+def verify_isomorphism_by_dot_products(
+    l1: LatticeBasis,
+    l2: LatticeBasis,
+    o_star: RatMatrix | RationalOrthogonal,
+    certificate: IntMatrix | None = None,
+) -> bool:
+    """`attack.verify_isomorphism` on plain dot products: with a
+    certificate T*, T* . A1 . e2 . D = A2 . M^T . e1 row by row; without
+    one, the rows of A2 . M^T . A1^T . den handed to `gram_solves`.  Its
+    orthonormality check is the dot-product one above, for a
+    RationalOrthogonal too."""
+    n = l1.n
+    if isinstance(o_star, RationalOrthogonal):
+        o_star = o_star.matrix
+    if o_star.rows != n or o_star.cols != n or not rows_orthonormal_by_dot_products(o_star):
+        return False
+    if not n == l2.n or l1.abs_det == 0 or l1.abs_det != l2.abs_det:
+        return False
+    if certificate is not None and (certificate.rows != n or certificate.cols != n):
+        return False
+    m, d = o_star.num, o_star.den
+    (a1, e1), (a2, e2) = (l1.basis.num, l1.basis.den), (l2.basis.num, l2.basis.den)
+    # The rows of M are the columns of M^T, and likewise for A1.
+    if certificate is not None:
+        f, cols = e2 * d, list(zip(*a1))
+        return all(
+            [f * sum(map(mul, t, col)) for col in cols] == [e1 * sum(map(mul, b, mr)) for mr in m]
+            for t, b in zip(certificate.entries, a2)
+        )
+    den = l1.gram_record.cleared[1]
+    images = ([sum(map(mul, row, mr)) for mr in m] for row in a2)
+    x = ([den * sum(map(mul, image, ar)) for ar in a1] for image in images)
+    return gram_solves(l1.gram_record.triangle, x, e1 * e2 * d)

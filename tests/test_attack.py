@@ -5,6 +5,8 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import prod
 
 import pytest
@@ -17,6 +19,7 @@ from hullattack.attack import (
     _certificate,
     _hull_det_matches,
     _integer_root,
+    _right_side,
     hull_attack,
     recover_modulus,
     verify_isomorphism,
@@ -66,6 +69,7 @@ from hullattack.linalg import (
     bareiss_det,
     gram_solves,
     gram_triangle,
+    packed_rows,
     row_products,
 )
 from hullattack.modring import howell_order
@@ -78,6 +82,7 @@ from oracles import (
     hull_attack_trying_every_modulus,
     hull_coefficients_by_kernel,
     hull_det_matches_by_kernel,
+    int_product,
     integer_gram_schmidt,
     inv_int_rows,
     lattice_equal,
@@ -86,6 +91,7 @@ from oracles import (
     rat_inverse,
     s_hull,
     same_lattice,
+    verify_isomorphism_by_dot_products,
 )
 
 
@@ -1029,6 +1035,165 @@ class TestInverseCount:
         assert verify_isomorphism(l1, l2, o_star, certificate)
         assert not verify_isomorphism(l1, l2, o_star, forged)
         assert not verify_isomorphism(l1, l2, turned, certificate)
+
+
+@lru_cache(maxsize=None)
+def attacked(k, n, m, seed):
+    """(L1, L2, o_star, T*) of the attack on a generated instance, with
+    the lattices parsed from its public JSON; None where it fails."""
+    l1, l2 = parsed_public(generate_instance(k, n, m, seed))
+    try:
+        res = hull_attack(l1, l2)
+    except HullAttackError:
+        return None
+    return l1, l2, res.o_star.matrix, res.certificate
+
+
+def certificate_width(l1, l2, o, t) -> int:
+    """The field width of the verifier's certificate comparison."""
+    (a1, e1), (a2, e2) = (l1.basis.num, l1.basis.den), (l2.basis.num, l2.basis.den)
+    top = [max(map(abs, chain.from_iterable(x))) for x in (t, a1, a2, o.num)]
+    return (l1.n * (e2 * o.den * top[0] * top[1] + e1 * top[2] * top[3])).bit_length()
+
+
+@st.composite
+def packed_verify_cases(draw):
+    """(L1, L2, O, T*): an attack's witness over k in {2, 3, 5, 6, 9, 15}
+    at n <= 16, or L2 = U . B1 . O for B1 with entries near 2^300, a
+    unimodular U (its certificate) and an orthonormal O; then O and T*
+    as they are, O turned by another transform, O with two rows swapped
+    or one negated, T* forged by +-1 or by +-2^j with j near the field
+    width of the certificate comparison, or O replaced by a matrix of
+    tiny entries over a huge denominator."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([2, 3, 5, 6, 9, 15]))
+        n = draw(st.integers(2, 16))
+        case = attacked(k, n, draw(st.integers(1, n - 1)), draw(st.integers(0, 3)))
+        assume(case is not None)
+        l1, l2, o, t = case
+    else:
+        n = draw(st.integers(1, 6))
+        big = st.integers(-(1 << 300), 1 << 300)
+        b1 = [[draw(big) for _ in range(n)] for _ in range(n)]
+        assume(bareiss_det(b1) != 0)
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 3 * n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = -1 if i == j else draw(st.integers(-2, 2))
+            u[i] = [c * x for x in u[i]] if i == j else [x + c * y for x, y in zip(u[i], u[j])]
+        depth = draw(st.integers(0, 64 * n))
+        o = random_rational_orthogonal(n, seed=draw(st.integers(0, 99)), depth=depth).matrix
+        l1 = LatticeBasis(n, RatMatrix(tuple(map(tuple, b1))))
+        l2 = LatticeBasis(n, RatMatrix(tuple(map(tuple, int_product(u, b1)))).mul(o))
+        t = IntMatrix.from_rows(u)
+    kind = draw(st.sampled_from(["true", "turned", "swapped", "negated", "forged", "huge_den"]))
+    rows = [list(r) for r in o.num]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "turned":
+        o = o.mul(random_rational_orthogonal(n, seed=draw(st.integers(100, 199))).matrix)
+    elif kind == "swapped":
+        rows[i], rows[j] = rows[j], rows[i]
+        o = RatMatrix.over(rows, o.den)
+    elif kind == "negated":
+        rows[i] = [-x for x in rows[i]]
+        o = RatMatrix.over(rows, o.den)
+    elif kind == "forged":
+        s = certificate_width(l1, l2, o, t.entries)
+        step = draw(st.sampled_from([1, 1 << draw(st.integers(max(s - 3, 0), s + 2))]))
+        forged = [list(r) for r in t.entries]
+        forged[i][j] += draw(st.sampled_from([1, -1])) * step
+        t = IntMatrix.from_rows(forged)
+    elif kind == "huge_den":
+        tiny = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+        o = RatMatrix.over(tiny, (1 << 300) + draw(st.integers(0, 1 << 20)))
+    return l1, l2, o, t
+
+
+class TestPackedVerifier:
+    """The verifier's packed checks give the verdicts of the dot-product
+    verifier they replaced, on both paths."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(packed_verify_cases())
+    def test_matches_the_dot_product_verifier(self, case):
+        l1, l2, o, t = case
+        assert verify_isomorphism(l1, l2, o) is verify_isomorphism_by_dot_products(l1, l2, o)
+        verdict = verify_isomorphism_by_dot_products(l1, l2, o, t)
+        assert verify_isomorphism(l1, l2, o, t) is verdict
+
+    @pytest.mark.parametrize("t,p", [(3, 0), (3, 300), (11, 64), (43, 5)])
+    def test_certificate_comparison_at_the_field_bound(self, t, p):
+        # Column 0 of A1 is all a = 2^p and row 0 of T* all t = (2^q + 1)/3,
+        # so row 0 of T*.A1 starts at 3.t.a, the left side's field bound,
+        # while A2.M^T = A1 starts at a: the two differ by (2^q.a, -1, 0),
+        # which packs to 0 in fields of log2(2^q.a) bits.  The width is
+        # bits(3.(t.a + a)), one bit more, so the forgery is refused.
+        a = 1 << p
+        lat = LatticeBasis(3, RatMatrix(((a, 1, 0), (a, -1, 1), (a, 0, -1))))
+        ident = RatMatrix.identity(3)
+        forged = IntMatrix(((t, t, t), (0, 1, 0), (0, 0, 1)))
+        assert certificate_width(lat, lat, ident, forged.entries) == (3 * t - 1).bit_length() + p
+        assert not verify_isomorphism_by_dot_products(lat, lat, ident, forged)
+        assert not verify_isomorphism(lat, lat, ident, forged)
+        assert verify_isomorphism(lat, lat, ident, IntMatrix.identity(3))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "bits,n,den",
+        [((1, 1, 1), 1, 1), ((1, 1, 1), 7, 1), ((3, 5, 2), 8, 3), ((64, 100, 64), 16, 5), ((300, 2, 1), 6, 1)],
+    )
+    def test_right_side_at_the_field_bound(self, bits, n, den, sign):
+        # Every |X[i][j]| = den.n^2.max|A2|.max|M|.max|A1|, the bound the
+        # decoded fields must hold.
+        x, y, z = ((1 << b) - 1 for b in bits)
+        a2, m, a1 = [[x] * n] * n, [[sign * y] * n] * n, [[z] * n] * n
+        expected = int_product(int_product(a2, list(zip(*m))), list(zip(*a1)))
+        assert _right_side(a2, m, a1, den) == [tuple(den * v for v in row) for row in expected]
+        assert expected[0][0] == sign * n * n * x * y * z
+
+
+class TestVerifierIndependence:
+    def test_solver_runs_with_the_verifier_packing_refused(self, monkeypatch):
+        """With `packed_rows` raising, the attack runs up to the witness's
+        orthonormality check, after the three products of `_assemble`;
+        `_certificate` still runs, and verify raises from its own packing
+        only."""
+        l1, l2 = parsed_public(generate_instance(15, 8, 4, seed=1))
+        res = hull_attack(l1, l2)
+        spep_step = next(e for e in res.transcript if e["step"] == "spep")
+        s = SignedPerm(tuple(spep_step["sigma"]), tuple(spep_step["signs"]))
+        t1, t2 = frame(l1, 15), frame(l2, 15)
+        r2 = rotated_rows(l2, t2, 15)
+        packers, products = [], []
+
+        def refused(rows, s):
+            packers.append(sys._getframe(1).f_code.co_name)
+            raise RuntimeError("verifier packing reached")
+
+        def counted(a, b):
+            products.append(sys._getframe(1).f_code.co_name)
+            return row_products(a, b)
+
+        loaded = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "hullattack"]
+        for mod in loaded:
+            if getattr(mod, "packed_rows", None) is packed_rows:
+                monkeypatch.setattr(mod, "packed_rows", refused)
+        monkeypatch.setattr(attack, "row_products", counted)
+        with pytest.raises(RuntimeError, match="verifier packing reached"):
+            hull_attack(l1, l2)
+        assert packers == ["rows_orthonormal"]
+        assert products[-3:] == ["_assemble"] * 3
+        products.clear()
+        with pytest.raises(RuntimeError, match="verifier packing reached"):
+            _assemble(l1, l2, t1, t2, s, 15)
+        assert _certificate(r2, t1, s, 15) == res.certificate
+        assert products == ["_assemble"] * 3 + ["_certificate"]
+        for args in ((res.o_star, res.certificate), (res.o_star,), (res.o_star.matrix,)):
+            with pytest.raises(RuntimeError, match="verifier packing reached"):
+                verify_isomorphism(l1, l2, *args)
+        assert packers == ["rows_orthonormal"] * 2 + ["verify_isomorphism", "_right_side"] + [
+            "rows_orthonormal"
+        ]
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ unimodular transforms for HNF ground truth.
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 import pytest
@@ -42,6 +42,7 @@ from oracles import (
     inv_int_rows,
     lll_rows,
     rat_inverse,
+    rows_orthonormal_by_dot_products,
     same_lattice,
 )
 
@@ -280,11 +281,12 @@ unit_fractions = st.sampled_from([Fraction(x, 5) for x in range(-5, 6)] + [Fract
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.data())
+@given(st.integers(1, 16), st.data())
 def test_rows_orthonormal_matches_fraction_oracle(n, data):
     rows = [[data.draw(unit_fractions) for _ in range(n)] for _ in range(n)]
     candidates = [RatMatrix.from_rows(rows)]
-    o = random_rational_orthogonal(n, seed=data.draw(st.integers(0, 99))).matrix
+    depth = data.draw(st.integers(0, 64 * n))
+    o = random_rational_orthogonal(n, seed=data.draw(st.integers(0, 99)), depth=depth).matrix
     negated = RatMatrix.over([[-x for x in row] for row in o.num], o.den)
     candidates += [o, negated, RatMatrix.over(o.num, 2 * o.den)]
     if n > 1:
@@ -293,6 +295,33 @@ def test_rows_orthonormal_matches_fraction_oracle(n, data):
         candidates.append(RatMatrix.from_rows(swapped))
     for m in candidates:
         assert m.rows_orthonormal() is fraction_rows_orthonormal(fractions(m))
+
+
+def sylvester_hadamard(n: int) -> list[list[int]]:
+    """The n x n Sylvester Hadamard matrix, n a power of two."""
+    h = [[1]]
+    while len(h) < n:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
+def test_rows_orthonormal_at_the_field_bound(n):
+    # H.H^T = n.I: each diagonal entry is n.max|H|^2, the left side's
+    # field bound, and H/sqrt(n) is orthonormal exactly when n is a
+    # square.  Negating one entry of the last row puts +-2 in every
+    # off-diagonal field of that row and of the last column.  (No
+    # narrower width w could turn a refusal into an acceptance while the
+    # fields stay below 2^(2w) in absolute value: num . num^T - den^2 . I
+    # is symmetric, so the carry that cancels the lowest nonzero field of
+    # one row is, not a multiple of 2^w, the lowest nonzero field of a
+    # later row, which then fails.)
+    h = sylvester_hadamard(n)
+    d = isqrt(n)
+    assert RatMatrix.over(h, d).rows_orthonormal() is (d * d == n)
+    h[-1][-1] = -h[-1][-1]
+    spoiled = RatMatrix.over(h, d)
+    assert spoiled.rows_orthonormal() is rows_orthonormal_by_dot_products(spoiled) is (n == 1)
 
 
 # --- HNF ---
